@@ -4,8 +4,10 @@ Boolean structure is relaxed multiplicatively: a rule's violation degree is
 the product of its antecedent literal values with the complements of its
 consequent literal values. The degree lives in [0, 1], is polynomial in the
 probabilities, and agrees with crisp evaluation at 0/1 vectors (1 exactly on
-violating assignments, 0 on satisfied ones). Factors multiply in the rule's
-stored literal order, so repeated evaluation is bitwise reproducible.
+violating assignments, 0 on satisfied ones). Rule sets are evaluated through
+their compiled `RuleSet.factor_index`. Factors multiply and rules add in stored
+order, and `domain_loss` runs over fixed blocks of rows, so results are bitwise
+reproducible and a full-data pass holds one block at a time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rules import Literal, Rule, RuleSet
+
+# rows per block of a `domain_loss` pass
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -35,15 +40,10 @@ class BatchPenaltyResult:
 
 def _check_probabilities(p) -> np.ndarray:
     arr = np.asarray(p, dtype=np.float64)
-    if not np.isfinite(arr).all() or (arr < 0).any() or (arr > 1).any():
+    # NaN and infinities fail the range test too
+    if not ((arr >= 0) & (arr <= 1)).all():
         raise ValueError("probabilities must lie in [0, 1]")
     return arr
-
-
-def _check_rule_fits(rule: Rule, width: int) -> None:
-    top = max(lit.label for lit in rule.antecedent + rule.consequent)
-    if top >= width:
-        raise ValueError(f"rule mentions label index {top} but vector has length {width}")
 
 
 def literal_value(lit: Literal, p) -> float:
@@ -57,45 +57,39 @@ def literal_value(lit: Literal, p) -> float:
     return float(1.0 - value) if lit.negated else float(value)
 
 
-def _factors(rule: Rule, P: np.ndarray):
-    """Per-factor values, d(factor)/d(probability) signs, and source columns.
+def _columns(P: np.ndarray) -> np.ndarray:
+    """[P, 1 - P, 1]: the columns a factor index reads."""
+    return np.concatenate([P, 1.0 - P, np.ones((P.shape[0], 1))], axis=1)
 
-    Factor order is the rule's stored order: antecedent then consequent.
+
+def _penalties(P: np.ndarray, index: np.ndarray, weights: np.ndarray):
+    """Violation degrees (n x rules) of the rules in a factor index, and the
+    gradient of their weighted sum in P, scattered in stored order.
+
+    A factor's partial is the product of the others, prefix times suffix: no
+    division, as factors may be exactly 0.
     """
-    values = []
-    signs = []
-    columns = []
-    for lit in rule.antecedent:
-        col = P[:, lit.label]
-        values.append(1.0 - col if lit.negated else col)
-        signs.append(-1.0 if lit.negated else 1.0)
-        columns.append(lit.label)
-    for lit in rule.consequent:
-        col = P[:, lit.label]
-        # factor is 1 - literal_value
-        values.append(col if lit.negated else 1.0 - col)
-        signs.append(1.0 if lit.negated else -1.0)
-        columns.append(lit.label)
-    return np.stack(values, axis=1), signs, columns
+    n, width = P.shape
+    factors = _columns(P)[:, index]  # (n, rules, k)
+    k = index.shape[1]
+    prefix = np.ones(factors.shape[:2] + (k + 1,))
+    np.multiply.accumulate(factors, axis=2, out=prefix[:, :, 1:])
+    suffix = np.ones_like(prefix)
+    suffix[:, :, :k] = np.multiply.accumulate(factors[:, :, ::-1], axis=2)[:, :, ::-1]
+    sign = np.where(index < width, 1.0, np.where(index < 2 * width, -1.0, 0.0))
+    partials = prefix[:, :, :k] * suffix[:, :, 1:] * (sign * weights[:, None])
+    grad = np.zeros((n, width))
+    # padding (column 2 * width) adds a zero partial to label 0
+    np.add.at(grad, (np.arange(n)[:, None, None], index % width), partials)
+    return prefix[:, :, k], grad
 
 
-def _penalty_values(rule: Rule, P: np.ndarray) -> np.ndarray:
-    factors, _, _ = _factors(rule, P)
-    return np.multiply.reduce(factors, axis=1)
-
-
-def _penalty_batch(rule: Rule, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    factors, signs, columns = _factors(rule, P)
-    n, k = factors.shape
-    prefix = np.ones((n, k + 1))
-    np.multiply.accumulate(factors, axis=1, out=prefix[:, 1:])
-    suffix = np.ones((n, k + 1))
-    suffix[:, :k] = np.multiply.accumulate(factors[:, ::-1], axis=1)[:, ::-1]
-    grad = np.zeros((n, P.shape[1]))
-    # leave-one-out products; no division, factors may be exactly 0
-    for j in range(k):
-        grad[:, columns[j]] += signs[j] * (prefix[:, j] * suffix[:, j + 1])
-    return prefix[:, k], grad
+def _rule_index(rule: Rule, width: int) -> np.ndarray:
+    """One rule's factors as a one-row factor index over vectors of `width` labels."""
+    for label, _ in rule.factors:
+        if not 0 <= label < width:
+            raise ValueError(f"rule mentions label index {label} but vector has length {width}")
+    return np.array([[label + width * complemented for label, complemented in rule.factors]])
 
 
 def rule_penalty(rule: Rule, p) -> PenaltyResult:
@@ -103,9 +97,8 @@ def rule_penalty(rule: Rule, p) -> PenaltyResult:
     arr = _check_probabilities(p)
     if arr.ndim != 1:
         raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
-    _check_rule_fits(rule, arr.shape[0])
-    values, grads = _penalty_batch(rule, arr[None, :])
-    return PenaltyResult(float(values[0]), grads[0])
+    batch = rule_penalty_batch(rule, arr[None, :])
+    return PenaltyResult(float(batch.values[0]), batch.grads[0])
 
 
 def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
@@ -115,9 +108,8 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("empty batch")
-    _check_rule_fits(rule, arr.shape[1])
-    values, grads = _penalty_batch(rule, arr)
-    return BatchPenaltyResult(values, grads)
+    values, grads = _penalties(arr, _rule_index(rule, arr.shape[1]), np.ones(1))
+    return BatchPenaltyResult(values[:, 0], grads)
 
 
 def _check_batch(rs: RuleSet, P) -> np.ndarray:
@@ -139,24 +131,21 @@ def domain_loss(rs: RuleSet, P) -> float:
     arr = _check_batch(rs, P)
     if not rs.rules:
         return 0.0
-    total = np.zeros(arr.shape[0])
-    weight_sum = 0.0
-    for rule in rs.rules:
-        total += rule.weight * _penalty_values(rule, arr)
-        weight_sum += rule.weight
-    return float(np.mean(total / weight_sum))
+    total = np.empty(arr.shape[0])
+    for start in range(0, arr.shape[0], _BLOCK_ROWS):
+        columns = _columns(arr[start : start + _BLOCK_ROWS])
+        degrees = np.ones((columns.shape[0], len(rs.rules)))
+        for factor in rs.factor_index.T:
+            degrees *= columns[:, factor]
+        total[start : start + _BLOCK_ROWS] = np.cumsum(degrees * rs.weights, axis=1)[:, -1]
+    return float(np.mean(total / np.cumsum(rs.weights)[-1]))
 
 
 def domain_loss_grad(rs: RuleSet, P) -> np.ndarray:
     """Exact gradient of `domain_loss` with respect to every probability entry."""
     arr = _check_batch(rs, P)
-    grad = np.zeros_like(arr)
     if not rs.rules:
-        return grad
-    weight_sum = 0.0
-    for rule in rs.rules:
-        _, g = _penalty_batch(rule, arr)
-        grad += rule.weight * g
-        weight_sum += rule.weight
-    grad /= weight_sum * arr.shape[0]
+        return np.zeros_like(arr)
+    _, grad = _penalties(arr, rs.factor_index, rs.weights)
+    grad /= np.cumsum(rs.weights)[-1] * arr.shape[0]
     return grad

@@ -13,6 +13,8 @@ literals or the keyword FALSE for an empty one. `!` negates a literal.
 A trailing `@ w` attaches a positive weight (default 1.0); MUTEX rules
 inherit it. `MUTEX` and `FALSE` are reserved words and cannot name labels.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8 with LF or CRLF.
+Each rule set is compiled once into one factor index, which the crisp checks
+here, the relaxed penalty and the supervision flags all read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -108,9 +113,6 @@ class Literal:
     label: int
     negated: bool = False
 
-    def holds(self, value) -> bool:
-        return bool(value) != self.negated
-
 
 @dataclass(frozen=True)
 class RuleSource:
@@ -147,26 +149,47 @@ class Rule:
         if not (self.weight > 0 and math.isfinite(self.weight)):
             raise InvalidWeightError(f"rule weight must be positive and finite, got {self.weight}")
 
-    def mentioned_labels(self) -> tuple[int, ...]:
-        """Labels the rule touches, in first-appearance order, no repeats."""
-        seen = dict.fromkeys(lit.label for lit in self.antecedent + self.consequent)
-        return tuple(seen)
+    @cached_property
+    def factors(self) -> tuple[tuple[int, bool], ...]:
+        """(label, complemented) per factor of the violation product, antecedent
+        then consequent literals in stored order. A factor reads 1 - y[label]
+        for a negated antecedent or plain consequent literal, else y[label];
+        a crisp vector violates the rule exactly when every factor is 1.
+        """
+        return tuple((lit.label, lit.negated) for lit in self.antecedent) + tuple(
+            (lit.label, not lit.negated) for lit in self.consequent
+        )
 
 
 @dataclass(frozen=True)
 class RuleSet:
-    """A vocabulary plus rules whose literals index into it."""
+    """A vocabulary plus rules whose literals index into it.
+
+    `factor_index` is the rules compiled once: a (rules x max factors) array
+    whose row r indexes rule r's factors among the columns of [y, 1 - y, 1];
+    padding reads the constant 1. `weights` holds the rule weights in order.
+    """
 
     vocabulary: LabelVocabulary
     rules: tuple[Rule, ...] = ()
+    factor_index: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         width = len(self.vocabulary)
-        for rule in self.rules:
-            for lit in rule.antecedent + rule.consequent:
-                if not 0 <= lit.label < width:
-                    raise RuleError(f"literal index {lit.label} outside vocabulary of size {width}")
+        factors = list(map(attrgetter("factors"), self.rules))
+        pairs = np.array(list(chain.from_iterable(factors)), dtype=np.intp).reshape(-1, 2)
+        labels, complemented = pairs.T
+        outside = (labels < 0) | (labels >= width)
+        if outside.any():
+            raise RuleError(f"literal index {labels[outside][0]} outside vocabulary of size {width}")
+        lengths = np.fromiter(map(len, factors), np.intp, len(factors))
+        index = np.full((len(factors), lengths.max(initial=0)), 2 * width, dtype=np.intp)
+        index[np.arange(index.shape[1]) < lengths[:, None]] = labels + width * complemented
+        weights = np.fromiter(map(attrgetter("weight"), self.rules), np.float64, len(factors))
+        object.__setattr__(self, "factor_index", index)
+        object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -397,32 +420,19 @@ def parse_rules(text: str, vocab: LabelVocabulary | None = None) -> RuleSet:
 # ---- crisp evaluation ----
 
 
-def _check_binary(arr: np.ndarray, what: str) -> np.ndarray:
-    if not ((arr == 0) | (arr == 1)).all():
-        raise ValueError(f"{what} entries must be 0 or 1")
-    return arr.astype(np.int64)
-
-
-def _rule_satisfied(rule: Rule, y: np.ndarray) -> bool:
-    for lit in rule.antecedent:
-        if not lit.holds(y[lit.label]):
-            return True
-    for lit in rule.consequent:
-        if lit.holds(y[lit.label]):
-            return True
-    return False
-
-
 def hard_satisfied(rule: Rule, y) -> bool:
     """Crisp semantics: satisfied unless all antecedent literals hold and no consequent literal does."""
     arr = np.asarray(y)
     if arr.ndim != 1:
         raise ValueError(f"label vector must be 1-D, got shape {arr.shape}")
-    arr = _check_binary(arr, "label vector")
-    top = max(lit.label for lit in rule.antecedent + rule.consequent)
-    if top >= arr.shape[0]:
-        raise ValueError(f"label vector of length {arr.shape[0]} too short for label index {top}")
-    return _rule_satisfied(rule, arr)
+    values = arr.tolist()
+    if not set(values) <= {0, 1}:
+        raise ValueError("label vector entries must be 0 or 1")
+    top = max(label for label, _ in rule.factors)
+    if top >= len(values):
+        raise ValueError(f"label vector of length {len(values)} too short for label index {top}")
+    # a factor is 0, and the rule satisfied, where the label equals its complement flag
+    return any(values[label] == complemented for label, complemented in rule.factors)
 
 
 def violated_rules(rs: RuleSet, y) -> list[int]:
@@ -432,29 +442,22 @@ def violated_rules(rs: RuleSet, y) -> list[int]:
         raise ValueError(
             f"label vector has shape {arr.shape}, expected ({len(rs.vocabulary)},)"
         )
-    arr = _check_binary(arr, "label vector")
-    return [i for i, rule in enumerate(rs.rules) if not _rule_satisfied(rule, arr)]
+    return np.flatnonzero(violation_matrix(rs, arr[None, :])[0]).tolist()
 
 
 def violation_matrix(rs: RuleSet, Y) -> np.ndarray:
     """Boolean matrix (samples x rules), True where a sample's labels violate a rule."""
     arr = np.asarray(Y)
-    if arr.ndim != 2 or arr.shape[1] != len(rs.vocabulary):
-        raise ValueError(
-            f"label matrix has shape {arr.shape}, expected (n, {len(rs.vocabulary)})"
-        )
-    arr = _check_binary(arr, "label matrix")
-    n = arr.shape[0]
-    out = np.zeros((n, len(rs.rules)), dtype=bool)
-    for r, rule in enumerate(rs.rules):
-        ant = np.ones(n, dtype=bool)
-        for lit in rule.antecedent:
-            ant &= arr[:, lit.label] == (0 if lit.negated else 1)
-        cons = np.zeros(n, dtype=bool)
-        for lit in rule.consequent:
-            cons |= arr[:, lit.label] == (0 if lit.negated else 1)
-        out[:, r] = ant & ~cons
-    return out
+    width = len(rs.vocabulary)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"label matrix has shape {arr.shape}, expected (n, {width})")
+    if not ((arr == 0) | (arr == 1)).all():
+        raise ValueError("label matrix entries must be 0 or 1")
+    columns = np.ones((arr.shape[0], 2 * width + 1), dtype=np.uint8)
+    columns[:, :width] = arr
+    np.subtract(1, columns[:, :width], out=columns[:, width : 2 * width])
+    # a rule is violated where every one of its factors is 1
+    return columns[:, rs.factor_index].all(axis=2)
 
 
 # ---- formatting ----

@@ -61,13 +61,12 @@ def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
     """Flag matrix: entry (i, j) is 1 when label j appears (either polarity)
     in at least one rule violated by row i."""
     violations = violation_matrix(rs, Y)
-    flags = np.zeros(violations.shape[:1] + (len(rs.vocabulary),), dtype=np.uint8)
-    for r, rule in enumerate(rs.rules):
-        rows = violations[:, r]
-        if rows.any():
-            for label in rule.mentioned_labels():
-                flags[rows, label] = 1
-    return flags
+    width = len(rs.vocabulary)
+    # (rules x labels) count of each label among a rule's factors, read off the factor index
+    reads = np.zeros((len(rs.rules), 2 * width + 1))
+    reads[np.arange(len(rs.rules))[:, None], rs.factor_index] = 1.0
+    mentions = reads[:, :width] + reads[:, width : 2 * width]
+    return (violations.astype(np.float64) @ mentions > 0).astype(np.uint8)
 
 
 def init_supervision(Y, F, mode: str) -> SupervisionState:

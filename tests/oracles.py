@@ -59,6 +59,25 @@ def random_ruleset(rng: random.Random, vocab, n_rules: int, **kwargs) -> RuleSet
     return RuleSet(vocab, tuple(random_rule(rng, len(vocab), **kwargs) for _ in range(n_rules)))
 
 
+def product_domain_loss(rs: RuleSet, P) -> float:
+    """Reference rule penalty, rule by rule: each rule's degree is the product of
+    its antecedent literal values and its consequent literal complements, taken
+    in stored order; degrees add in rule order, weighted, then are normalized by
+    the weight sum and averaged over rows."""
+    P = np.asarray(P, dtype=np.float64)
+    total = np.zeros(len(P))
+    weight_sum = 0.0
+    for rule in rs.rules:
+        degree = np.ones(len(P))
+        for lit in rule.antecedent:
+            degree = degree * (1.0 - P[:, lit.label] if lit.negated else P[:, lit.label])
+        for lit in rule.consequent:
+            degree = degree * (P[:, lit.label] if lit.negated else 1.0 - P[:, lit.label])
+        total = total + rule.weight * degree
+        weight_sum += rule.weight
+    return float(np.mean(total / weight_sum))
+
+
 def max_rel_err(analytic, numeric, floor: float) -> float:
     """Worst-entry relative error, with a floor on the denominator so that
     near-zero entries compare absolutely at the floor's scale."""

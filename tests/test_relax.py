@@ -39,8 +39,9 @@ def test_literal_value_examples():
 
 
 def test_literal_value_validation():
-    with pytest.raises(ValueError):
-        literal_value(Literal(0), np.array([1.2]))
+    for bad in (1.2, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            literal_value(Literal(0), np.array([bad]))
     with pytest.raises(ValueError):
         literal_value(Literal(3), np.array([0.5, 0.5]))
 
@@ -158,6 +159,9 @@ def test_penalty_batch_validation():
         rule_penalty_batch(rule, np.zeros((0, 2)))
     with pytest.raises(ValueError):
         rule_penalty_batch(rule, np.array([0.5, 0.5]))
+    for label in (2, -1):
+        with pytest.raises(ValueError, match="label index"):
+            rule_penalty_batch(Rule((Literal(label),)), np.full((1, 2), 0.5))
 
 
 def test_penalty_deterministic_bitwise():
@@ -242,3 +246,8 @@ def test_domain_loss_validation():
         domain_loss(rs, np.array([[0.5, 1.5]]))
     with pytest.raises(ValueError):
         domain_loss_grad(rs, np.array([[np.nan, 0.5]]))
+    for bad in (np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            domain_loss(rs, np.array([[0.5, bad]]))
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            domain_loss_grad(rs, np.array([[bad, 0.5]]))
