@@ -9,6 +9,7 @@ y/y_clean on load, so noise records survive a save/load round trip.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,18 +80,29 @@ class Dataset:
 # ---- file io ----
 
 
+# Rows are formatted this many at a time, so memory stays flat in the row count.
+_BLOCK_ROWS = 1024
+
+
+def _row_template(n_features: int, n_labels: int, with_clean: bool) -> str:
+    """One %-format sample line, laid out by `jsonio.dumps` itself."""
+    x = [jsonio.Raw(jsonio.FLOAT_FORMAT)] * n_features
+    y = [jsonio.Raw("%d")] * n_labels
+    row = {"x": x, "y": y, "y_clean": y} if with_clean else {"x": x, "y": y}
+    return jsonio.dumps(row) + "\n"
+
+
 def save_dataset(ds: Dataset, path) -> None:
     """Write the JSONL form; output bytes depend only on the dataset's values."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    jsonio.check_finite(ds.X)
+    columns = [ds.X, ds.Y] if ds.clean_Y is None else [ds.X, ds.Y, ds.clean_Y]
+    template = _row_template(ds.X.shape[1], ds.Y.shape[1], ds.clean_Y is not None)
+    with jsonio.atomic_write(path) as fh:
         fh.write(jsonio.dumps({"labels": list(ds.names.names)}) + "\n")
-        for i in range(ds.n_samples):
-            row = {
-                "x": [float(v) for v in ds.X[i]],
-                "y": [int(v) for v in ds.Y[i]],
-            }
-            if ds.clean_Y is not None:
-                row["y_clean"] = [int(v) for v in ds.clean_Y[i]]
-            fh.write(jsonio.dumps(row) + "\n")
+        for start in range(0, ds.n_samples, _BLOCK_ROWS):
+            # object columns hold Python floats and ints, which %-format like float(v) and int(v)
+            block = np.concatenate([c[start : start + _BLOCK_ROWS].astype(object) for c in columns], axis=1)
+            fh.write("".join([template % tuple(row) for row in block.tolist()]))
 
 
 def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
@@ -121,12 +133,80 @@ def load_dataset(path) -> Dataset:
         vocab = LabelVocabulary(header["labels"])
     except ValueError as err:
         raise DatasetError(f"line 1: bad label header: {err}") from None
+    samples = lines[1:]
+    X, Y, clean = _read_samples(samples, len(vocab)) or _read_samples_by_line(samples, len(vocab), path)
+    flips = None if clean is None else list(map(tuple, np.argwhere(Y != clean).tolist()))
+    return Dataset(X, Y, vocab, clean, flips)
+
+
+_SAMPLE_KEYS = ({"x", "y"}, {"x", "y", "y_clean"})
+
+# The JSON integer token -0, which json reads as int 0 and so loses the sign
+# that "%.17g" writes for a feature of -0.0.
+_NEGATIVE_ZERO = re.compile(r"-0(?![\d.eE])")
+
+
+def _int_keeping_negative_zero(token: str):
+    return -0.0 if token == "-0" else int(token)
+
+
+def _label_array(rows: list, width: int) -> np.ndarray | None:
+    try:
+        Y = np.array(rows)
+    except ValueError:
+        return None
+    if Y.ndim != 2 or Y.dtype.kind != "i" or Y.shape[1] != width or not ((Y == 0) | (Y == 1)).all():
+        return None
+    return Y
+
+
+def _read_samples(lines: list[str], width: int):
+    """(X, Y, clean Y or None) from the sample lines in one parse, validated as
+    whole arrays; None wherever the line-by-line reader has to decide.
+
+    It accepts only files that reader accepts, with equal arrays: every line
+    starts with { and ends with }; every row has keys exactly x and y, or x, y
+    and y_clean; x holds numbers, y and y_clean the integers 0 and 1; widths
+    match. Rows of that shape hold no braces but their own, so each line holds
+    whole rows, and with as many rows as lines each line holds exactly the one
+    row it parses to on its own. Numpy would read JSON true, false and null as
+    numbers, so any of those tokens sends the file to the line-by-line reader,
+    and so does -0, whose sign only that reader keeps.
+    """
+    if not lines or not all(line[:1] == "{" and line[-1:] == "}" for line in lines):
+        return None
+    body = "[" + ",".join(lines) + "]"
+    if "true" in body or "false" in body or "null" in body or _NEGATIVE_ZERO.search(body):
+        return None
+    try:
+        rows = json.loads(body)
+    except (ValueError, RecursionError):
+        return None
+    keys = rows[0].keys() if len(rows) == len(lines) and type(rows[0]) is dict else None
+    if keys not in _SAMPLE_KEYS or not all(type(row) is dict and row.keys() == keys for row in rows):
+        return None
+    try:
+        X = np.array([row["x"] for row in rows])
+    except ValueError:
+        return None
+    if X.ndim != 2 or X.dtype.kind not in "fi":
+        return None
+    Y = _label_array([row["y"] for row in rows], width)
+    clean = _label_array([row["y_clean"] for row in rows], width) if "y_clean" in keys else None
+    if Y is None or (clean is None and "y_clean" in keys):
+        return None
+    return X.astype(np.float64), Y, clean
+
+
+def _read_samples_by_line(lines: list[str], width: int, path):
+    """(X, Y, clean Y or None) from the sample lines, checked one at a time;
+    errors name the file line, the header being line 1."""
     xs: list[list] = []
     ys: list[list] = []
     cleans: list[list] = []
     has_clean: bool | None = None
     n_features: int | None = None
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
         try:
@@ -136,13 +216,15 @@ def load_dataset(path) -> Dataset:
         if not isinstance(row, dict) or "x" not in row or "y" not in row:
             raise DatasetError(f"line {line_no}: sample objects need 'x' and 'y'")
         x = _parse_number_list(row["x"], line_no, "x", binary=False)
+        if _NEGATIVE_ZERO.search(line):
+            x = json.loads(line, parse_int=_int_keeping_negative_zero)["x"]
         y = _parse_number_list(row["y"], line_no, "y", binary=True)
         if n_features is None:
             n_features = len(x)
         elif len(x) != n_features:
             raise DatasetError(f"line {line_no}: expected {n_features} features, got {len(x)}")
-        if len(y) != len(vocab):
-            raise DatasetError(f"line {line_no}: expected {len(vocab)} labels, got {len(y)}")
+        if len(y) != width:
+            raise DatasetError(f"line {line_no}: expected {width} labels, got {len(y)}")
         row_has_clean = "y_clean" in row
         if has_clean is None:
             has_clean = row_has_clean
@@ -150,22 +232,17 @@ def load_dataset(path) -> Dataset:
             raise DatasetError(f"line {line_no}: y_clean must appear on every sample or on none")
         if row_has_clean:
             y_clean = _parse_number_list(row["y_clean"], line_no, "y_clean", binary=True)
-            if len(y_clean) != len(vocab):
+            if len(y_clean) != width:
                 raise DatasetError(
-                    f"line {line_no}: expected {len(vocab)} clean labels, got {len(y_clean)}"
+                    f"line {line_no}: expected {width} clean labels, got {len(y_clean)}"
                 )
             cleans.append(y_clean)
         xs.append(x)
         ys.append(y)
     if not xs:
         raise DatasetError(f"{path}: dataset has no samples")
-    Y = np.asarray(ys, dtype=np.int64)
-    if has_clean:
-        clean = np.asarray(cleans, dtype=np.int64)
-        flips = [(int(i), int(j)) for i, j in np.argwhere(Y != clean)]
-    else:
-        clean, flips = None, None
-    return Dataset(np.asarray(xs, dtype=np.float64), Y, vocab, clean, flips)
+    clean = np.asarray(cleans, dtype=np.int64) if has_clean else None
+    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64), clean
 
 
 # ---- synthesis ----

@@ -1,21 +1,49 @@
 """Deterministic JSON output: insertion-ordered keys, floats at 17 significant digits.
 
 Every file the package writes goes through here so that identical inputs
-produce byte-identical artifacts.
+produce byte-identical artifacts, and through `atomic_write` so that a
+failed write leaves no half-written file behind.
 """
 
 from __future__ import annotations
 
 import json as _json
 import math
+import os
+import secrets
+from contextlib import contextmanager, suppress
 
 import numpy as np
+
+# 17 significant digits round-trip every float exactly.
+FLOAT_FORMAT = "%.17g"
+
+
+class Raw(str):
+    """Text that `dumps` emits verbatim: a value already serialized."""
+
+
+def _non_finite(value: float) -> ValueError:
+    return ValueError(f"cannot serialize non-finite number {value!r}")
 
 
 def format_float(value: float) -> str:
     if not math.isfinite(value):
-        raise ValueError(f"cannot serialize non-finite number {value!r}")
-    return format(value, ".17g")
+        raise _non_finite(value)
+    return FLOAT_FORMAT % value
+
+
+def check_finite(values: np.ndarray) -> None:
+    """Raise `format_float`'s error for the first non-finite entry in row-major order."""
+    if not np.isfinite(values).all():
+        raise _non_finite(float(values[~np.isfinite(values)][0]))
+
+
+def float_list(values) -> Raw:
+    """A float array as one flat JSON list, formatted in a single pass."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    check_finite(values)
+    return Raw("[" + ", ".join([FLOAT_FORMAT] * values.size) % tuple(values.tolist()) + "]")
 
 
 def dumps(obj) -> str:
@@ -27,9 +55,36 @@ def dumps(obj) -> str:
 
 def dump(obj, path) -> None:
     """Write `dumps(obj)` to `path` with a trailing newline."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(dumps(obj))
         fh.write("\n")
+
+
+@contextmanager
+def atomic_write(path):
+    """Open `path` for text writing so that it changes only if the block completes.
+
+    The text goes to a temporary file in the target's directory, which then
+    replaces the target with `os.replace`. If anything raises, the temporary
+    file is removed and the target keeps its old bytes, or stays absent.
+    This guards against failures in the process, not against power loss:
+    nothing is fsynced.
+    """
+    path = os.fspath(path)
+    head, name = os.path.split(path)
+    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="\n")
+    except OSError as err:  # name the file the caller asked for, not the temporary one
+        raise type(err)(err.errno, err.strerror, path) from None
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _write(obj, parts: list[str]) -> None:
@@ -41,6 +96,8 @@ def _write(obj, parts: list[str]) -> None:
         parts.append("false")
     elif isinstance(obj, np.bool_):
         parts.append("true" if obj else "false")
+    elif isinstance(obj, Raw):
+        parts.append(obj)
     elif isinstance(obj, str):
         parts.append(_json.dumps(obj))
     elif isinstance(obj, (float, np.floating)):

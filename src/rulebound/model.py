@@ -248,10 +248,10 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
             "n_labels": params.n_labels,
         },
         "seed": int(seed),
-        "W1": [float(v) for v in params.W1.ravel()],
-        "b1": [float(v) for v in params.b1],
-        "W2": [float(v) for v in params.W2.ravel()],
-        "b2": [float(v) for v in params.b2],
+        "W1": jsonio.float_list(params.W1),
+        "b1": jsonio.float_list(params.b1),
+        "W2": jsonio.float_list(params.W2),
+        "b2": jsonio.float_list(params.b2),
         "config": config.as_dict() if config is not None else None,
     }
     jsonio.dump(doc, path)

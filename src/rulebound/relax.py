@@ -87,7 +87,7 @@ def _penalties(P: np.ndarray, index: np.ndarray, weights: np.ndarray):
 def _rule_index(rule: Rule, width: int) -> np.ndarray:
     """One rule's factors as a one-row factor index over vectors of `width` labels."""
     for label, _ in rule.factors:
-        if not 0 <= label < width:
+        if label >= width:
             raise ValueError(f"rule mentions label index {label} but vector has length {width}")
     return np.array([[label + width * complemented for label, complemented in rule.factors]])
 

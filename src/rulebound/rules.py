@@ -113,6 +113,10 @@ class Literal:
     label: int
     negated: bool = False
 
+    def __post_init__(self):
+        if self.label < 0:
+            raise RuleError(f"label index must be non-negative, got {self.label}")
+
 
 @dataclass(frozen=True)
 class RuleSource:
@@ -181,7 +185,7 @@ class RuleSet:
         factors = list(map(attrgetter("factors"), self.rules))
         pairs = np.array(list(chain.from_iterable(factors)), dtype=np.intp).reshape(-1, 2)
         labels, complemented = pairs.T
-        outside = (labels < 0) | (labels >= width)
+        outside = labels >= width
         if outside.any():
             raise RuleError(f"literal index {labels[outside][0]} outside vocabulary of size {width}")
         lengths = np.fromiter(map(len, factors), np.intp, len(factors))

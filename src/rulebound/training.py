@@ -65,7 +65,7 @@ class TrainHistory:
 
     def write_jsonl(self, path) -> None:
         """One JSON object per epoch."""
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with jsonio.atomic_write(path) as fh:
             for record in self.records:
                 fh.write(jsonio.dumps(record.as_dict()) + "\n")
 

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from rulebound import Literal, ModelParams, Rule, RuleSet
+from rulebound import Literal, ModelParams, Rule, RuleSet, jsonio
 
 
 def crisp_satisfied(rule: Rule, y) -> bool:
@@ -76,6 +76,38 @@ def product_domain_loss(rs: RuleSet, P) -> float:
         total = total + rule.weight * degree
         weight_sum += rule.weight
     return float(np.mean(total / weight_sum))
+
+
+def dataset_jsonl(ds) -> str:
+    """Reference dataset file: the label header, then every row as a generic
+    `jsonio.dumps` of its {"x": [float...], "y": [int...]} object, plus
+    "y_clean" when the dataset carries clean labels; one line each."""
+    lines = [jsonio.dumps({"labels": list(ds.names.names)})]
+    for i in range(ds.n_samples):
+        row = {"x": [float(v) for v in ds.X[i]], "y": [int(v) for v in ds.Y[i]]}
+        if ds.clean_Y is not None:
+            row["y_clean"] = [int(v) for v in ds.clean_Y[i]]
+        lines.append(jsonio.dumps(row))
+    return "\n".join(lines) + "\n"
+
+
+def checkpoint_json(params: ModelParams, seed: int, config) -> str:
+    """Reference checkpoint file: the documented layout, every weight a float
+    in a generic `jsonio.dumps` list."""
+    doc = {
+        "dims": {
+            "n_features": params.W1.shape[1],
+            "n_hidden": params.W1.shape[0],
+            "n_labels": params.W2.shape[0],
+        },
+        "seed": seed,
+        "W1": [float(v) for v in params.W1.ravel()],
+        "b1": [float(v) for v in params.b1],
+        "W2": [float(v) for v in params.W2.ravel()],
+        "b2": [float(v) for v in params.b2],
+        "config": config.as_dict() if config is not None else None,
+    }
+    return jsonio.dumps(doc) + "\n"
 
 
 def max_rel_err(analytic, numeric, floor: float) -> float:

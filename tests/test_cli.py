@@ -191,3 +191,13 @@ def test_runtime_errors_exit_three(tmp_path, rules_file, capsys):
                 "--patterns", "2", "--seed", "0"])
     assert code == 3  # synthesis budget exhausted
     capsys.readouterr()
+
+
+def test_train_into_missing_directory_writes_nothing(tmp_path, rules_file, capsys):
+    data = _synth(tmp_path, rules_file)
+    missing = tmp_path / "missing"
+    code = run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--out-model", str(missing / "model.json"), "--out-history", str(tmp_path / "h.jsonl")])
+    assert code == 3  # training finished, then the first output could not be opened
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing / 'model.json'}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "rules.txt"]

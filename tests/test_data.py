@@ -20,6 +20,7 @@ from rulebound import (
     synthesize,
     violated_rules,
 )
+from rulebound.cli import run
 
 import oracles
 
@@ -122,6 +123,151 @@ def test_loader_skips_blank_lines(tmp_path):
     path.write_text('{"labels": ["a"]}\n\n{"x": [0.25], "y": [1]}\n\n')
     ds = load_dataset(path)
     assert ds.n_samples == 1
+
+
+def _random_ds(seed, n, d, n_labels, with_clean):
+    rng = np.random.default_rng(seed)
+    vocab = LabelVocabulary(tuple(f"l{j}" for j in range(n_labels)))
+    X = rng.normal(0.0, 10.0 ** rng.integers(-3, 4), size=(n, d))
+    Y = rng.integers(0, 2, size=(n, n_labels))
+    if not with_clean:
+        return Dataset(X, Y, vocab)
+    clean = np.where(rng.random(Y.shape) < 0.2, 1 - Y, Y)
+    return Dataset(X, Y, vocab, clean_Y=clean, flips=[tuple(f) for f in np.argwhere(Y != clean)])
+
+
+@pytest.mark.parametrize("with_clean", [False, True])
+@pytest.mark.parametrize("seed, n, d, n_labels", [(0, 1, 1, 1), (1, 7, 3, 2), (2, 2500, 16, 20), (3, 40, 0, 3)])
+def test_save_matches_generic_row_serializer(tmp_path, seed, n, d, n_labels, with_clean):
+    ds = _random_ds(seed, n, d, n_labels, with_clean)
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    assert path.read_bytes() == oracles.dataset_jsonl(ds).encode()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 0.1, 1e16,
+               1e17, 3.0, -7.0, 2.0**53, 1 / 3, 123456789.0]
+
+
+@pytest.mark.parametrize("with_clean", [False, True])
+def test_save_edge_floats_match_generic_row_serializer(tmp_path, with_clean):
+    X = np.array(EDGE_FLOATS).reshape(-1, 3)
+    ds = _random_ds(4, len(X), 3, 2, with_clean)
+    ds.X = X
+    path = tmp_path / "edge.jsonl"
+    save_dataset(ds, path)
+    assert path.read_bytes() == oracles.dataset_jsonl(ds).encode()
+    back = load_dataset(path)
+    assert back.X.tobytes() == X.tobytes()  # bitwise, so -0.0 survives
+
+
+def test_save_rejects_non_finite_features(tmp_path):
+    ds = _small_ds()
+    ds.X[1, 1] = -np.inf
+    ds.X[2, 0] = np.nan
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(ValueError, match=r"^cannot serialize non-finite number -inf$"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
+def test_save_load_save_is_byte_identical(tmp_path):
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+    from hypothesis.extra.numpy import arrays
+
+    @st.composite
+    def datasets(draw):
+        n = draw(st.integers(1, 6))
+        d = draw(st.integers(0, 4))
+        n_labels = draw(st.integers(1, 4))
+        X = draw(arrays(np.float64, (n, d), elements=st.floats(allow_nan=False, allow_infinity=False)))
+        Y = draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
+        vocab = LabelVocabulary(tuple(f"l{j}" for j in range(n_labels)))
+        if not draw(st.booleans()):
+            return Dataset(X, Y, vocab)
+        clean = draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
+        return Dataset(X, Y, vocab, clean_Y=clean, flips=[tuple(f) for f in np.argwhere(Y != clean)])
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(datasets())
+    def check(ds):
+        first, second = tmp_path / "first.jsonl", tmp_path / "second.jsonl"
+        save_dataset(ds, first)
+        assert first.read_bytes() == oracles.dataset_jsonl(ds).encode()
+        back = load_dataset(first)
+        save_dataset(back, second)
+        assert second.read_bytes() == first.read_bytes()
+        assert back.flips == ds.flips
+
+    check()
+
+
+_HEADER = '{"labels": ["a", "b"]}'
+_OK = ['{"x": [0.5, 1.0], "y": [1, 0]}', '{"x": [1.5, -2.0], "y": [0, 1]}']
+_OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
+
+
+# Messages as the line-by-line reader has always given them; the whole-array
+# reader must fall back to it for every one of these files.
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (_OK + ['{"x": [true, 1.0], "y": [1, 0]}'], "line 4: x entries must be numbers"),
+        (_OK + ['{"x": [0.5, false], "y": [1, 0]}'], "line 4: x entries must be numbers"),
+        (_OK + ['{"x": [null, 1.0], "y": [1, 0]}'], "line 4: x entries must be numbers"),
+        (_OK + ['{"x": [0.5, 1.0], "y": [true, 0]}'], "line 4: y entries must be 0 or 1"),
+        (_OK + ['{"x": [0.5, 1.0], "y": [1, false]}'], "line 4: y entries must be 0 or 1"),
+        (_OK + ['{"x": [0.5, 1.0], "y": [null, 0]}'], "line 4: y entries must be 0 or 1"),
+        (_OK + ['{"x": [0.5, 1.0], "y": [1.0, 0]}'], "line 4: y entries must be 0 or 1"),
+        (_OK_CLEAN + ['{"x": [0.5, 1.0], "y": [1, 0], "y_clean": [0, 1.0]}'],
+         "line 4: y_clean entries must be 0 or 1"),
+        (_OK_CLEAN + ['{"x": [0.5, 1.0], "y": [1, 0], "y_clean": [false, 1]}'],
+         "line 4: y_clean entries must be 0 or 1"),
+        (_OK + ['{"x": [0.5, 1.0], "y": [1, 18446744073709551616]}'], "line 4: y entries must be 0 or 1"),
+        (_OK + ['{"x": ["0.5", 1.0], "y": [1, 0]}'], "line 4: x entries must be numbers"),
+        (_OK + ['{"x": [NaN, 1.0], "y": [1, 0]}'], "features must be finite"),
+        (_OK + ['{"x": [0.5, Infinity], "y": [1, 0]}'], "features must be finite"),
+        (_OK + ['{"x": [0.5, -Infinity], "y": [1, 0]}'], "features must be finite"),
+        (_OK + _OK + ['{"x": [0.5, 1.0, 2.0], "y": [1, 0]}'], "line 6: expected 2 features, got 3"),
+        (_OK + ['{"x": [0.5, 1.0], "y": [1,'], "line 4: invalid JSON: Expecting value"),
+        # a row split over two lines, made up by two rows on one line
+        (['{"x": [0.5, 1.0]', '"y": [1, 0]}, {"x": [1.5, -2.0], "y": [0, 1]}'],
+         "line 2: invalid JSON: Expecting ',' delimiter"),
+        (['{"x": [0.5, 1.0], "y": [1, 0], "z": [{}', '{}]}', _OK[0] + ", " + _OK[1]],
+         "line 2: invalid JSON: Expecting ',' delimiter"),
+        ([_OK[0], _OK[0] + ", " + _OK[1]], "line 3: invalid JSON: Extra data"),
+    ],
+)
+def test_loader_fault_paths_keep_their_messages(tmp_path, capsys, lines, message):
+    path = tmp_path / "bad.jsonl"
+    path.write_text("\n".join([_HEADER] + lines) + "\n")
+    with pytest.raises(DatasetError) as err:
+        load_dataset(path)
+    assert str(err.value) == message
+    rules = tmp_path / "rules.txt"
+    rules.write_text("a => b\n")
+    assert run(["audit", "--rules", str(rules), "--data", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_loader_accepts_what_the_line_reader_accepts(tmp_path):
+    # integer features, escaped keys, surrounding whitespace and key order are all legal JSONL
+    lines = ['{"y": [1, 0], "x": [1, 2]}', '  {"x": [0.25, -3], "y": [0, 1]}', '{"\\u0078": [7, 8], "y": [1, 1]}']
+    path = tmp_path / "odd.jsonl"
+    path.write_text("\n".join([_HEADER] + lines) + "\n")
+    ds = load_dataset(path)
+    assert ds.X.tolist() == [[1.0, 2.0], [0.25, -3.0], [7.0, 8.0]]
+    assert ds.X.dtype == np.float64 and ds.Y.dtype == np.int64
+    assert ds.Y.tolist() == [[1, 0], [0, 1], [1, 1]]
+
+
+def test_loader_keeps_the_sign_of_negative_zero_features(tmp_path):
+    path = tmp_path / "zero.jsonl"
+    path.write_text("\n".join([_HEADER, '{"x": [-0, 0], "y": [-0, 1]}', '{"x": [-0.0, -0 ], "y": [1, 0]}']) + "\n")
+    ds = load_dataset(path)
+    assert np.signbit(ds.X).tolist() == [[True, False], [True, True]]
+    assert ds.Y.tolist() == [[0, 1], [1, 0]]
 
 
 # ---- synthesis ----

@@ -247,6 +247,16 @@ def test_checkpoint_bytes_deterministic(tmp_path):
     assert echo is None
 
 
+@pytest.mark.parametrize("config", [None, TrainConfig(epochs=3, warmup_epochs=1, seed=9)])
+def test_checkpoint_bytes_match_generic_serializer(tmp_path, config):
+    params = init_params(3, 7, 5, 4)
+    params.b2[1] = -0.0
+    params.W2[0, 0] = 5e-324
+    path = tmp_path / "model.json"
+    save_model(params, path, seed=3, config=config)
+    assert path.read_bytes() == oracles.checkpoint_json(params, 3, config).encode()
+
+
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

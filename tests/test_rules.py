@@ -200,6 +200,15 @@ def test_rule_constructor_validation():
         Rule((Literal(0),), (), weight=float("nan"))
 
 
+def test_literal_rejects_negative_label_index():
+    # a negative index would read the label vector from its end
+    with pytest.raises(RuleError, match="label index must be non-negative, got -1"):
+        Literal(-1)
+    with pytest.raises(RuleError):
+        hard_satisfied(Rule((Literal(-1),)), (0, 1))
+    assert Literal(0).label == 0
+
+
 def test_vocabulary_validation():
     with pytest.raises(ValueError):
         LabelVocabulary(())
