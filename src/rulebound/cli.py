@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from . import jsonio
 from .data import DatasetError, audit, inject_noise, load_dataset, save_dataset, synthesize
@@ -32,17 +33,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-_TRAIN_KEYS = (
-    "learning_rate",
-    "epochs",
-    "batch_size",
-    "lambda",
-    "warmup_epochs",
-    "tau",
-    "hidden_units",
-    "seed",
-    "correction_mode",
-)
+# config keys of the TrainConfig fields, in field order; each is also its flag's dest
+_TRAIN_KEYS = tuple(TrainConfig().as_dict())
 _CONFIG_KEYS = _TRAIN_KEYS + ("rules", "data", "out_model", "out_history", "out_report", "threshold")
 
 
@@ -94,15 +86,15 @@ def build_parser() -> _Parser:
     p.add_argument("--rules")
     p.add_argument("--data")
     p.add_argument("--config", help="experiment config (JSON); flags override its values")
-    p.add_argument("--lambda", dest="lambda_", type=float)
+    p.add_argument("--lambda", dest="lambda", metavar="LAMBDA_", type=float)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", type=int)
+    p.add_argument("--warmup", dest="warmup_epochs", metavar="WARMUP", type=int)
     p.add_argument("--tau", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
-    p.add_argument("--hidden", type=int)
+    p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
+    p.add_argument("--hidden", dest="hidden_units", metavar="HIDDEN", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--mode", choices=("off", "mask_only", "relabel"))
+    p.add_argument("--mode", dest="correction_mode", choices=("off", "mask_only", "relabel"))
     p.add_argument("--out-model")
     p.add_argument("--out-history")
     p.add_argument("--out-report")
@@ -154,32 +146,28 @@ def cmd_train(args) -> int:
         raise UsageError("train needs a dataset (--data or config key 'data')")
     ds = load_dataset(data_path)
     rs = parse_rules(_read_text(rules_path), ds.names)
-    defaults = TrainConfig()
-    cfg = TrainConfig(
-        learning_rate=pick(args.lr, "learning_rate", defaults.learning_rate),
-        epochs=pick(args.epochs, "epochs", defaults.epochs),
-        batch_size=pick(args.batch, "batch_size", defaults.batch_size),
-        lambda_=pick(args.lambda_, "lambda", defaults.lambda_),
-        warmup_epochs=pick(args.warmup, "warmup_epochs", defaults.warmup_epochs),
-        tau=pick(args.tau, "tau", defaults.tau),
-        hidden_units=pick(args.hidden, "hidden_units", defaults.hidden_units),
-        seed=pick(args.seed, "seed", defaults.seed),
-        correction_mode=pick(args.mode, "correction_mode", defaults.correction_mode),
-    )
+    # a flag beats its config key; a key set by neither keeps the TrainConfig default
+    cfg = TrainConfig(**{
+        f.name: pick(getattr(args, key), key)
+        for f, key in zip(fields(TrainConfig), _TRAIN_KEYS)
+        if getattr(args, key) is not None or key in doc
+    })
     params, history, state = train(ds, rs, cfg)
-    out_model = pick(args.out_model, "out_model")
-    out_history = pick(args.out_history, "out_history")
     out_report = pick(args.out_report, "out_report")
-    if out_model:
-        save_model(params, out_model, cfg.seed, cfg)
-    if out_history:
-        history.write_jsonl(out_history)
     if out_report:
-        threshold = float(doc.get("threshold", 0.5))
-        report = evaluate(params, ds, rs, threshold)
-        if ds.flips is not None:
+        report = evaluate(params, ds, rs, float(doc.get("threshold", 0.5)))
+        if ds.clean_Y is not None:
             report.correction = correction_report(state, ds)
-        jsonio.dump(report.as_dict(), out_report)
+    writes = [
+        (pick(args.out_model, "out_model"), lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
+        (pick(args.out_history, "out_history"), history.write_jsonl),
+        (out_report, lambda tmp: jsonio.dump(report.as_dict(), tmp)),
+    ]
+    writes = [(path, write) for path, write in writes if path]
+    # every output is written in full before any of them replaces its target
+    with jsonio.atomic_paths(*(path for path, _ in writes)) as tmps:
+        for tmp, (_, write) in zip(tmps, writes):
+            write(tmp)
     return 0
 
 

@@ -30,15 +30,14 @@ class SynthesisBudgetError(RuntimeError):
 class Dataset:
     """Feature rows with multi-hot labels; optionally the pre-noise labels too.
 
-    `clean_Y` and `flips` travel together: `flips` lists exactly the
-    positions where Y and clean_Y differ, in row-major order.
+    The noise record is clean_Y itself: `flips`, the positions where Y and
+    clean_Y differ, is computed from them on every read and cannot be set.
     """
 
     X: np.ndarray
     Y: np.ndarray
     names: LabelVocabulary
     clean_Y: np.ndarray | None = None
-    flips: list[tuple[int, int]] | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
@@ -58,8 +57,6 @@ class Dataset:
             raise DatasetError(
                 f"Y has {self.Y.shape[1]} columns but the vocabulary has {len(self.names)} labels"
             )
-        if (self.clean_Y is None) != (self.flips is None):
-            raise DatasetError("clean labels and flip records must be present together")
         if self.clean_Y is not None:
             self.clean_Y = np.asarray(self.clean_Y)
             if self.clean_Y.shape != self.Y.shape:
@@ -67,10 +64,14 @@ class Dataset:
             if not ((self.clean_Y == 0) | (self.clean_Y == 1)).all():
                 raise DatasetError("clean labels must be 0 or 1")
             self.clean_Y = self.clean_Y.astype(np.int64)
-            self.flips = [(int(i), int(j)) for i, j in self.flips]
-            diff = {(int(i), int(j)) for i, j in np.argwhere(self.Y != self.clean_Y)}
-            if len(self.flips) != len(diff) or set(self.flips) != diff:
-                raise DatasetError("flip records do not match the Y/clean_Y differences")
+
+    @property
+    def flips(self) -> list[tuple[int, int]] | None:
+        """The (row, label) positions where Y differs from clean_Y, in row-major
+        order; None when the dataset carries no clean labels."""
+        if self.clean_Y is None:
+            return None
+        return list(map(tuple, np.argwhere(self.Y != self.clean_Y).tolist()))
 
     @property
     def n_samples(self) -> int:
@@ -135,8 +136,7 @@ def load_dataset(path) -> Dataset:
         raise DatasetError(f"line 1: bad label header: {err}") from None
     samples = lines[1:]
     X, Y, clean = _read_samples(samples, len(vocab)) or _read_samples_by_line(samples, len(vocab), path)
-    flips = None if clean is None else list(map(tuple, np.argwhere(Y != clean).tolist()))
-    return Dataset(X, Y, vocab, clean, flips)
+    return Dataset(X, Y, vocab, clean)
 
 
 _SAMPLE_KEYS = ({"x", "y"}, {"x", "y", "y_clean"})
@@ -291,7 +291,7 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
         pick = int(rng_i.integers(k_patterns))
         X[i] = centroids[pick] + rng_i.normal(0.0, 0.3, size=n_features)
         Y[i] = patterns[pick]
-    return Dataset(X, Y, rs.vocabulary, clean_Y=Y.copy(), flips=[])
+    return Dataset(X, Y, rs.vocabulary, clean_Y=Y.copy())
 
 
 # ---- noise ----
@@ -316,16 +316,13 @@ def inject_noise(
         raise DatasetError("dataset already carries noise records")
     rng = np.random.default_rng(seed)
     Y = ds.Y.copy()
-    flips: list[tuple[int, int]]
     if mode == "uniform":
         flip = rng.random(Y.shape) < rho
         Y[flip] = 1 - Y[flip]
-        flips = [(int(i), int(j)) for i, j in np.argwhere(flip)]
     else:
         if rs is None:
             raise ValueError("violating mode needs a rule set")
         rs = reindex_ruleset(rs, ds.names)
-        flips = []
         for i in range(Y.shape[0]):
             if rng.random() >= rho:
                 continue
@@ -340,8 +337,7 @@ def inject_noise(
                 continue
             j = candidates[int(rng.integers(len(candidates)))]
             Y[i, j] = 1 - Y[i, j]
-            flips.append((i, j))
-    return Dataset(ds.X, Y, ds.names, clean_Y=ds.Y.copy(), flips=flips)
+    return Dataset(ds.X, Y, ds.names, clean_Y=ds.Y.copy())
 
 
 # ---- audit ----

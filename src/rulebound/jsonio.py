@@ -62,28 +62,40 @@ def dump(obj, path) -> None:
 
 @contextmanager
 def atomic_write(path):
-    """Open `path` for text writing so that it changes only if the block completes.
+    """Open `path` for text writing so that it changes only if the block completes."""
+    with atomic_paths(path) as (tmp,), open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
 
-    The text goes to a temporary file in the target's directory, which then
-    replaces the target with `os.replace`. If anything raises, the temporary
-    file is removed and the target keeps its old bytes, or stays absent.
-    This guards against failures in the process, not against power loss:
-    nothing is fsynced.
+
+@contextmanager
+def atomic_paths(*paths):
+    """Temporary paths that replace `paths`, all of them, only if the block completes.
+
+    Each temporary file is created empty in its target's directory, so a
+    target that cannot be written fails before anything is; after the block
+    each one replaces its target with `os.replace`, in order. If anything
+    raises, every temporary file is removed and each target keeps its old
+    bytes, or stays absent. This guards against failures in the process, not
+    against power loss: nothing is fsynced.
     """
-    path = os.fspath(path)
-    head, name = os.path.split(path)
-    tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+    paths = [os.fspath(path) for path in paths]
+    tmps: list[str] = []
     try:
-        fh = open(tmp, "x", encoding="utf-8", newline="\n")
-    except OSError as err:  # name the file the caller asked for, not the temporary one
-        raise type(err)(err.errno, err.strerror, path) from None
-    try:
-        with fh:
-            yield fh
-        os.replace(tmp, path)
+        for path in paths:
+            head, name = os.path.split(path)
+            tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+            try:
+                open(tmp, "x").close()
+            except OSError as err:  # name the file the caller asked for, not the temporary one
+                raise type(err)(err.errno, err.strerror, path) from None
+            tmps.append(tmp)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
     except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(tmp)
+        for tmp in tmps:
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
 
 

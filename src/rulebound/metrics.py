@@ -148,20 +148,14 @@ def correction_report(state: SupervisionState, ds: "Dataset") -> CorrectionStats
     Positions that were never flagged stayed in the loss with their noisy
     value and count as undetected.
     """
-    if ds.flips is None or ds.clean_Y is None:
+    if ds.clean_Y is None:
         raise ValueError("dataset carries no noise record")
-    right = wrong = still_masked = undetected = 0
-    for i, j in ds.flips:
-        origin = state.origin[i, j]
-        if origin == ORIGIN_SELF_CORRECTED:
-            if state.targets[i, j] == ds.clean_Y[i, j]:
-                right += 1
-            else:
-                wrong += 1
-        elif origin == ORIGIN_MASKED:
-            still_masked += 1
-        else:
-            undetected += 1
-    n_flipped = len(ds.flips)
+    flipped = ds.Y != ds.clean_Y
+    corrected = flipped & (state.origin == ORIGIN_SELF_CORRECTED)
+    right = int((corrected & (state.targets == ds.clean_Y)).sum())
+    wrong = int(corrected.sum()) - right
+    still_masked = int((flipped & (state.origin == ORIGIN_MASKED)).sum())
+    n_flipped = int(flipped.sum())
+    undetected = n_flipped - right - wrong - still_masked
     recovery = right / n_flipped if n_flipped else None
     return CorrectionStats(n_flipped, right, wrong, still_masked, undetected, recovery)

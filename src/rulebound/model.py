@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -77,24 +77,17 @@ class TrainConfig:
     correction_mode: str = "relabel"
 
     def __post_init__(self):
-        coerce = {
-            "learning_rate": float,
-            "epochs": int,
-            "batch_size": int,
-            "lambda_": float,
-            "warmup_epochs": int,
-            "tau": float,
-            "hidden_units": int,
-            "seed": int,
-        }
-        for name, cast in coerce.items():
-            raw = getattr(self, name)
+        for f in fields(self):
+            cast = {"float": float, "int": int}.get(f.type)  # numeric fields, by annotation
+            if cast is None:
+                continue
+            raw = getattr(self, f.name)
             if isinstance(raw, bool):
-                raise ValueError(f"{name} must be a number, got {raw!r}")
+                raise ValueError(f"{f.name} must be a number, got {raw!r}")
             try:
-                object.__setattr__(self, name, cast(raw))
+                object.__setattr__(self, f.name, cast(raw))
             except (TypeError, ValueError):
-                raise ValueError(f"{name} must be a number, got {raw!r}") from None
+                raise ValueError(f"{f.name} must be a number, got {raw!r}") from None
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -117,17 +110,8 @@ class TrainConfig:
             )
 
     def as_dict(self) -> dict:
-        return {
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lambda": self.lambda_,
-            "warmup_epochs": self.warmup_epochs,
-            "tau": self.tau,
-            "hidden_units": self.hidden_units,
-            "seed": self.seed,
-            "correction_mode": self.correction_mode,
-        }
+        """Every field in declaration order, keyed by name; `lambda_` is keyed "lambda"."""
+        return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
 
 
 class ForwardCache(NamedTuple):

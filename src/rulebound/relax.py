@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Literal, Rule, RuleSet
+from .rules import Literal, Rule, RuleSet, _factor_row
 
 # rows per block of a `domain_loss` pass
 _BLOCK_ROWS = 512
@@ -84,14 +84,6 @@ def _penalties(P: np.ndarray, index: np.ndarray, weights: np.ndarray):
     return prefix[:, :, k], grad
 
 
-def _rule_index(rule: Rule, width: int) -> np.ndarray:
-    """One rule's factors as a one-row factor index over vectors of `width` labels."""
-    for label, _ in rule.factors:
-        if label >= width:
-            raise ValueError(f"rule mentions label index {label} but vector has length {width}")
-    return np.array([[label + width * complemented for label, complemented in rule.factors]])
-
-
 def rule_penalty(rule: Rule, p) -> PenaltyResult:
     """Violation degree of one rule and its exact gradient in each probability."""
     arr = _check_probabilities(p)
@@ -108,7 +100,7 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("empty batch")
-    values, grads = _penalties(arr, _rule_index(rule, arr.shape[1]), np.ones(1))
+    values, grads = _penalties(arr, np.array([_factor_row(rule, arr.shape[1])]), np.ones(1))
     return BatchPenaltyResult(values[:, 0], grads)
 
 

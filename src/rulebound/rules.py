@@ -24,8 +24,6 @@ import re
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
-from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -182,21 +180,24 @@ class RuleSet:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
         width = len(self.vocabulary)
-        factors = list(map(attrgetter("factors"), self.rules))
-        pairs = np.array(list(chain.from_iterable(factors)), dtype=np.intp).reshape(-1, 2)
-        labels, complemented = pairs.T
-        outside = labels >= width
-        if outside.any():
-            raise RuleError(f"literal index {labels[outside][0]} outside vocabulary of size {width}")
-        lengths = np.fromiter(map(len, factors), np.intp, len(factors))
-        index = np.full((len(factors), lengths.max(initial=0)), 2 * width, dtype=np.intp)
-        index[np.arange(index.shape[1]) < lengths[:, None]] = labels + width * complemented
-        weights = np.fromiter(map(attrgetter("weight"), self.rules), np.float64, len(factors))
-        object.__setattr__(self, "factor_index", index)
+        rows = [_factor_row(rule, width) for rule in self.rules]
+        k = max(map(len, rows), default=0)
+        index = np.array([row + [2 * width] * (k - len(row)) for row in rows], dtype=np.intp)
+        weights = np.array([rule.weight for rule in self.rules], dtype=np.float64)
+        object.__setattr__(self, "factor_index", index.reshape(len(rows), k))
         object.__setattr__(self, "weights", weights)
 
     def __len__(self) -> int:
         return len(self.rules)
+
+
+def _factor_row(rule: Rule, width: int) -> list[int]:
+    """The rule's factors as columns of [y, 1 - y, 1] over `width` labels:
+    label + width * complemented."""
+    for label, _ in rule.factors:
+        if label >= width:
+            raise RuleError(f"rule mentions label index {label} outside {width} labels")
+    return [label + width * complemented for label, complemented in rule.factors]
 
 
 # ---- lexer ----

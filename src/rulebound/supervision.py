@@ -25,36 +25,37 @@ ORIGIN_SELF_CORRECTED = 2
 class SupervisionState:
     """Per-entry training targets plus where each target came from.
 
-    `mask` is 1 where the entry participates in the loss; an entry is masked
-    exactly when its origin is ORIGIN_MASKED.
+    Which entries the loss sees is derived from `origin`, never stored: see
+    `mask`.
     """
 
     targets: np.ndarray  # float64 entries, each 0.0 or 1.0
-    mask: np.ndarray  # uint8
     flags: np.ndarray  # uint8, rule-implicated positions of the original labels
     origin: np.ndarray  # uint8 origin codes
 
     def __post_init__(self):
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        self.mask = np.asarray(self.mask, dtype=np.uint8)
         self.flags = np.asarray(self.flags, dtype=np.uint8)
         self.origin = np.asarray(self.origin, dtype=np.uint8)
-        shape = self.targets.shape
-        if not (self.mask.shape == self.flags.shape == self.origin.shape == shape):
+        if not (self.flags.shape == self.origin.shape == self.targets.shape):
             raise ValueError("supervision arrays must share one shape")
         if not ((self.targets == 0) | (self.targets == 1)).all():
             raise ValueError("targets must be 0 or 1")
-        if not ((self.mask == 0) == (self.origin == ORIGIN_MASKED)).all():
-            raise ValueError("mask and origin disagree")
 
     def copy(self) -> "SupervisionState":
-        return SupervisionState(
-            self.targets.copy(), self.mask.copy(), self.flags.copy(), self.origin.copy()
-        )
+        return SupervisionState(self.targets.copy(), self.flags.copy(), self.origin.copy())
+
+    @property
+    def mask(self) -> np.ndarray:
+        """uint8 loss mask, 1 wherever the origin is not ORIGIN_MASKED. Built
+        afresh on each read and read-only: change `origin` instead."""
+        mask = (self.origin != ORIGIN_MASKED).view(np.uint8)
+        mask.flags.writeable = False
+        return mask
 
     @property
     def n_masked(self) -> int:
-        return int((self.mask == 0).sum())
+        return int((self.origin == ORIGIN_MASKED).sum())
 
 
 def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
@@ -77,14 +78,10 @@ def init_supervision(Y, F, mode: str) -> SupervisionState:
     F = np.asarray(F)
     if Y.shape != F.shape:
         raise ValueError(f"labels {Y.shape} and flags {F.shape} differ in shape")
-    targets = Y.astype(np.float64)
-    mask = np.ones(Y.shape, dtype=np.uint8)
     origin = np.full(Y.shape, ORIGIN_GIVEN, dtype=np.uint8)
     if mode != "off":
-        hit = F == 1
-        mask[hit] = 0
-        origin[hit] = ORIGIN_MASKED
-    return SupervisionState(targets, mask, F.astype(np.uint8), origin)
+        origin[F == 1] = ORIGIN_MASKED
+    return SupervisionState(Y.astype(np.float64), F.astype(np.uint8), origin)
 
 
 def correct_labels(state: SupervisionState, P, tau: float) -> tuple[SupervisionState, int]:
@@ -109,6 +106,5 @@ def correct_labels(state: SupervisionState, P, tau: float) -> tuple[SupervisionS
     out = state.copy()
     out.targets[up] = 1.0
     out.targets[down] = 0.0
-    out.mask[hit] = 1
     out.origin[hit] = ORIGIN_SELF_CORRECTED
     return out, n_corrected

@@ -94,14 +94,15 @@ def train(
     corrected_total = 0
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(cfg.seed, epoch, n)
+        mask = state.mask  # the state changes only at epoch ends
         for start in range(0, n, cfg.batch_size):
             rows = order[start : start + cfg.batch_size]
             _, grads = total_loss_and_grads(
-                params, data.X[rows], state.targets[rows], state.mask[rows], rs, cfg.lambda_
+                params, data.X[rows], state.targets[rows], mask[rows], rs, cfg.lambda_
             )
             params = sgd_step(params, grads, cfg.learning_rate)
         probs, _ = forward(params, data.X)
-        epoch_bce = bce_masked(probs, state.targets, state.mask)
+        epoch_bce = bce_masked(probs, state.targets, mask)
         epoch_domain = domain_loss(rs, probs)
         history.records.append(
             EpochRecord(

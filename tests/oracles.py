@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from rulebound import Literal, ModelParams, Rule, RuleSet, jsonio
+from rulebound import ORIGIN_MASKED, ORIGIN_SELF_CORRECTED, Literal, ModelParams, Rule, RuleSet, jsonio
 
 
 def crisp_satisfied(rule: Rule, y) -> bool:
@@ -89,6 +89,27 @@ def dataset_jsonl(ds) -> str:
             row["y_clean"] = [int(v) for v in ds.clean_Y[i]]
         lines.append(jsonio.dumps(row))
     return "\n".join(lines) + "\n"
+
+
+def correction_buckets(state, ds) -> tuple[int, int, int, int, int]:
+    """Reference correction accounting, flip by flip: (flipped, corrected
+    right, corrected wrong, still masked, undetected). A flip is a position
+    whose given label differs from its clean one, visited in row-major order."""
+    n_rows, n_labels = ds.Y.shape
+    flips = [(i, j) for i in range(n_rows) for j in range(n_labels) if ds.Y[i, j] != ds.clean_Y[i, j]]
+    right = wrong = still_masked = undetected = 0
+    for i, j in flips:
+        origin = state.origin[i, j]
+        if origin == ORIGIN_SELF_CORRECTED:
+            if state.targets[i, j] == ds.clean_Y[i, j]:
+                right += 1
+            else:
+                wrong += 1
+        elif origin == ORIGIN_MASKED:
+            still_masked += 1
+        else:
+            undetected += 1
+    return len(flips), right, wrong, still_masked, undetected
 
 
 def checkpoint_json(params: ModelParams, seed: int, config) -> str:

@@ -201,3 +201,21 @@ def test_train_into_missing_directory_writes_nothing(tmp_path, rules_file, capsy
     assert code == 3  # training finished, then the first output could not be opened
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing / 'model.json'}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "rules.txt"]
+
+
+def test_train_failing_output_writes_none_of_them(tmp_path, rules_file, capsys):
+    data = _synth(tmp_path, rules_file)
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    args = ["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+            "--out-model", str(model), "--out-history", str(tmp_path / "nodir" / "h.jsonl"),
+            "--out-report", str(report)]
+    assert run(args) == 3  # the history directory is missing
+    assert "nodir/h.jsonl" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "rules.txt"]
+    # outputs from an earlier run keep their bytes
+    model.write_bytes(b"old model\n")
+    report.write_bytes(b"old report\n")
+    assert run(args) == 3
+    assert model.read_bytes() == b"old model\n" and report.read_bytes() == b"old report\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "m.json", "r.json", "rules.txt"]
+    capsys.readouterr()

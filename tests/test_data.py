@@ -32,7 +32,7 @@ def _small_ds(with_clean=False):
     if with_clean:
         clean = Y.copy()
         clean[2, 0] = 0
-        return Dataset(X, Y, vocab, clean_Y=clean, flips=[(2, 0)])
+        return Dataset(X, Y, vocab, clean_Y=clean)
     return Dataset(X, Y, vocab)
 
 
@@ -51,10 +51,6 @@ def test_dataset_validation():
         Dataset(X, Y[:1], vocab)
     with pytest.raises(DatasetError):
         Dataset(X, Y, LabelVocabulary(("a", "b", "c")))
-    with pytest.raises(DatasetError):
-        Dataset(X, Y, vocab, clean_Y=Y.copy())  # clean without flips
-    with pytest.raises(DatasetError):
-        Dataset(X, Y, vocab, clean_Y=Y.copy(), flips=[(0, 0)])  # flip list disagrees
 
 
 # ---- file round trips ----
@@ -133,7 +129,7 @@ def _random_ds(seed, n, d, n_labels, with_clean):
     if not with_clean:
         return Dataset(X, Y, vocab)
     clean = np.where(rng.random(Y.shape) < 0.2, 1 - Y, Y)
-    return Dataset(X, Y, vocab, clean_Y=clean, flips=[tuple(f) for f in np.argwhere(Y != clean)])
+    return Dataset(X, Y, vocab, clean_Y=clean)
 
 
 @pytest.mark.parametrize("with_clean", [False, True])
@@ -187,7 +183,7 @@ def test_save_load_save_is_byte_identical(tmp_path):
         if not draw(st.booleans()):
             return Dataset(X, Y, vocab)
         clean = draw(arrays(np.int64, (n, n_labels), elements=st.integers(0, 1)))
-        return Dataset(X, Y, vocab, clean_Y=clean, flips=[tuple(f) for f in np.argwhere(Y != clean)])
+        return Dataset(X, Y, vocab, clean_Y=clean)
 
     @settings(max_examples=150, deadline=None, database=None)
     @given(datasets())
@@ -374,6 +370,27 @@ def test_violating_noise_every_flip_creates_a_new_violation():
         before = set(violated_rules(rs, ds.Y[i]))
         after = set(violated_rules(rs, noisy.Y[i]))
         assert after - before, (i, j)
+
+
+def _assert_flips_follow_labels(ds):
+    assert ds.flips == list(map(tuple, np.argwhere(ds.Y != ds.clean_Y).tolist()))
+    assert all(type(i) is int and type(j) is int for i, j in ds.flips)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "violating"])
+def test_flips_are_derived_from_labels(tmp_path, mode):
+    rs = parse_rules("MUTEX(a, b)\na => c")
+    ds = synthesize(12, 200, 3, rs, k_patterns=5)
+    _assert_flips_follow_labels(ds)
+    assert ds.flips == []
+    noisy = inject_noise(ds, 0.3, 5, mode, rs=rs)
+    _assert_flips_follow_labels(noisy)
+    assert noisy.flips
+    path = tmp_path / "noisy.jsonl"
+    save_dataset(noisy, path)
+    back = load_dataset(path)
+    _assert_flips_follow_labels(back)
+    assert back.flips == noisy.flips
 
 
 def test_violating_noise_skips_rows_with_no_harmful_flip():

@@ -70,3 +70,20 @@ def test_dataset_write_failing_midway_keeps_old_file(tmp_path, monkeypatch):
         save_dataset(ds, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["data.jsonl"]
+
+
+def test_atomic_paths_replace_all_targets_or_none(tmp_path):
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError):
+        with jsonio.atomic_paths(first, second) as (tmp_first, tmp_second):
+            jsonio.dump({"a": 1}, tmp_first)
+            raise RuntimeError("the second output fails")
+    assert first.read_bytes() == b"old\n"
+    assert os.listdir(tmp_path) == ["first.json"]
+
+    with jsonio.atomic_paths(first, second) as (tmp_first, tmp_second):
+        jsonio.dump(1, tmp_first)
+        jsonio.dump(2, tmp_second)
+    assert first.read_bytes() == b"1\n" and second.read_bytes() == b"2\n"
+    assert sorted(os.listdir(tmp_path)) == ["first.json", "second.json"]

@@ -9,6 +9,7 @@ from rulebound import (
     Dataset,
     LabelVocabulary,
     RuleSet,
+    SupervisionState,
     correction_report,
     cvr,
     exact_match,
@@ -158,7 +159,7 @@ def _scenario():
     flips = [(0, 0), (1, 1), (2, 0), (3, 1)]
     for i, j in flips:
         noisy[i, j] = 1 - noisy[i, j]
-    ds = Dataset(np.zeros((5, 2)), noisy, vocab, clean_Y=clean, flips=flips)
+    ds = Dataset(np.zeros((5, 2)), noisy, vocab, clean_Y=clean)
     # flags: positions 0 and 1 and 2 were caught, 3 was not
     F = np.zeros_like(noisy)
     for i, j in flips[:3]:
@@ -167,10 +168,8 @@ def _scenario():
     # correct (0,0) back to its clean value, (1,1) to the wrong value,
     # leave (2,0) masked
     state.targets[0, 0] = clean[0, 0]
-    state.mask[0, 0] = 1
     state.origin[0, 0] = 2  # self corrected
     state.targets[1, 1] = 1 - clean[1, 1]
-    state.mask[1, 1] = 1
     state.origin[1, 1] = 2
     return state, ds
 
@@ -203,8 +202,25 @@ def test_correction_report_requires_noise_record():
 
 def test_correction_report_zero_flips_gives_none_rate():
     vocab = LabelVocabulary(("a",))
-    ds = Dataset(np.zeros((2, 1)), np.array([[1], [0]]), vocab, clean_Y=np.array([[1], [0]]), flips=[])
+    ds = Dataset(np.zeros((2, 1)), np.array([[1], [0]]), vocab, clean_Y=np.array([[1], [0]]))
     state = init_supervision(ds.Y, np.zeros((2, 1), dtype=np.uint8), "relabel")
     stats = correction_report(state, ds)
     assert stats.n_flipped == 0
     assert stats.recovery_rate is None
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_correction_report_matches_per_flip_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n, n_labels = rng.integers(1, 40), rng.integers(1, 6)
+    clean = rng.integers(0, 2, size=(n, n_labels))
+    rho = 0.0 if seed < 2 else rng.random()  # the first two seeds carry no flips
+    noisy = np.where(rng.random(clean.shape) < rho, 1 - clean, clean)
+    ds = Dataset(np.zeros((n, 1)), noisy, LabelVocabulary(tuple(f"l{j}" for j in range(n_labels))), clean_Y=clean)
+    state = SupervisionState(
+        rng.integers(0, 2, size=clean.shape), rng.integers(0, 2, size=clean.shape), rng.integers(0, 3, size=clean.shape)
+    )
+    stats = correction_report(state, ds)
+    got = (stats.n_flipped, stats.n_corrected_right, stats.n_corrected_wrong, stats.n_still_masked, stats.n_undetected)
+    assert got == oracles.correction_buckets(state, ds)
+    assert stats.recovery_rate == (stats.n_corrected_right / stats.n_flipped if stats.n_flipped else None)

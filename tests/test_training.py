@@ -92,6 +92,28 @@ def test_init_supervision_modes():
         init_supervision(Y, F, "sometimes")
 
 
+def _assert_mask_follows_origin(state):
+    assert state.mask.dtype == np.uint8
+    assert np.array_equal(state.mask, (state.origin != ORIGIN_MASKED).astype(np.uint8))
+    assert state.n_masked == int((state.origin == ORIGIN_MASKED).sum())
+    with pytest.raises(ValueError, match="read-only"):
+        state.mask[0, 0] = 1
+
+
+@pytest.mark.parametrize("mode", ["off", "mask_only", "relabel"])
+def test_mask_is_derived_from_origin(mode):
+    rng = np.random.default_rng(41)
+    Y = rng.integers(0, 2, size=(30, 5))
+    F = rng.integers(0, 2, size=Y.shape)
+    state = init_supervision(Y, F, mode)
+    _assert_mask_follows_origin(state)
+    for tau in (0.95, 0.8, 0.6):
+        state, _ = correct_labels(state, rng.random(Y.shape), tau)
+        _assert_mask_follows_origin(state)
+    if mode != "off":
+        assert 0 < state.n_masked < (F == 1).sum()  # some corrections made, some entries still masked
+
+
 def test_correct_labels_thresholds():
     Y = np.array([[0, 1, 0]])
     F = np.array([[1, 1, 1]])
@@ -284,7 +306,7 @@ def test_evaluate_prefers_clean_labels():
     noisy = Y.copy()
     noisy[0, 1] = 0
     X = (Y - 0.5).astype(np.float64)
-    ds = Dataset(X, noisy, rs.vocabulary, clean_Y=Y, flips=[(0, 1)])
+    ds = Dataset(X, noisy, rs.vocabulary, clean_Y=Y)
     report = evaluate(_saturated_params(2), ds, rs)
     assert report.eval_target == "clean"
     # the model reproduces the clean labels, so scores are perfect even
