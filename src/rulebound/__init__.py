@@ -35,6 +35,7 @@ from .model import (
     forward,
     init_params,
     load_model,
+    loss_grads,
     save_model,
     sgd_step,
     total_loss_and_grads,

@@ -38,6 +38,15 @@ _TRAIN_KEYS = tuple(TrainConfig().as_dict())
 _CONFIG_KEYS = _TRAIN_KEYS + ("rules", "data", "out_model", "out_history", "out_report", "threshold")
 
 
+def number(text: str) -> int | float:
+    """An integer-valued train flag, read as a JSON number would be, so that
+    `TrainConfig` checks it like a config value: `--epochs 2.7` exits 2."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
 def _read_text(path) -> str:
     with open(path, encoding="utf-8") as fh:
         return fh.read()
@@ -87,13 +96,13 @@ def build_parser() -> _Parser:
     p.add_argument("--data")
     p.add_argument("--config", help="experiment config (JSON); flags override its values")
     p.add_argument("--lambda", dest="lambda", metavar="LAMBDA_", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--warmup", dest="warmup_epochs", metavar="WARMUP", type=int)
+    p.add_argument("--epochs", type=number)
+    p.add_argument("--warmup", dest="warmup_epochs", metavar="WARMUP", type=number)
     p.add_argument("--tau", type=float)
     p.add_argument("--lr", dest="learning_rate", metavar="LR", type=float)
-    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=int)
-    p.add_argument("--hidden", dest="hidden_units", metavar="HIDDEN", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=number)
+    p.add_argument("--hidden", dest="hidden_units", metavar="HIDDEN", type=number)
+    p.add_argument("--seed", type=number)
     p.add_argument("--mode", dest="correction_mode", choices=("off", "mask_only", "relabel"))
     p.add_argument("--out-model")
     p.add_argument("--out-history")

@@ -84,6 +84,8 @@ class TrainConfig:
             raw = getattr(self, f.name)
             if isinstance(raw, bool):
                 raise ValueError(f"{f.name} must be a number, got {raw!r}")
+            if cast is int and isinstance(raw, float) and not raw.is_integer():
+                raise ValueError(f"{f.name} must be an integer, got {raw!r}")
             try:
                 object.__setattr__(self, f.name, cast(raw))
             except (TypeError, ValueError):
@@ -180,19 +182,15 @@ def _bce_grad_probs(P: np.ndarray, T: np.ndarray, M: np.ndarray, m: float) -> np
     return grad / m
 
 
-def total_loss_and_grads(
-    params: ModelParams, X, T, M, rs: RuleSet, lambda_: float
-) -> tuple[float, ModelParams]:
-    """Composite loss (masked BCE plus lambda_ times the rule penalty) and its
-    exact analytic gradients in every parameter."""
+def loss_grads(params: ModelParams, X, T, M, rs: RuleSet, lambda_: float) -> ModelParams:
+    """Exact analytic gradients of the composite loss of `total_loss_and_grads`
+    in every parameter, without computing the loss value: one training step."""
     if lambda_ < 0:
         raise ValueError("lambda must be nonnegative")
     probs, cache = forward(params, X)
     P, T, M, m = _as_loss_inputs(probs, T, M)
-    loss = bce_masked(P, T, M)
     grad_probs = _bce_grad_probs(P, T, M, m)
     if lambda_ > 0 and rs.rules:
-        loss = loss + lambda_ * domain_loss(rs, P)
         grad_probs = grad_probs + lambda_ * domain_loss_grad(rs, P)
     d_logits = grad_probs * P * (1.0 - P)
     gW2 = d_logits.T @ cache.hidden
@@ -201,7 +199,20 @@ def total_loss_and_grads(
     d_pre = d_hidden * (1.0 - cache.hidden**2)
     gW1 = d_pre.T @ cache.x
     gb1 = d_pre.sum(axis=0)
-    return loss, ModelParams(gW1, gb1, gW2, gb2)
+    return ModelParams(gW1, gb1, gW2, gb2)
+
+
+def total_loss_and_grads(
+    params: ModelParams, X, T, M, rs: RuleSet, lambda_: float
+) -> tuple[float, ModelParams]:
+    """Composite loss (masked BCE plus lambda_ times the rule penalty) and its
+    exact analytic gradients in every parameter."""
+    grads = loss_grads(params, X, T, M, rs, lambda_)
+    P, _ = forward(params, X)
+    loss = bce_masked(P, T, M)
+    if lambda_ > 0 and rs.rules:
+        loss = loss + lambda_ * domain_loss(rs, P)
+    return loss, grads
 
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:

@@ -4,10 +4,21 @@ Boolean structure is relaxed multiplicatively: a rule's violation degree is
 the product of its antecedent literal values with the complements of its
 consequent literal values. The degree lives in [0, 1], is polynomial in the
 probabilities, and agrees with crisp evaluation at 0/1 vectors (1 exactly on
-violating assignments, 0 on satisfied ones). Rule sets are evaluated through
-their compiled `RuleSet.factor_index`. Factors multiply and rules add in stored
-order, and `domain_loss` runs over fixed blocks of rows, so results are bitwise
-reproducible and a full-data pass holds one block at a time.
+violating assignments, 0 on satisfied ones).
+
+Every penalty here runs on one kernel over a rule set's compiled
+`RuleSet.factor_index`. It gathers the factors factor-major, as
+(factors x rules x rows), so that a loop over the few factor positions
+multiplies whole (rules x rows) slabs: forward for the prefix products, whose
+last holds the degrees, and backward for the suffix products. A factor's
+partial is its prefix times its suffix, so a factor that is exactly 0 needs
+no division. The partials, times each factor's signed weight, are scattered
+onto the labels by one `np.bincount`, which adds in input order: each
+gradient entry sums its terms rule by rule, factor by factor, as an ordered
+(row, rule, factor) scatter would. Factors multiply left to right and rules
+add in stored order, so results are bitwise reproducible. `domain_loss` runs
+over blocks of rows that each hold a fixed number of factor entries, so a
+full-data pass holds one bounded block at a time, whatever the rule count.
 """
 
 from __future__ import annotations
@@ -16,10 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Literal, Rule, RuleSet, _factor_row
+from .rules import Literal, Rule, RuleSet, _factor_row, _factor_signs
 
-# rows per block of a `domain_loss` pass
-_BLOCK_ROWS = 512
+# factor entries (factors x rules x rows) per block of a `domain_loss` pass, so
+# that a pass holds about as much memory however many rules the set has
+_BLOCK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -57,31 +69,42 @@ def literal_value(lit: Literal, p) -> float:
     return float(1.0 - value) if lit.negated else float(value)
 
 
-def _columns(P: np.ndarray) -> np.ndarray:
-    """[P, 1 - P, 1]: the columns a factor index reads."""
-    return np.concatenate([P, 1.0 - P, np.ones((P.shape[0], 1))], axis=1)
-
-
-def _penalties(P: np.ndarray, index: np.ndarray, weights: np.ndarray):
-    """Violation degrees (n x rules) of the rules in a factor index, and the
-    gradient of their weighted sum in P, scattered in stored order.
-
-    A factor's partial is the product of the others, prefix times suffix: no
-    division, as factors may be exactly 0.
-    """
+def _degrees(P: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The factors of the rules in a factor index at every row of P, as
+    (factors x rules x rows), and their prefix products, (factors + 1) x rules
+    x rows: prefix[j] multiplies factors 0 to j - 1 from the left, so prefix[-1]
+    holds the violation degrees."""
     n, width = P.shape
-    factors = _columns(P)[:, index]  # (n, rules, k)
-    k = index.shape[1]
-    prefix = np.ones(factors.shape[:2] + (k + 1,))
-    np.multiply.accumulate(factors, axis=2, out=prefix[:, :, 1:])
-    suffix = np.ones_like(prefix)
-    suffix[:, :, :k] = np.multiply.accumulate(factors[:, :, ::-1], axis=2)[:, :, ::-1]
-    sign = np.where(index < width, 1.0, np.where(index < 2 * width, -1.0, 0.0))
-    partials = prefix[:, :, :k] * suffix[:, :, 1:] * (sign * weights[:, None])
-    grad = np.zeros((n, width))
-    # padding (column 2 * width) adds a zero partial to label 0
-    np.add.at(grad, (np.arange(n)[:, None, None], index % width), partials)
-    return prefix[:, :, k], grad
+    columns = np.empty((2 * width + 1, n))  # [P, 1 - P, 1], one row per column
+    columns[:width] = P.T
+    np.subtract(1.0, P.T, out=columns[width : 2 * width])
+    columns[2 * width] = 1.0
+    factors = columns[index.T]
+    prefix = np.empty((len(factors) + 1,) + factors.shape[1:])
+    prefix[0] = 1.0
+    for j, factor in enumerate(factors):
+        np.multiply(prefix[j], factor, out=prefix[j + 1])
+    return factors, prefix
+
+
+def _penalty_grad(
+    factors: np.ndarray, prefix: np.ndarray, signed_weights: np.ndarray, labels: np.ndarray, width: int
+) -> np.ndarray:
+    """Gradient in P (rows x width) of the sum of the degrees that `_degrees`
+    returned, each factor's partial entering label `labels[r, j]` times
+    `signed_weights[r, j]` (see `RuleSet`)."""
+    k, rules, n = factors.shape
+    partials = np.empty((rules, k, n))
+    suffix = np.ones((rules, n))  # multiplies factors k - 1 down to j + 1
+    for j in range(k - 1, -1, -1):
+        np.multiply(prefix[j], suffix, out=partials[:, j])
+        suffix *= factors[j]
+    partials *= signed_weights[:, :, None]
+    # in (rule, factor, row) order each gradient entry adds its terms rule by
+    # rule, factor by factor; padding adds a zero partial to label 0
+    bins = labels[:, :, None] + np.arange(0, n * width, width)
+    grad = np.bincount(bins.ravel(), partials.ravel(), n * width)
+    return grad.reshape(n, width)
 
 
 def rule_penalty(rule: Rule, p) -> PenaltyResult:
@@ -100,8 +123,12 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("empty batch")
-    values, grads = _penalties(arr, np.array([_factor_row(rule, arr.shape[1])]), np.ones(1))
-    return BatchPenaltyResult(values[:, 0], grads)
+    width = arr.shape[1]
+    index = np.array([_factor_row(rule, width)])
+    factors, prefix = _degrees(arr, index)
+    # one rule of unit weight: its signed weights are the signs
+    grads = _penalty_grad(factors, prefix, _factor_signs(index, width), index % width, width)
+    return BatchPenaltyResult(prefix[-1, 0], grads)
 
 
 def _check_batch(rs: RuleSet, P) -> np.ndarray:
@@ -124,12 +151,10 @@ def domain_loss(rs: RuleSet, P) -> float:
     if not rs.rules:
         return 0.0
     total = np.empty(arr.shape[0])
-    for start in range(0, arr.shape[0], _BLOCK_ROWS):
-        columns = _columns(arr[start : start + _BLOCK_ROWS])
-        degrees = np.ones((columns.shape[0], len(rs.rules)))
-        for factor in rs.factor_index.T:
-            degrees *= columns[:, factor]
-        total[start : start + _BLOCK_ROWS] = np.cumsum(degrees * rs.weights, axis=1)[:, -1]
+    rows = max(1, _BLOCK_ENTRIES // rs.factor_index.size)
+    for start in range(0, arr.shape[0], rows):
+        _, prefix = _degrees(arr[start : start + rows], rs.factor_index)
+        total[start : start + rows] = np.cumsum(prefix[-1] * rs.weights[:, None], axis=0)[-1]
     return float(np.mean(total / np.cumsum(rs.weights)[-1]))
 
 
@@ -138,6 +163,7 @@ def domain_loss_grad(rs: RuleSet, P) -> np.ndarray:
     arr = _check_batch(rs, P)
     if not rs.rules:
         return np.zeros_like(arr)
-    _, grad = _penalties(arr, rs.factor_index, rs.weights)
+    factors, prefix = _degrees(arr, rs.factor_index)
+    grad = _penalty_grad(factors, prefix, rs.signed_weights, rs.factor_labels, arr.shape[1])
     grad /= np.cumsum(rs.weights)[-1] * arr.shape[0]
     return grad

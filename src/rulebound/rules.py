@@ -170,12 +170,18 @@ class RuleSet:
     `factor_index` is the rules compiled once: a (rules x max factors) array
     whose row r indexes rule r's factors among the columns of [y, 1 - y, 1];
     padding reads the constant 1. `weights` holds the rule weights in order.
+    `signed_weights` and `factor_labels`, of the same shape as the index, say
+    where each factor's partial derivative goes: into the gradient of label
+    `factor_labels[r, j]`, times `signed_weights[r, j]` (the rule weight, negated
+    for a 1 - y factor, 0 for padding).
     """
 
     vocabulary: LabelVocabulary
     rules: tuple[Rule, ...] = ()
     factor_index: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
+    signed_weights: np.ndarray = field(init=False, repr=False, compare=False)
+    factor_labels: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -183,9 +189,12 @@ class RuleSet:
         rows = [_factor_row(rule, width) for rule in self.rules]
         k = max(map(len, rows), default=0)
         index = np.array([row + [2 * width] * (k - len(row)) for row in rows], dtype=np.intp)
+        index = index.reshape(len(rows), k)
         weights = np.array([rule.weight for rule in self.rules], dtype=np.float64)
-        object.__setattr__(self, "factor_index", index.reshape(len(rows), k))
+        object.__setattr__(self, "factor_index", index)
         object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "signed_weights", _factor_signs(index, width) * weights[:, None])
+        object.__setattr__(self, "factor_labels", index % width)
 
     def __len__(self) -> int:
         return len(self.rules)
@@ -198,6 +207,13 @@ def _factor_row(rule: Rule, width: int) -> list[int]:
         if label >= width:
             raise RuleError(f"rule mentions label index {label} outside {width} labels")
     return [label + width * complemented for label, complemented in rule.factors]
+
+
+def _factor_signs(index: np.ndarray, width: int) -> np.ndarray:
+    """Sign of each factor's partial derivative in its label, for a factor
+    index over `width` labels: 1 for a y column, -1 for a 1 - y column, 0 for
+    the padding column 2 * width (whose label, index % width, reads as 0)."""
+    return np.repeat((1.0, -1.0, 0.0), (width, width, 1))[index]
 
 
 # ---- lexer ----

@@ -78,6 +78,43 @@ def product_domain_loss(rs: RuleSet, P) -> float:
     return float(np.mean(total / weight_sum))
 
 
+def penalty_grad_reference(rs: RuleSet, P) -> np.ndarray:
+    """Reference gradient of the rule penalty, the accumulate-and-scatter way.
+
+    Each rule's factors are its antecedent literal values, then its consequent
+    literal complements, as columns of [P, 1 - P, 1], padded with the constant
+    column to the longest rule. Prefix and suffix products come from
+    `np.multiply.accumulate` along the factor axis; a factor's partial is its
+    prefix times its suffix, times the rule weight, negated for a 1 - P
+    column and zeroed for padding. An ordered `np.add.at` adds the partials in
+    (row, rule, factor) order, padding adding its zero to label 0. The sum is
+    normalized by the weight sum and the row count, as the mean penalty is.
+    """
+    P = np.asarray(P, dtype=np.float64)
+    n, width = P.shape
+    if not rs.rules:
+        return np.zeros_like(P)
+    rows = [
+        [lit.label + width * lit.negated for lit in rule.antecedent]
+        + [lit.label + width * (not lit.negated) for lit in rule.consequent]
+        for rule in rs.rules
+    ]
+    k = max(map(len, rows))
+    index = np.array([row + [2 * width] * (k - len(row)) for row in rows])
+    weights = np.array([rule.weight for rule in rs.rules])
+    factors = np.concatenate([P, 1.0 - P, np.ones((n, 1))], axis=1)[:, index]
+    prefix = np.ones((n, len(rows), k + 1))
+    np.multiply.accumulate(factors, axis=2, out=prefix[:, :, 1:])
+    suffix = np.ones_like(prefix)
+    suffix[:, :, :k] = np.multiply.accumulate(factors[:, :, ::-1], axis=2)[:, :, ::-1]
+    sign = np.where(index < width, 1.0, np.where(index < 2 * width, -1.0, 0.0))
+    partials = prefix[:, :, :k] * suffix[:, :, 1:] * (sign * weights[:, None])
+    grad = np.zeros((n, width))
+    np.add.at(grad, (np.arange(n)[:, None, None], index % width), partials)
+    grad /= np.cumsum(weights)[-1] * n
+    return grad
+
+
 def dataset_jsonl(ds) -> str:
     """Reference dataset file: the label header, then every row as a generic
     `jsonio.dumps` of its {"x": [float...], "y": [int...]} object, plus

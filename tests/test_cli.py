@@ -133,6 +133,25 @@ def test_config_file_supplies_values_and_flags_override(tmp_path, rules_file):
     assert len(open(history).read().splitlines()) == 4
 
 
+def test_fractional_integer_hyperparameter_exits_two(tmp_path, rules_file, capsys):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    history = tmp_path / "h.jsonl"
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"rules": rules_file, "data": data, "epochs": 2.7, "warmup_epochs": 0}))
+    assert run(["train", "--config", str(cfg_path), "--out-history", str(history)]) == 2
+    assert capsys.readouterr().err == "error: epochs must be an integer, got 2.7\n"
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "2", "--warmup", "0",
+                "--hidden", "3.5", "--out-history", str(history)]) == 2
+    assert capsys.readouterr().err == "error: hidden_units must be an integer, got 3.5\n"
+    assert not history.exists()
+    # integral values stay accepted, from the config and from a flag
+    cfg_path.write_text(json.dumps({"rules": rules_file, "data": data, "epochs": 2.0, "warmup_epochs": 0}))
+    assert run(["train", "--config", str(cfg_path), "--hidden", "3.0", "--out-history", str(history)]) == 0
+    assert len(history.read_text().splitlines()) == 2
+    assert run(["train", "--config", str(cfg_path), "--epochs", "many"]) == 1
+    assert "invalid number value: 'many'" in capsys.readouterr().err
+
+
 def test_synth_output_is_byte_deterministic(tmp_path, rules_file):
     a = _synth(tmp_path, rules_file, "a.jsonl", n=30)
     b = _synth(tmp_path, rules_file, "b.jsonl", n=30)

@@ -10,11 +10,13 @@ from rulebound import (
     Rule,
     RuleSet,
     domain_loss,
+    domain_loss_grad,
     flag_inconsistent,
     violation_matrix,
 )
 
 import oracles
+import rulebound.relax
 
 # more rows than one block of a domain_loss pass, so the block boundary is crossed
 N_ROWS = 1300
@@ -65,3 +67,26 @@ def test_domain_loss_bitwise_matches_product_reference():
         P[npr.random(P.shape) < 0.05] = 1.0
         for n in (1, 31, 512, 513, N_ROWS):
             assert domain_loss(rs, P[:n]) == oracles.product_domain_loss(rs, P[:n]), n
+
+
+def test_domain_loss_bits_do_not_depend_on_the_block_size(monkeypatch):
+    npr = np.random.default_rng(15)
+    rs = next(_rulesets())
+    P = npr.random((N_ROWS, N_LABELS))
+    P[npr.random(P.shape) < 0.05] = 0.0
+    expected = oracles.product_domain_loss(rs, P)
+    # one row per block, a few rows, and the whole batch in one block
+    for entries in (1, 7 * rs.factor_index.size, 2**40):
+        monkeypatch.setattr(rulebound.relax, "_BLOCK_ENTRIES", entries)
+        assert domain_loss(rs, P) == expected, entries
+
+
+def test_domain_loss_grad_bitwise_matches_accumulate_reference():
+    npr = np.random.default_rng(14)
+    for rs in _rulesets():
+        P = npr.random((N_ROWS, N_LABELS))
+        P[npr.random(P.shape) < 0.05] = 0.0
+        P[npr.random(P.shape) < 0.05] = 1.0
+        for n in (1, 31, 512, 513, N_ROWS):
+            expected = oracles.penalty_grad_reference(rs, P[:n])
+            assert domain_loss_grad(rs, P[:n]).tobytes() == expected.tobytes(), n

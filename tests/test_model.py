@@ -16,6 +16,8 @@ from rulebound import (
     forward,
     init_params,
     load_model,
+    domain_loss,
+    loss_grads,
     parse_rules,
     save_model,
     sgd_step,
@@ -186,6 +188,29 @@ def test_total_loss_gradients_match_finite_differences():
         assert oracles.max_rel_err(a, n, floor=1e-3) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "lambda_, rules",
+    [(0.0, "l0 => l1 | !l2"), (0.8, "l0 => l1 | !l2\nMUTEX(l1, l2) @ 1.5"), (3.0, None)],
+)
+def test_gradient_only_step_matches_total_loss_and_grads(lambda_, rules):
+    vocab = LabelVocabulary(("l0", "l1", "l2"))
+    rs = parse_rules(rules, vocab) if rules else _empty_rs(3)
+    params = init_params(17, 4, 5, 3)
+    npr = np.random.default_rng(17)
+    X = npr.normal(size=(9, 4))
+    T = npr.integers(0, 2, size=(9, 3)).astype(np.float64)
+    M = (npr.random((9, 3)) > 0.3).astype(np.uint8)
+    M[0] = 0
+    loss, grads = total_loss_and_grads(params, X, T, M, rs, lambda_)
+    for a, b in zip(loss_grads(params, X, T, M, rs, lambda_).as_tuple(), grads.as_tuple()):
+        assert a.tobytes() == b.tobytes()
+    probs, _ = forward(params, X)
+    expected = bce_masked(probs, T, M)
+    if lambda_ > 0 and rs.rules:
+        expected = expected + lambda_ * domain_loss(rs, probs)
+    assert loss == expected
+
+
 def test_negative_lambda_rejected():
     params = init_params(0, 2, 2, 2)
     with pytest.raises(ValueError):
@@ -304,6 +329,16 @@ def test_train_config_defaults_round_trip():
 )
 def test_train_config_validation(kwargs):
     with pytest.raises(ValueError):
+        TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"epochs": 2.7}, "epochs"), ({"seed": 1.9}, "seed"), ({"hidden_units": 3.99}, "hidden_units"),
+     ({"batch_size": float("inf")}, "batch_size"), ({"warmup_epochs": float("nan")}, "warmup_epochs")],
+)
+def test_train_config_rejects_fractional_integers(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         TrainConfig(**kwargs)
 
 

@@ -222,6 +222,20 @@ def test_train_off_mode_matches_reference_loop():
     assert (state.origin == ORIGIN_GIVEN).all()
 
 
+def test_training_steps_compute_no_loss_value(monkeypatch):
+    import rulebound.model
+
+    def forbidden(*args):
+        raise AssertionError("a training step computed a loss value")
+
+    monkeypatch.setattr(rulebound.model, "bce_masked", forbidden)
+    monkeypatch.setattr(rulebound.model, "domain_loss", forbidden)
+    ds, rs = _toy_dataset()
+    cfg = TrainConfig(epochs=2, warmup_epochs=1, batch_size=8, lambda_=0.5, seed=5)
+    _, history, _ = train(_with_noise(ds, rs), rs, cfg)
+    assert len(history) == 2  # the epoch records still carry both loss values
+
+
 def test_mask_only_never_edits_targets():
     ds, rs = _toy_dataset(seed=4)
     noisy = _with_noise(ds, rs)
