@@ -7,6 +7,7 @@ confident predictions.
 """
 
 from .data import (
+    NOISE_MODES,
     AuditReport,
     Dataset,
     DatasetError,

@@ -13,10 +13,11 @@ import sys
 from dataclasses import fields
 
 from . import jsonio
-from .data import DatasetError, audit, inject_noise, load_dataset, save_dataset, synthesize
+from .data import NOISE_MODES, DatasetError, audit, inject_noise, load_dataset, save_dataset, synthesize
 from .metrics import correction_report
 from .model import TrainConfig, load_model, save_model
 from .rules import RuleError, parse_rules
+from .supervision import CORRECTION_MODES
 from .training import evaluate, train
 
 
@@ -35,7 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 # config keys of the TrainConfig fields, in field order; each is also its flag's dest
 _TRAIN_KEYS = tuple(TrainConfig().as_dict())
-_CONFIG_KEYS = _TRAIN_KEYS + ("rules", "data", "out_model", "out_history", "out_report", "threshold")
+_PATH_KEYS = ("rules", "data", "out_model", "out_history", "out_report")
+_CONFIG_KEYS = _TRAIN_KEYS + _PATH_KEYS + ("threshold",)
 
 
 def number(text: str) -> int | float:
@@ -63,6 +65,16 @@ def _load_config(path) -> dict:
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+    for key in _PATH_KEYS:  # null leaves a path unset, as a missing key does
+        value = doc.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{path}: config key '{key}' must be a path string, got {json.dumps(value)}")
+    if "threshold" in doc:
+        threshold = doc["threshold"]
+        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or not 0 < threshold < 1:
+            raise ConfigError(
+                f"{path}: config key 'threshold' must be a number in (0, 1), got {json.dumps(threshold)}"
+            )
     return doc
 
 
@@ -82,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--in", dest="in_path", required=True, help="input dataset")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--rho", type=float, required=True, help="noise rate")
-    p.add_argument("--mode", choices=("uniform", "violating"), required=True)
+    p.add_argument("--mode", choices=NOISE_MODES, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rules", help="rule file (required for violating mode)")
 
@@ -103,7 +115,7 @@ def build_parser() -> _Parser:
     p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=number)
     p.add_argument("--hidden", dest="hidden_units", metavar="HIDDEN", type=number)
     p.add_argument("--seed", type=number)
-    p.add_argument("--mode", dest="correction_mode", choices=("off", "mask_only", "relabel"))
+    p.add_argument("--mode", dest="correction_mode", choices=CORRECTION_MODES)
     p.add_argument("--out-model")
     p.add_argument("--out-history")
     p.add_argument("--out-report")
@@ -137,7 +149,7 @@ def cmd_audit(args) -> int:
     ds = load_dataset(args.data)
     rs = parse_rules(_read_text(args.rules), ds.names)
     report = audit(ds, rs)
-    print(jsonio.dumps(report.as_dict()) if args.json else report.to_text())
+    print(jsonio.dumps(report) if args.json else report.to_text())
     return 0
 
 
@@ -164,13 +176,13 @@ def cmd_train(args) -> int:
     params, history, state = train(ds, rs, cfg)
     out_report = pick(args.out_report, "out_report")
     if out_report:
-        report = evaluate(params, ds, rs, float(doc.get("threshold", 0.5)))
+        report = evaluate(params, ds, rs, doc.get("threshold", 0.5))
         if ds.clean_Y is not None:
             report.correction = correction_report(state, ds)
     writes = [
         (pick(args.out_model, "out_model"), lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
         (pick(args.out_history, "out_history"), history.write_jsonl),
-        (out_report, lambda tmp: jsonio.dump(report.as_dict(), tmp)),
+        (out_report, lambda tmp: jsonio.dump(report, tmp)),
     ]
     writes = [(path, write) for path, write in writes if path]
     # every output is written in full before any of them replaces its target
@@ -186,9 +198,9 @@ def cmd_eval(args) -> int:
     rs = parse_rules(_read_text(args.rules), ds.names)
     report = evaluate(params, ds, rs, args.threshold)
     if args.out_report:
-        jsonio.dump(report.as_dict(), args.out_report)
+        jsonio.dump(report, args.out_report)
     else:
-        print(jsonio.dumps(report.as_dict()))
+        print(jsonio.dumps(report))
     return 0
 
 

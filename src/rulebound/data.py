@@ -26,6 +26,9 @@ class SynthesisBudgetError(RuntimeError):
     """Rejection sampling could not find enough rule-consistent label patterns."""
 
 
+NOISE_MODES = ("uniform", "violating")
+
+
 @dataclass
 class Dataset:
     """Feature rows with multi-hot labels; optionally the pre-noise labels too.
@@ -310,8 +313,8 @@ def inject_noise(
     """
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
-    if mode not in ("uniform", "violating"):
-        raise ValueError(f"noise mode must be 'uniform' or 'violating', got {mode!r}")
+    if mode not in NOISE_MODES:
+        raise ValueError(f"noise mode must be one of {NOISE_MODES}, got {mode!r}")
     if ds.flips:
         raise DatasetError("dataset already carries noise records")
     rng = np.random.default_rng(seed)
@@ -351,14 +354,6 @@ class AuditReport:
     per_sample: list[dict]  # {"sample": index, "violated": [rule indices]}, violating samples only
     violating_samples: int
     fraction: float
-
-    def as_dict(self) -> dict:
-        return {
-            "per_rule": self.per_rule,
-            "per_sample": self.per_sample,
-            "violating_samples": self.violating_samples,
-            "fraction": self.fraction,
-        }
 
     def to_text(self, max_samples: int = 100) -> str:
         lines = [

@@ -3,6 +3,9 @@
 Every file the package writes goes through here so that identical inputs
 produce byte-identical artifacts, and through `atomic_write` so that a
 failed write leaves no half-written file behind.
+
+A dataclass instance is written as an object of its fields in declaration
+order, so a record's field order is its file layout.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import math
 import os
 import secrets
 from contextlib import contextmanager, suppress
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
@@ -136,5 +140,8 @@ def _write(obj, parts: list[str]) -> None:
             parts.append(": ")
             _write(value, parts)
         parts.append("}")
+    elif is_dataclass(obj) and not isinstance(obj, type):
+        # the fields themselves, not copies: dataclasses.asdict would deep-copy every row
+        _write({f.name: getattr(obj, f.name) for f in fields(obj)}, parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")

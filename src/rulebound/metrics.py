@@ -22,15 +22,6 @@ class LabelScores:
     f1: float
     support: int
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "support": self.support,
-        }
-
 
 @dataclass(frozen=True)
 class CorrectionStats:
@@ -43,16 +34,6 @@ class CorrectionStats:
     n_undetected: int
     recovery_rate: float | None
 
-    def as_dict(self) -> dict:
-        return {
-            "n_flipped": self.n_flipped,
-            "n_corrected_right": self.n_corrected_right,
-            "n_corrected_wrong": self.n_corrected_wrong,
-            "n_still_masked": self.n_still_masked,
-            "n_undetected": self.n_undetected,
-            "recovery_rate": self.recovery_rate,
-        }
-
 
 @dataclass
 class MetricsReport:
@@ -63,17 +44,6 @@ class MetricsReport:
     cvr: float
     correction: CorrectionStats | None
     eval_target: str  # "clean" when scored against pre-noise labels, else "given"
-
-    def as_dict(self) -> dict:
-        return {
-            "per_label": [s.as_dict() for s in self.per_label],
-            "macro_f1": self.macro_f1,
-            "micro_f1": self.micro_f1,
-            "exact_match": self.exact_match,
-            "cvr": self.cvr,
-            "correction": self.correction.as_dict() if self.correction else None,
-            "eval_target": self.eval_target,
-        }
 
 
 def _binary_matrix(A, what: str) -> np.ndarray:
@@ -104,23 +74,20 @@ def f1_scores(
     n_labels = yhat.shape[1]
     if names is not None and len(names) != n_labels:
         raise ValueError("names length differs from label count")
+    # per-label counts as Python ints, one column-wise sum each
+    tp = (yhat & yref).sum(axis=0).tolist()
+    fp = (yhat > yref).sum(axis=0).tolist()
+    fn = (yhat < yref).sum(axis=0).tolist()
     per_label: list[LabelScores] = []
-    tp_total = fp_total = fn_total = 0
     f1_sum = 0.0
     for j in range(n_labels):
-        tp = int(((yhat[:, j] == 1) & (yref[:, j] == 1)).sum())
-        fp = int(((yhat[:, j] == 1) & (yref[:, j] == 0)).sum())
-        fn = int(((yhat[:, j] == 0) & (yref[:, j] == 1)).sum())
-        precision, recall, f1 = _prf(tp, fp, fn)
+        precision, recall, f1 = _prf(tp[j], fp[j], fn[j])
         per_label.append(
-            LabelScores(names[j] if names is not None else str(j), precision, recall, f1, tp + fn)
+            LabelScores(names[j] if names is not None else str(j), precision, recall, f1, tp[j] + fn[j])
         )
-        tp_total += tp
-        fp_total += fp
-        fn_total += fn
-        f1_sum += f1
+        f1_sum += f1  # left to right: sum() compensates rounding on Python 3.12+
     macro = f1_sum / n_labels
-    micro = _prf(tp_total, fp_total, fn_total)[2]
+    micro = _prf(sum(tp), sum(fp), sum(fn))[2]
     return per_label, macro, micro
 
 

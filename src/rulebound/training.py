@@ -46,16 +46,6 @@ class EpochRecord:
     n_masked: int
     n_corrected_cumulative: int
 
-    def as_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "bce": self.bce,
-            "domain_loss": self.domain_loss,
-            "total": self.total,
-            "n_masked": self.n_masked,
-            "n_corrected_cumulative": self.n_corrected_cumulative,
-        }
-
 
 @dataclass
 class TrainHistory:
@@ -68,7 +58,7 @@ class TrainHistory:
         """One JSON object per epoch."""
         with jsonio.atomic_write(path) as fh:
             for record in self.records:
-                fh.write(jsonio.dumps(record.as_dict()) + "\n")
+                fh.write(jsonio.dumps(record) + "\n")
 
 
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:

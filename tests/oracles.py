@@ -149,6 +149,36 @@ def correction_buckets(state, ds) -> tuple[int, int, int, int, int]:
     return len(flips), right, wrong, still_masked, undetected
 
 
+def f1_reference(Yhat, Yref) -> tuple[list[tuple[float, float, float, int]], float, float]:
+    """Reference F1 family, label by label: ((precision, recall, f1, support)
+    per label, macro F1 summed left to right, micro F1 of the pooled counts),
+    with 0/0 counted as 0."""
+
+    def prf(tp, fp, fn):
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return precision, recall, f1
+
+    per_label = []
+    totals = [0, 0, 0]
+    f1_sum = 0.0
+    for j in range(Yref.shape[1]):
+        counts = [0, 0, 0]  # tp, fp, fn
+        for pred, ref in zip(Yhat[:, j].tolist(), Yref[:, j].tolist()):
+            if pred and ref:
+                counts[0] += 1
+            elif pred:
+                counts[1] += 1
+            elif ref:
+                counts[2] += 1
+        precision, recall, f1 = prf(*counts)
+        per_label.append((precision, recall, f1, counts[0] + counts[2]))
+        totals = [a + b for a, b in zip(totals, counts)]
+        f1_sum += f1
+    return per_label, f1_sum / Yref.shape[1], prf(*totals)[2]
+
+
 def checkpoint_json(params: ModelParams, seed: int, config) -> str:
     """Reference checkpoint file: the documented layout, every weight a float
     in a generic `jsonio.dumps` list."""

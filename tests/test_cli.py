@@ -11,6 +11,15 @@ from rulebound.cli import run
 
 RULES = "MUTEX(a, b)\na => c\n"
 
+# the JSON layouts of the reports: each record's dataclass fields, in declaration order
+REPORT_KEYS = ["per_label", "macro_f1", "micro_f1", "exact_match", "cvr", "correction", "eval_target"]
+LABEL_SCORE_KEYS = ["label", "precision", "recall", "f1", "support"]
+CORRECTION_KEYS = [
+    "n_flipped", "n_corrected_right", "n_corrected_wrong", "n_still_masked", "n_undetected",
+    "recovery_rate",
+]
+AUDIT_KEYS = ["per_rule", "per_sample", "violating_samples", "fraction"]
+
 
 @pytest.fixture
 def rules_file(tmp_path):
@@ -61,6 +70,9 @@ def test_noise_then_audit_reports_violations(tmp_path, rules_file, capsys):
     assert code == 0
     assert run(["audit", "--rules", rules_file, "--data", str(noisy), "--json"]) == 0
     report = json.loads(capsys.readouterr().out)
+    assert list(report) == AUDIT_KEYS
+    assert [list(row) for row in report["per_rule"]] == [["rule", "text", "count"]] * 2
+    assert {tuple(row) for row in report["per_sample"]} == {("sample", "violated")}
     assert report["violating_samples"] > 0
     assert len(report["per_rule"]) == 2
     ds = load_dataset(noisy)
@@ -81,6 +93,9 @@ def test_train_writes_all_outputs(tmp_path, rules_file):
     assert echo["epochs"] == 3 and echo["lambda"] == 1.0
     assert len(open(history).read().splitlines()) == 3
     doc = json.loads(open(report).read())
+    assert list(doc) == REPORT_KEYS
+    assert [list(row) for row in doc["per_label"]] == [LABEL_SCORE_KEYS] * 3
+    assert list(doc["correction"]) == CORRECTION_KEYS
     assert doc["eval_target"] == "clean"  # synthetic data carries its clean labels
     assert doc["correction"]["n_flipped"] == 0
 
@@ -113,9 +128,8 @@ def test_eval_prints_report_when_no_output_path(tmp_path, rules_file, capsys):
     capsys.readouterr()
     assert run(["eval", "--rules", rules_file, "--data", data, "--model", model]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == {
-        "per_label", "macro_f1", "micro_f1", "exact_match", "cvr", "correction", "eval_target"
-    }
+    assert list(doc) == REPORT_KEYS
+    assert [list(row) for row in doc["per_label"]] == [LABEL_SCORE_KEYS] * 3
 
 
 def test_config_file_supplies_values_and_flags_override(tmp_path, rules_file):
@@ -150,6 +164,39 @@ def test_fractional_integer_hyperparameter_exits_two(tmp_path, rules_file, capsy
     assert len(history.read_text().splitlines()) == 2
     assert run(["train", "--config", str(cfg_path), "--epochs", "many"]) == 1
     assert "invalid number value: 'many'" in capsys.readouterr().err
+
+
+def _bad_config_run(tmp_path, rules_file, key, value):
+    """Train from a config whose `key` is `value`; returns the exit code and the new files."""
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    doc = {"rules": rules_file, "data": data, "epochs": 1, "warmup_epochs": 0,
+           "out_model": str(tmp_path / "m.json"), "out_history": str(tmp_path / "h.jsonl"), key: value}
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps(doc))
+    before = set(tmp_path.iterdir())
+    code = run(["train", "--config", str(cfg_path)])
+    return code, set(tmp_path.iterdir()) - before
+
+
+@pytest.mark.parametrize("key, value", [
+    ("rules", 1.5), ("data", ["plain.jsonl"]), ("out_model", {"path": "m.json"}),
+    ("out_history", 7), ("out_report", True),
+])
+def test_config_path_must_be_a_string(tmp_path, rules_file, capsys, key, value):
+    code, written = _bad_config_run(tmp_path, rules_file, key, value)
+    assert code == 2
+    assert f"config key '{key}' must be a path string, got {json.dumps(value)}\n" in capsys.readouterr().err
+    assert not written
+
+
+@pytest.mark.parametrize("threshold", [7, 0, 1, True, "0.5", None, float("nan")])
+def test_config_threshold_must_be_a_number_in_unit_interval(tmp_path, rules_file, capsys, threshold):
+    # checked before training, also when no report is asked for
+    code, written = _bad_config_run(tmp_path, rules_file, "threshold", threshold)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"config key 'threshold' must be a number in (0, 1), got {json.dumps(threshold)}\n" in err
+    assert not written
 
 
 def test_synth_output_is_byte_deterministic(tmp_path, rules_file):

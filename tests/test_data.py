@@ -1,7 +1,9 @@
 """Dataset files, synthesis, noise injection, and the audit command's core."""
 
 import itertools
+import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from rulebound import (
     synthesize,
     violated_rules,
 )
+from rulebound import data, jsonio
 from rulebound.cli import run
 
 import oracles
@@ -266,6 +269,89 @@ def test_loader_keeps_the_sign_of_negative_zero_features(tmp_path):
     assert ds.Y.tolist() == [[0, 1], [1, 0]]
 
 
+_NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
+_TOKENS = ["true", "false", "null", "-0", "-0.0", "0", "1", "2", "-1", "1.0", "0.5", "1e400", "NaN",
+           "Infinity", "-Infinity", '"1"', "[]", "[0]", "{}", "18446744073709551616", "1e-400"]
+
+
+def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
+    """One random edit of a sample file's lines. Some edits keep the file legal
+    (another number, other spacing, an escaped key, keys reordered); others
+    break it (another token, a key dropped or added, a blank line, a truncated
+    last line, a list entry dropped or repeated, a line split in two, two lines
+    joined, an indent)."""
+    lines = list(lines)
+    if not lines:
+        return lines
+    i = rng.randrange(len(lines))
+    kind = rng.randrange(12)
+    if kind in (0, 1):
+        tokens = list(_NUMBER.finditer(lines[i]))
+        if tokens:
+            m = rng.choice(tokens)
+            token = rng.choice(["0", "1", "0", "1", "-3", "2.5e2", "-0"] if kind else _TOKENS)
+            lines[i] = lines[i][: m.start()] + token + lines[i][m.end() :]
+    elif kind == 2:
+        old, new = rng.choice([(", ", ","), (": ", ":"), (", ", " ,\t")])
+        lines[i] = lines[i].replace(old, new)
+    elif kind == 3:
+        lines[i] = lines[i].replace('"x"', '"\\u0078"')
+    elif kind == 4:
+        try:
+            row = json.loads(lines[i])
+            lines[i] = json.dumps(dict(reversed(list(row.items()))))
+        except (ValueError, AttributeError):
+            pass
+    elif kind == 5:
+        key = rng.choice(['"x"', '"y"', '"y_clean"'])
+        lines[i] = re.sub(key + r": \[[^\]]*\](, )?", "", lines[i])
+    elif kind == 6:
+        lines[i] = lines[i][:-1] + rng.choice([', "z": 1}', ', "y_clean": [0, 1, 0]}', ', "x": [1.0]}'])
+    elif kind == 7:
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(["", "   "]))
+    elif kind == 8:
+        lines[-1] = lines[-1][: rng.randrange(max(1, len(lines[-1])))]
+    elif kind == 9:
+        entries = list(re.finditer(r"[\[ ](-?[\d.e+-]+)[,\]]", lines[i]))
+        if entries:
+            m = rng.choice(entries)
+            edit = "" if rng.random() < 0.5 else m.group(1) + ", " + m.group(1)
+            lines[i] = lines[i][: m.start(1)] + edit + lines[i][m.end(1) :]
+    elif kind == 10 and ", " in lines[i]:
+        cut = rng.choice([m.start() for m in re.finditer(", ", lines[i])])
+        lines[i : i + 1] = [lines[i][:cut], lines[i][cut + 2 :]]
+    elif i + 1 < len(lines):
+        lines[i : i + 2] = [lines[i] + rng.choice([", ", " ", ""]) + lines[i + 1]]
+    else:
+        lines[i] = " " + lines[i]
+    return lines
+
+
+def test_fast_loader_returns_only_what_the_line_reader_returns():
+    rng = random.Random(20261018)
+    deferred = edited = 0
+    for trial in range(2000):
+        ds = _random_ds(trial, rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 3), trial % 2 == 0)
+        lines = oracles.dataset_jsonl(ds).splitlines()[1:]
+        clean_lines = lines
+        for _ in range(rng.randint(0, 3)):
+            lines = _mutate(rng, lines)
+        width = len(ds.names)
+        fast = data._read_samples(lines, width)
+        if fast is None:
+            deferred += 1
+            continue
+        edited += lines != clean_lines
+        slow = data._read_samples_by_line(lines, width, "mutated.jsonl")
+        for a, b in zip(fast, slow):
+            if a is None or b is None:
+                assert a is None and b is None
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    # both outcomes of the fast path occur, and it accepts edited files too
+    assert edited > 200 and deferred > 200
+
+
 # ---- synthesis ----
 
 
@@ -494,4 +580,4 @@ def test_audit_text_caps_sample_listing():
     text = report.to_text()
     assert "first 100" in text
     assert text.count("\n  sample ") == 100
-    assert len(report.as_dict()["per_sample"]) == 120
+    assert json.loads(jsonio.dumps(report))["per_sample"] == report.per_sample

@@ -1,6 +1,8 @@
 """The serializer's array formatting and the atomic replacement of output files."""
 
+import json
 import os
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import pytest
@@ -87,3 +89,35 @@ def test_atomic_paths_replace_all_targets_or_none(tmp_path):
         jsonio.dump(2, tmp_second)
     assert first.read_bytes() == b"1\n" and second.read_bytes() == b"2\n"
     assert sorted(os.listdir(tmp_path)) == ["first.json", "second.json"]
+
+
+@dataclass(frozen=True)
+class _Row:
+    name: str
+    score: float
+
+
+@dataclass
+class _Doc:
+    rows: list[_Row]
+    total: float
+    note: _Row | None
+    count: int
+
+
+def test_dataclass_writes_its_fields_in_declaration_order():
+    doc = _Doc([_Row("b", 0.1), _Row("a", -0.0)], 1 / 3, None, 7)
+    by_hand = {
+        "rows": [{"name": "b", "score": 0.1}, {"name": "a", "score": -0.0}],
+        "total": 1 / 3,
+        "note": None,
+        "count": 7,
+    }
+    assert jsonio.dumps(doc) == jsonio.dumps(by_hand)
+    assert json.loads(jsonio.dumps(doc)) == asdict(doc)
+    assert jsonio.dumps(doc) == (
+        '{"rows": [{"name": "b", "score": 0.10000000000000001}, {"name": "a", "score": -0}], '
+        '"total": 0.33333333333333331, "note": null, "count": 7}'
+    )
+    with pytest.raises(TypeError, match="cannot serialize type to JSON"):
+        jsonio.dumps(_Doc)

@@ -1,4 +1,5 @@
-"""Generated rule sets and probabilities: the penalty kernel against its references."""
+"""Generated rule sets: the penalty kernel, the crisp checks and violating
+noise against their references."""
 
 import warnings
 
@@ -6,13 +7,16 @@ import numpy as np
 import pytest
 
 from rulebound import (
+    Dataset,
     LabelVocabulary,
     Rule,
     RuleSet,
     domain_loss,
     domain_loss_grad,
+    inject_noise,
     parse_rules,
     rule_penalty_batch,
+    violation_matrix,
 )
 
 import oracles
@@ -86,3 +90,65 @@ def test_kernel_gradient_matches_finite_differences(data):
     P = 0.05 + 0.9 * rng.random((n, len(rs.vocabulary)))  # interior: the step stays in [0, 1]
     numeric = oracles.fd_grad(lambda Q: domain_loss(rs, Q), P)
     assert oracles.max_rel_err(domain_loss_grad(rs, P), numeric, floor=1e-4) < 1e-5
+
+
+@st.composite
+def label_matrices(draw, width, max_rows=40):
+    """Seeded random 0/1 label rows."""
+    n = draw(st.integers(1, max_rows))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((n, width)) < draw(st.sampled_from((0.2, 0.5, 0.8)))).astype(np.int64)
+
+
+def _crisp_violations(rs, Y) -> np.ndarray:
+    return np.array([[not oracles.crisp_satisfied(rule, y) for rule in rs.rules] for y in Y], dtype=bool)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_violation_matrix_equals_crisp_semantics(data):
+    rs = data.draw(rulesets())
+    Y = data.draw(label_matrices(len(rs.vocabulary)))
+    assert violation_matrix(rs, Y).tolist() == _crisp_violations(rs, Y).tolist()
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_domain_loss_at_vertices_is_weighted_crisp_violation_rate(data):
+    rs = data.draw(rulesets())
+    Y = data.draw(label_matrices(len(rs.vocabulary)))
+    expected = 0.0
+    if rs.rules:
+        # rule by rule, in stored order, as the penalty adds its degrees
+        total = np.zeros(len(Y))
+        for rule, violated in zip(rs.rules, _crisp_violations(rs, Y).T):
+            total = total + rule.weight * violated
+        expected = float(np.mean(total / sum(rule.weight for rule in rs.rules)))
+    assert domain_loss(rs, Y.astype(np.float64)) == expected
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_violating_noise_flips_one_bit_that_breaks_a_kept_rule(data):
+    rs = data.draw(rulesets())
+    clean = data.draw(label_matrices(len(rs.vocabulary)))
+    rho = data.draw(st.sampled_from((0.3, 1.0)))
+    ds = Dataset(np.zeros((len(clean), 1)), clean, rs.vocabulary)
+    noisy = inject_noise(ds, rho, data.draw(st.integers(0, 2**32 - 1)), "violating", rs)
+    assert noisy.clean_Y.tolist() == clean.tolist()
+    for y, y_clean in zip(noisy.Y, clean):
+        flipped = np.flatnonzero(y != y_clean)
+        assert len(flipped) <= 1
+        if len(flipped):
+            assert any(
+                not oracles.crisp_satisfied(rule, y) and oracles.crisp_satisfied(rule, y_clean)
+                for rule in rs.rules
+            )
+        elif rho == 1.0:  # every row is tried, so a row left alone has no breaking flip
+            for j in range(len(y)):
+                trial = y_clean.copy()
+                trial[j] = 1 - trial[j]
+                assert not any(
+                    not oracles.crisp_satisfied(rule, trial) and oracles.crisp_satisfied(rule, y_clean)
+                    for rule in rs.rules
+                )

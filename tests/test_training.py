@@ -193,7 +193,7 @@ def test_train_deterministic():
     p2, h2, s2 = train(noisy, rs, cfg)
     for a, b in zip(p1.as_tuple(), p2.as_tuple()):
         assert np.array_equal(a, b)
-    assert [r.as_dict() for r in h1.records] == [r.as_dict() for r in h2.records]
+    assert h1.records == h2.records
     assert np.array_equal(s1.targets, s2.targets)
 
 
