@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .rules import LabelVocabulary, RuleSet, format_rule, reindex_ruleset, violated_rules, violation_matrix
+from .rules import LabelVocabulary, RuleSet, format_rule, reindex_ruleset, violation_matrix
+from .rules import violated_rules  # noqa: F401  perfbench/layers.py traces this name
 
 
 class DatasetError(ValueError):
@@ -244,8 +245,12 @@ def _read_samples_by_line(lines: list[str], width: int, path):
         ys.append(y)
     if not xs:
         raise DatasetError(f"{path}: dataset has no samples")
+    try:
+        X = np.asarray(xs, dtype=np.float64)
+    except OverflowError:  # an integer past the float range, which a float token there reads as inf
+        raise DatasetError("features must be finite") from None
     clean = np.asarray(cleans, dtype=np.int64) if has_clean else None
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64), clean
+    return X, np.asarray(ys, dtype=np.int64), clean
 
 
 # ---- synthesis ----
@@ -270,22 +275,23 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     if n_labels > 20:
         raise ValueError("synthesis supports at most 20 labels")
     stream = np.random.default_rng([seed, 0])
-    patterns: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    accepted: dict[tuple[int, ...], None] = {}  # insertion-ordered, and the seen-set
     budget = 10_000 * k_patterns
     rejections = 0
-    while len(patterns) < k_patterns:
-        if rejections >= budget:
-            raise SynthesisBudgetError(
-                f"no {k_patterns} distinct rule-consistent label vectors "
-                f"within {budget} rejections"
-            )
-        draw = tuple(int(v) for v in stream.integers(0, 2, size=n_labels))
-        if draw in seen or violated_rules(rs, draw):
-            rejections += 1
-            continue
-        seen.add(draw)
-        patterns.append(draw)
+    while len(accepted) < k_patterns:
+        # no more draws than patterns missing, so the stream stops at the last accepted one
+        block = stream.integers(0, 2, size=(k_patterns - len(accepted), n_labels))
+        for draw, violates in zip(map(tuple, block.tolist()), violation_matrix(rs, block).any(axis=1)):
+            if rejections >= budget:
+                raise SynthesisBudgetError(
+                    f"no {k_patterns} distinct rule-consistent label vectors "
+                    f"within {budget} rejections"
+                )
+            if violates or draw in accepted:
+                rejections += 1
+            else:
+                accepted[draw] = None
+    patterns = list(accepted)
     centroids = stream.uniform(-1.0, 1.0, size=(k_patterns, n_features))
     X = np.empty((n_samples, n_features))
     Y = np.empty((n_samples, n_labels), dtype=np.int64)
@@ -315,7 +321,7 @@ def inject_noise(
         raise ValueError("rho must lie in [0, 1]")
     if mode not in NOISE_MODES:
         raise ValueError(f"noise mode must be one of {NOISE_MODES}, got {mode!r}")
-    if ds.flips:
+    if ds.clean_Y is not None and not np.array_equal(ds.Y, ds.clean_Y):
         raise DatasetError("dataset already carries noise records")
     rng = np.random.default_rng(seed)
     Y = ds.Y.copy()
@@ -326,17 +332,14 @@ def inject_noise(
         if rs is None:
             raise ValueError("violating mode needs a rule set")
         rs = reindex_ruleset(rs, ds.names)
+        # row 0 keeps the labels, row j + 1 flips label j
+        flip_masks = np.eye(Y.shape[1] + 1, Y.shape[1], k=-1, dtype=Y.dtype)
         for i in range(Y.shape[0]):
             if rng.random() >= rho:
                 continue
-            before = set(violated_rules(rs, Y[i]))
-            candidates = []
-            for j in range(Y.shape[1]):
-                trial = Y[i].copy()
-                trial[j] = 1 - trial[j]
-                if set(violated_rules(rs, trial)) - before:
-                    candidates.append(j)
-            if not candidates:
+            violated = violation_matrix(rs, Y[i] ^ flip_masks)
+            candidates = np.flatnonzero((violated[1:] & ~violated[0]).any(axis=1))
+            if not len(candidates):
                 continue
             j = candidates[int(rng.integers(len(candidates)))]
             Y[i, j] = 1 - Y[i, j]

@@ -82,14 +82,15 @@ class TrainConfig:
             if cast is None:
                 continue
             raw = getattr(self, f.name)
+            key = f.name.rstrip("_")  # messages name the config key, as `as_dict` writes it
             if isinstance(raw, bool):
-                raise ValueError(f"{f.name} must be a number, got {raw!r}")
+                raise ValueError(f"{key} must be a number, got {raw!r}")
             if cast is int and isinstance(raw, float) and not raw.is_integer():
-                raise ValueError(f"{f.name} must be an integer, got {raw!r}")
+                raise ValueError(f"{key} must be an integer, got {raw!r}")
             try:
                 object.__setattr__(self, f.name, cast(raw))
             except (TypeError, ValueError):
-                raise ValueError(f"{f.name} must be a number, got {raw!r}") from None
+                raise ValueError(f"{key} must be a number, got {raw!r}") from None
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -159,22 +160,26 @@ def _as_loss_inputs(P, T, M) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]
     M = np.asarray(M, dtype=np.float64)
     if not (P.shape == T.shape == M.shape):
         raise ValueError("P, T and M must share one shape")
-    m = float(M.sum())
-    if m == 0:
-        raise ValueError("no supervision: mask excludes every entry")
-    return P, T, M, m
+    return P, T, M, float(M.sum())
+
+
+NO_SUPERVISION = "no supervision: mask excludes every entry"
 
 
 def bce_masked(P, T, M) -> float:
     """Mean binary cross-entropy over mask-selected entries, probabilities
     clamped to [1e-7, 1 - 1e-7] before the logs."""
     P, T, M, m = _as_loss_inputs(P, T, M)
+    if m == 0:
+        raise ValueError(NO_SUPERVISION)
     clamped = np.clip(P, BCE_CLAMP, 1.0 - BCE_CLAMP)
     loglik = T * np.log(clamped) + (1.0 - T) * np.log1p(-clamped)
     return float(-(loglik * M).sum() / m)
 
 
 def _bce_grad_probs(P: np.ndarray, T: np.ndarray, M: np.ndarray, m: float) -> np.ndarray:
+    if m == 0:  # a batch whose entries are all masked gets no BCE gradient
+        return np.zeros_like(P)
     clamped = np.clip(P, BCE_CLAMP, 1.0 - BCE_CLAMP)
     # outside the clamp window the loss is locally constant in P
     inside = (P >= BCE_CLAMP) & (P <= 1.0 - BCE_CLAMP)
@@ -184,7 +189,9 @@ def _bce_grad_probs(P: np.ndarray, T: np.ndarray, M: np.ndarray, m: float) -> np
 
 def loss_grads(params: ModelParams, X, T, M, rs: RuleSet, lambda_: float) -> ModelParams:
     """Exact analytic gradients of the composite loss of `total_loss_and_grads`
-    in every parameter, without computing the loss value: one training step."""
+    in every parameter, without computing the loss value: one training step.
+    A batch whose entries are all masked adds no BCE gradient; its rule
+    penalty gradient still applies."""
     if lambda_ < 0:
         raise ValueError("lambda must be nonnegative")
     probs, cache = forward(params, X)

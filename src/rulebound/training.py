@@ -17,6 +17,7 @@ from . import jsonio
 from .data import Dataset
 from .metrics import MetricsReport, cvr, exact_match, f1_scores
 from .model import (
+    NO_SUPERVISION,
     ModelParams,
     TrainConfig,
     bce_masked,
@@ -81,6 +82,8 @@ def train(
     params = init_params(cfg.seed, data.X.shape[1], cfg.hidden_units, len(data.names))
     flags = flag_inconsistent(rs, data.Y)
     state = init_supervision(data.Y, flags, cfg.correction_mode)
+    if not state.mask.any():  # corrections only unmask entries, so later epochs keep some supervision
+        raise ValueError(NO_SUPERVISION)
     history = TrainHistory()
     corrected_total = 0
     for epoch in range(1, cfg.epochs + 1):

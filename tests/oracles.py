@@ -12,7 +12,17 @@ import random
 
 import numpy as np
 
-from rulebound import ORIGIN_MASKED, ORIGIN_SELF_CORRECTED, Literal, ModelParams, Rule, RuleSet, jsonio
+from rulebound import (
+    ORIGIN_MASKED,
+    ORIGIN_SELF_CORRECTED,
+    Dataset,
+    Literal,
+    ModelParams,
+    Rule,
+    RuleSet,
+    SynthesisBudgetError,
+    jsonio,
+)
 
 
 def crisp_satisfied(rule: Rule, y) -> bool:
@@ -37,6 +47,70 @@ def brute_force_counts(rules, Y, n_labels: int) -> list[int]:
         bad = violating_assignments(rule, n_labels)
         counts.append(sum(1 for row in Y if tuple(int(v) for v in row) in bad))
     return counts
+
+
+def synthesize_per_row(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patterns: int) -> Dataset:
+    """Reference synthesis, one candidate label vector at a time.
+
+    The stream SeedSequence([seed, 0]) draws n_labels bits per candidate. A
+    candidate that breaks a rule or repeats an accepted one is a rejection,
+    and 10000 * k_patterns rejections raise. The same stream then draws the
+    k_patterns centroids; sample i comes from SeedSequence([seed, 1, i])."""
+    n_labels = len(rs.vocabulary)
+    stream = np.random.default_rng([seed, 0])
+    patterns: list[tuple[int, ...]] = []
+    budget = 10_000 * k_patterns
+    rejections = 0
+    while len(patterns) < k_patterns:
+        if rejections >= budget:
+            raise SynthesisBudgetError(
+                f"no {k_patterns} distinct rule-consistent label vectors within {budget} rejections"
+            )
+        draw = tuple(int(v) for v in stream.integers(0, 2, size=n_labels))
+        if draw in patterns or not all(crisp_satisfied(rule, draw) for rule in rs.rules):
+            rejections += 1
+            continue
+        patterns.append(draw)
+    centroids = stream.uniform(-1.0, 1.0, size=(k_patterns, n_features))
+    X = np.empty((n_samples, n_features))
+    Y = np.empty((n_samples, n_labels), dtype=np.int64)
+    for i in range(n_samples):
+        rng_i = np.random.default_rng([seed, 1, i])
+        pick = int(rng_i.integers(k_patterns))
+        X[i] = centroids[pick] + rng_i.normal(0.0, 0.3, size=n_features)
+        Y[i] = patterns[pick]
+    return Dataset(X, Y, rs.vocabulary, clean_Y=Y.copy())
+
+
+def inject_noise_per_row(ds: Dataset, rho: float, seed: int, rs: RuleSet) -> Dataset:
+    """Reference violating-mode noise, one row and one trial flip at a time.
+
+    Each row draws one uniform; below rho, one of its bits flips, chosen by a
+    second draw among the single-bit flips that break a rule the row keeps.
+    Rule labels are matched to dataset columns by name."""
+    columns = [ds.names.index[name] for name in rs.vocabulary.names]
+
+    def broken(y) -> set[int]:
+        y = [y[c] for c in columns]
+        return {r for r, rule in enumerate(rs.rules) if not crisp_satisfied(rule, y)}
+
+    rng = np.random.default_rng(seed)
+    Y = ds.Y.copy()
+    for i in range(len(Y)):
+        if rng.random() >= rho:
+            continue
+        before = broken(Y[i])
+        candidates = []
+        for j in range(Y.shape[1]):
+            trial = Y[i].copy()
+            trial[j] = 1 - trial[j]
+            if broken(trial) - before:
+                candidates.append(j)
+        if not candidates:
+            continue
+        j = candidates[int(rng.integers(len(candidates)))]
+        Y[i, j] = 1 - Y[i, j]
+    return Dataset(ds.X, Y, ds.names, clean_Y=ds.Y.copy())
 
 
 def random_rule(

@@ -166,6 +166,37 @@ def test_fractional_integer_hyperparameter_exits_two(tmp_path, rules_file, capsy
     assert "invalid number value: 'many'" in capsys.readouterr().err
 
 
+def test_config_and_flag_messages_name_the_config_key(tmp_path, rules_file, capsys):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    history = tmp_path / "h.jsonl"
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"rules": rules_file, "data": data, "lambda": None, "epochs": 1}))
+    assert run(["train", "--config", str(cfg_path), "--warmup", "0", "--out-history", str(history)]) == 2
+    assert capsys.readouterr().err == "error: lambda must be a number, got None\n"
+    assert run(["train", "--rules", rules_file, "--data", data, "--lambda", "-1", "--epochs", "1",
+                "--warmup", "0", "--out-history", str(history)]) == 2
+    assert capsys.readouterr().err == "error: lambda must be nonnegative\n"
+    assert not history.exists()
+    # the flag beats the config's bad value
+    assert run(["train", "--config", str(cfg_path), "--lambda", "0.5", "--warmup", "0",
+                "--out-history", str(history)]) == 0
+    assert len(history.read_text().splitlines()) == 1
+
+
+def test_train_steps_over_a_batch_with_every_entry_masked(tmp_path, capsys):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("MUTEX(A, B)\nA => C\nD => !C\n")
+    data = tmp_path / "data.jsonl"
+    rows = [[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]]  # the first row's labels are all flagged
+    data.write_text("\n".join([json.dumps({"labels": ["A", "B", "C", "D"]})]
+                              + [json.dumps({"x": [0.1 * i, -0.2], "y": y}) for i, y in enumerate(rows)]) + "\n")
+    history = tmp_path / "h.jsonl"
+    assert run(["train", "--rules", str(rules), "--data", str(data), "--batch", "1", "--mode", "mask_only",
+                "--epochs", "2", "--warmup", "0", "--out-history", str(history)]) == 0
+    assert capsys.readouterr().err == ""
+    assert len(history.read_text().splitlines()) == 2
+
+
 def _bad_config_run(tmp_path, rules_file, key, value):
     """Train from a config whose `key` is `value`; returns the exit code and the new files."""
     data = _write_plain_dataset(tmp_path / "plain.jsonl")

@@ -236,6 +236,10 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
         (['{"x": [0.5, 1.0], "y": [1, 0], "z": [{}', '{}]}', _OK[0] + ", " + _OK[1]],
          "line 2: invalid JSON: Expecting ',' delimiter"),
         ([_OK[0], _OK[0] + ", " + _OK[1]], "line 3: invalid JSON: Extra data"),
+        # an integer too large for a float fails like the float token 1e400
+        (_OK + ['{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'], "features must be finite"),
+        (_OK + ['{"x": [-1' + "0" * 400 + ', 1.0], "y": [1, 0]}'], "features must be finite"),
+        (_OK + ['{"x": [0.5, 1e400], "y": [1, 0]}'], "features must be finite"),
     ],
 )
 def test_loader_fault_paths_keep_their_messages(tmp_path, capsys, lines, message):

@@ -126,6 +126,22 @@ def test_bce_all_masked_is_an_error():
         bce_masked(np.array([[0.5]]), np.array([[1.0]]), np.array([[0.0]]))
 
 
+def test_all_masked_batch_steps_on_the_rule_penalty_alone():
+    rs = parse_rules("MUTEX(a, b)\na => c\nd => !c")
+    params = init_params(2, 3, 5, 4)
+    X = np.random.default_rng(1).normal(size=(2, 3))
+    T = np.ones((2, 4))
+    M = np.zeros((2, 4))
+    # no unmasked entry: no BCE gradient, and no division by the zero count
+    assert all(not g.any() for g in loss_grads(params, X, T, M, rs, 0.0).as_tuple())
+    grads = loss_grads(params, X, T, M, rs, 0.7)
+    numeric = oracles.fd_param_grads(lambda p: 0.7 * domain_loss(rs, forward(p, X)[0]), params)
+    for analytic, fd in zip(grads.as_tuple(), numeric.as_tuple()):
+        assert oracles.max_rel_err(analytic, fd, floor=1e-4) < 1e-5
+    with pytest.raises(ValueError, match="no supervision"):  # the loss value stays undefined
+        total_loss_and_grads(params, X, T, M, rs, 0.7)
+
+
 def test_bce_clamps_extreme_probabilities():
     P = np.array([[0.0]])
     T = np.array([[1.0]])
@@ -340,6 +356,17 @@ def test_train_config_validation(kwargs):
 def test_train_config_rejects_fractional_integers(kwargs, field):
     with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [({"lambda_": None}, "lambda must be a number, got None"),
+     ({"lambda_": True}, "lambda must be a number, got True")],
+)
+def test_train_config_messages_name_the_config_key(kwargs, message):
+    with pytest.raises(ValueError) as err:
+        TrainConfig(**kwargs)
+    assert str(err.value) == message
 
 
 def test_train_config_coerces_json_numbers():

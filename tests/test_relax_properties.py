@@ -1,6 +1,7 @@
-"""Generated rule sets: the penalty kernel, the crisp checks and violating
-noise against their references."""
+"""Generated rule sets: the penalty kernel, the crisp checks, synthesis and
+violating noise against their references."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -14,15 +15,17 @@ from rulebound import (
     domain_loss,
     domain_loss_grad,
     inject_noise,
+    SynthesisBudgetError,
     parse_rules,
     rule_penalty_batch,
+    synthesize,
     violation_matrix,
 )
 
 import oracles
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 WEIGHTS = ("", " @ 0.5", " @ 2.5", " @ 0.3", " @ 1.7")
 
@@ -152,3 +155,68 @@ def test_violating_noise_flips_one_bit_that_breaks_a_kept_rule(data):
                     not oracles.crisp_satisfied(rule, trial) and oracles.crisp_satisfied(rule, y_clean)
                     for rule in rs.rules
                 )
+
+
+def _assert_same_dataset(a, b):
+    assert a.names == b.names
+    for name in ("X", "Y", "clean_Y"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes())
+
+
+def _n_consistent(rs) -> int:
+    vertices = itertools.product((0, 1), repeat=len(rs.vocabulary))
+    return sum(all(oracles.crisp_satisfied(rule, y) for rule in rs.rules) for y in vertices)
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_synthesis_is_bitwise_equal_to_the_per_row_reference(data):
+    rs = data.draw(rulesets())
+    n_consistent = _n_consistent(rs)
+    assume(n_consistent >= 2)
+    k = data.draw(st.integers(2, min(n_consistent, 6)))
+    seed, n, dims = data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(1, 30)), data.draw(st.integers(1, 3))
+    _assert_same_dataset(synthesize(seed, n, dims, rs, k), oracles.synthesize_per_row(seed, n, dims, rs, k))
+
+
+@settings(deadline=None, database=None)
+@given(st.data())
+def test_violating_noise_is_bitwise_equal_to_the_per_row_reference(data):
+    rs = data.draw(rulesets())
+    names = data.draw(st.permutations(rs.vocabulary.names))  # dataset columns in another order
+    Y = data.draw(label_matrices(len(names)))
+    ds = Dataset(np.zeros((len(Y), 1)), Y, LabelVocabulary(names))
+    rho = data.draw(st.sampled_from((0.0, 0.3, 1.0)))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    _assert_same_dataset(inject_noise(ds, rho, seed, "violating", rs), oracles.inject_noise_per_row(ds, rho, seed, rs))
+
+
+WIDE_RULES = """\
+MUTEX(l0, l1, l2, l3, l4, l5, l6, l7)
+l8 & !l9 => l10 | !l11 @ 2.5
+l12 => l0 | l13
+l14 & l15 => FALSE @ 0.5
+"""
+
+
+@pytest.mark.parametrize("rules", ["", WIDE_RULES], ids=["no-rules", "16-labels"])
+@pytest.mark.parametrize("rho", [0.0, 0.3, 1.0])
+def test_synthesis_and_noise_equal_the_per_row_references(rules, rho):
+    rs = RuleSet(LabelVocabulary([f"l{j}" for j in range(16)]), ()) if not rules else parse_rules(rules)
+    clean = synthesize(11, 200, 3, rs, 9)
+    _assert_same_dataset(clean, oracles.synthesize_per_row(11, 200, 3, rs, 9))
+    _assert_same_dataset(inject_noise(clean, rho, 5, "violating", rs), oracles.inject_noise_per_row(clean, rho, 5, rs))
+
+
+@pytest.mark.parametrize("rules", ["a => FALSE\n!a => FALSE", "a => FALSE\nb => FALSE"],
+                         ids=["unsatisfiable", "one-pattern"])
+def test_synthesis_budget_error_equals_the_per_row_reference(rules):
+    rs = parse_rules(rules)
+    with pytest.raises(SynthesisBudgetError) as batched:
+        synthesize(0, 10, 2, rs, 2)
+    with pytest.raises(SynthesisBudgetError) as per_row:
+        oracles.synthesize_per_row(0, 10, 2, rs, 2)
+    assert str(batched.value) == str(per_row.value) == (
+        "no 2 distinct rule-consistent label vectors within 20000 rejections"
+    )

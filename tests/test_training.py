@@ -236,6 +236,38 @@ def test_training_steps_compute_no_loss_value(monkeypatch):
     assert len(history) == 2  # the epoch records still carry both loss values
 
 
+def _paper_rules_with_a_fully_flagged_row():
+    # the first row breaks all three rules, so every one of its labels is flagged
+    rs = parse_rules("MUTEX(A, B)\nA => C\nD => !C")
+    Y = np.array([[1, 1, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1]])
+    X = np.random.default_rng(0).normal(size=(3, 2))
+    return Dataset(X, Y, rs.vocabulary), rs
+
+
+@pytest.mark.parametrize("mode, batch_size", [("mask_only", 1), ("relabel", 2)])
+def test_a_fully_masked_batch_trains_on_the_rule_penalty(mode, batch_size):
+    ds, rs = _paper_rules_with_a_fully_flagged_row()
+    for seed in range(5):
+        cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=batch_size, correction_mode=mode, seed=seed)
+        params, history, _ = train(ds, rs, cfg)
+        assert len(history) == 3
+        assert all(np.isfinite(w).all() for w in params.as_tuple())
+
+
+def test_train_rejects_a_fully_masked_dataset_before_any_step(monkeypatch):
+    import rulebound.training
+
+    def forbidden(*args):
+        raise AssertionError("a step ran on a dataset with no supervised entry")
+
+    monkeypatch.setattr(rulebound.training, "loss_grads", forbidden)
+    ds, rs = _paper_rules_with_a_fully_flagged_row()
+    only_bad = Dataset(ds.X[:1], ds.Y[:1], ds.names)
+    for mode in ("mask_only", "relabel"):
+        with pytest.raises(ValueError, match="^no supervision: mask excludes every entry$"):
+            train(only_bad, rs, TrainConfig(epochs=2, warmup_epochs=0, correction_mode=mode))
+
+
 def test_mask_only_never_edits_targets():
     ds, rs = _toy_dataset(seed=4)
     noisy = _with_noise(ds, rs)
