@@ -88,9 +88,12 @@ class TrainConfig:
             if cast is int and isinstance(raw, float) and not raw.is_integer():
                 raise ValueError(f"{key} must be an integer, got {raw!r}")
             try:
-                object.__setattr__(self, f.name, cast(raw))
+                value = cast(raw)
             except (TypeError, ValueError):
                 raise ValueError(f"{key} must be a number, got {raw!r}") from None
+            if not math.isfinite(value):  # NaN would pass every range check below
+                raise ValueError(f"{key} must be finite, got {raw!r}")
+            object.__setattr__(self, f.name, value)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.epochs < 1:
@@ -238,11 +241,15 @@ def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> M
 # ---- checkpoints ----
 
 
-def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None = None) -> None:
-    """Write one JSON document: dims, seed, row-major weight arrays, config echo."""
+def _check_finite(params: ModelParams) -> None:
     for name in ("W1", "b1", "W2", "b2"):
         if not np.isfinite(getattr(params, name)).all():
             raise ValueError(f"non-finite values in parameter {name}")
+
+
+def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None = None) -> None:
+    """Write one JSON document: dims, seed, row-major weight arrays, config echo."""
+    _check_finite(params)
     doc = {
         "dims": {
             "n_features": params.n_features,
@@ -275,6 +282,7 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
             np.asarray(doc["W2"], dtype=np.float64).reshape(l, h),
             np.asarray(doc["b2"], dtype=np.float64),
         )
+        _check_finite(params)  # JSON readers take NaN and Infinity, which save_model never writes
         seed = int(doc["seed"])
         config = doc.get("config")
     except (KeyError, TypeError, ValueError) as err:

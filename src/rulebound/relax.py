@@ -7,7 +7,8 @@ probabilities, and agrees with crisp evaluation at 0/1 vectors (1 exactly on
 violating assignments, 0 on satisfied ones).
 
 Every penalty here runs on one kernel over a rule set's compiled
-`RuleSet.factor_index`. It gathers the factors factor-major, as
+`RuleSet.factor_index`. It gathers the factors through `rules.factor_values`,
+the gather the crisp checks use too, factor-major, as
 (factors x rules x rows), so that a loop over the few factor positions
 multiplies whole (rules x rows) slabs: forward for the prefix products, whose
 last holds the degrees, and backward for the suffix products. A factor's
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Literal, Rule, RuleSet, _factor_row, _factor_signs
+from .rules import Literal, Rule, RuleSet, compile_factors, factor_values
 
 # factor entries (factors x rules x rows) per block of a `domain_loss` pass, so
 # that a pass holds about as much memory however many rules the set has
@@ -70,16 +71,10 @@ def literal_value(lit: Literal, p) -> float:
 
 
 def _degrees(P: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The factors of the rules in a factor index at every row of P, as
-    (factors x rules x rows), and their prefix products, (factors + 1) x rules
-    x rows: prefix[j] multiplies factors 0 to j - 1 from the left, so prefix[-1]
-    holds the violation degrees."""
-    n, width = P.shape
-    columns = np.empty((2 * width + 1, n))  # [P, 1 - P, 1], one row per column
-    columns[:width] = P.T
-    np.subtract(1.0, P.T, out=columns[width : 2 * width])
-    columns[2 * width] = 1.0
-    factors = columns[index.T]
+    """The factors of a factor index at every row of P (`factor_values`) and
+    their prefix products, (factors + 1) x rules x rows: prefix[j] multiplies
+    factors 0 to j - 1 from the left, so prefix[-1] holds the violation degrees."""
+    factors = factor_values(index, P)
     prefix = np.empty((len(factors) + 1,) + factors.shape[1:])
     prefix[0] = 1.0
     for j, factor in enumerate(factors):
@@ -123,11 +118,10 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise ValueError("empty batch")
-    width = arr.shape[1]
-    index = np.array([_factor_row(rule, width)])
+    index, signs, labels = compile_factors((rule,), arr.shape[1])
     factors, prefix = _degrees(arr, index)
     # one rule of unit weight: its signed weights are the signs
-    grads = _penalty_grad(factors, prefix, _factor_signs(index, width), index % width, width)
+    grads = _penalty_grad(factors, prefix, signs, labels, arr.shape[1])
     return BatchPenaltyResult(prefix[-1, 0], grads)
 
 

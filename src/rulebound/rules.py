@@ -13,8 +13,9 @@ literals or the keyword FALSE for an empty one. `!` negates a literal.
 A trailing `@ w` attaches a positive weight (default 1.0); MUTEX rules
 inherit it. `MUTEX` and `FALSE` are reserved words and cannot name labels.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8 with LF or CRLF.
-Each rule set is compiled once into one factor index, which the crisp checks
-here, the relaxed penalty and the supervision flags all read.
+Rules compile once, in `compile_factors`, and the crisp checks here, the relaxed
+penalty and the supervision flags read their factors through one gather,
+`factor_values`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("MUTEX", "FALSE")
+_BLOCK_SIGNS = np.array((1.0, -1.0, 0.0))  # a factor's sign by its block of [y, 1 - y, 1]
 
 
 # ---- errors ----
@@ -167,13 +169,10 @@ class Rule:
 class RuleSet:
     """A vocabulary plus rules whose literals index into it.
 
-    `factor_index` is the rules compiled once: a (rules x max factors) array
-    whose row r indexes rule r's factors among the columns of [y, 1 - y, 1];
-    padding reads the constant 1. `weights` holds the rule weights in order.
-    `signed_weights` and `factor_labels`, of the same shape as the index, say
-    where each factor's partial derivative goes: into the gradient of label
-    `factor_labels[r, j]`, times `signed_weights[r, j]` (the rule weight, negated
-    for a 1 - y factor, 0 for padding).
+    The rules are compiled once, by `compile_factors`, into `factor_index`.
+    A factor's partial derivative enters the gradient of label
+    `factor_labels[r, j]` times `signed_weights[r, j]`, its sign times the
+    rule weight. `weights` holds the rule weights in order.
     """
 
     vocabulary: LabelVocabulary
@@ -185,35 +184,42 @@ class RuleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        width = len(self.vocabulary)
-        rows = [_factor_row(rule, width) for rule in self.rules]
-        k = max(map(len, rows), default=0)
-        index = np.array([row + [2 * width] * (k - len(row)) for row in rows], dtype=np.intp)
-        index = index.reshape(len(rows), k)
+        index, signs, labels = compile_factors(self.rules, len(self.vocabulary))
         weights = np.array([rule.weight for rule in self.rules], dtype=np.float64)
         object.__setattr__(self, "factor_index", index)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "signed_weights", _factor_signs(index, width) * weights[:, None])
-        object.__setattr__(self, "factor_labels", index % width)
+        object.__setattr__(self, "signed_weights", signs * weights[:, None])
+        object.__setattr__(self, "factor_labels", labels)
 
     def __len__(self) -> int:
         return len(self.rules)
 
 
-def _factor_row(rule: Rule, width: int) -> list[int]:
-    """The rule's factors as columns of [y, 1 - y, 1] over `width` labels:
-    label + width * complemented."""
-    for label, _ in rule.factors:
-        if label >= width:
-            raise RuleError(f"rule mentions label index {label} outside {width} labels")
-    return [label + width * complemented for label, complemented in rule.factors]
+def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rules over `width` labels compiled to (factor index, signs, labels),
+    each rules x max factors. Row r of the index holds rule r's factors as
+    columns of [y, 1 - y, 1] (see `factor_values`): label + width *
+    complemented, padded with the constant column 2 * width. A sign is 1 for
+    a y column, -1 for a 1 - y column and 0 for padding, whose label reads 0."""
+    top = max((max(rule.factors)[0] for rule in rules), default=0)  # the highest label
+    if top >= width:
+        raise RuleError(f"rule mentions label index {top} outside {width} labels")
+    k = max((len(rule.factors) for rule in rules), default=0)
+    pad = [2 * width] * k  # the constant column
+    rows = [[label + width * c for label, c in rule.factors] + pad[len(rule.factors) :] for rule in rules]
+    index = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+    return index, _BLOCK_SIGNS[index // width], index % width
 
 
-def _factor_signs(index: np.ndarray, width: int) -> np.ndarray:
-    """Sign of each factor's partial derivative in its label, for a factor
-    index over `width` labels: 1 for a y column, -1 for a 1 - y column, 0 for
-    the padding column 2 * width (whose label, index % width, reads as 0)."""
-    return np.repeat((1.0, -1.0, 0.0), (width, width, 1))[index]
+def factor_values(index: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """The factors of the rules in a factor index at every row of the (rows x
+    width) matrix V, as (factors x rules x rows), in V's dtype: the columns of
+    [V, 1 - V, 1] the index names. The crisp checks and the penalty read it."""
+    n, width = V.shape
+    columns = np.ones((2 * width + 1, n), dtype=V.dtype)  # one row per column
+    columns[:width] = V.T
+    np.subtract(1, V.T, out=columns[width : 2 * width])
+    return columns[index.T]
 
 
 # ---- lexer ----
@@ -442,7 +448,9 @@ def parse_rules(text: str, vocab: LabelVocabulary | None = None) -> RuleSet:
 
 
 def hard_satisfied(rule: Rule, y) -> bool:
-    """Crisp semantics: satisfied unless all antecedent literals hold and no consequent literal does."""
+    """Crisp semantics: satisfied unless all antecedent literals hold and no consequent literal does.
+    Kept off the compiled path: it is the independent reference the compiled penalty is
+    checked against, one rule and vector per call, where a compile costs more than the check."""
     arr = np.asarray(y)
     if arr.ndim != 1:
         raise ValueError(f"label vector must be 1-D, got shape {arr.shape}")
@@ -474,11 +482,8 @@ def violation_matrix(rs: RuleSet, Y) -> np.ndarray:
         raise ValueError(f"label matrix has shape {arr.shape}, expected (n, {width})")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("label matrix entries must be 0 or 1")
-    columns = np.ones((arr.shape[0], 2 * width + 1), dtype=np.uint8)
-    columns[:, :width] = arr
-    np.subtract(1, columns[:, :width], out=columns[:, width : 2 * width])
     # a rule is violated where every one of its factors is 1
-    return columns[:, rs.factor_index].all(axis=2)
+    return factor_values(rs.factor_index, arr.astype(np.uint8)).all(axis=0).T
 
 
 # ---- formatting ----

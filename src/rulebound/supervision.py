@@ -62,11 +62,10 @@ def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
     """Flag matrix: entry (i, j) is 1 when label j appears (either polarity)
     in at least one rule violated by row i."""
     violations = violation_matrix(rs, Y)
-    width = len(rs.vocabulary)
-    # (rules x labels) count of each label among a rule's factors, read off the factor index
-    reads = np.zeros((len(rs.rules), 2 * width + 1))
-    reads[np.arange(len(rs.rules))[:, None], rs.factor_index] = 1.0
-    mentions = reads[:, :width] + reads[:, width : 2 * width]
+    # (rules x labels), 1 where a label is among a rule's factors; padding has no weight
+    mentions = np.zeros((len(rs.rules), len(rs.vocabulary)))
+    factors = rs.signed_weights != 0
+    mentions[np.nonzero(factors)[0], rs.factor_labels[factors]] = 1.0
     return (violations.astype(np.float64) @ mentions > 0).astype(np.uint8)
 
 

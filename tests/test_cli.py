@@ -183,6 +183,48 @@ def test_config_and_flag_messages_name_the_config_key(tmp_path, rules_file, caps
     assert len(history.read_text().splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, key",
+    [("--lambda", "nan", "lambda"), ("--lambda", "inf", "lambda"), ("--lr", "nan", "learning_rate"),
+     ("--lr", "inf", "learning_rate"), ("--tau", "nan", "tau")],
+)
+def test_non_finite_hyperparameter_exits_two_before_training(
+    tmp_path, rules_file, capsys, monkeypatch, flag, value, key
+):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+
+    def no_training(*args):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr("rulebound.cli.train", no_training)
+    assert run(["train", "--rules", rules_file, "--data", data, flag, value, "--epochs", "1",
+                "--warmup", "0", "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be finite, got {value}\n"
+    # the JSON reader takes NaN and Infinity in a config file too
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(f'{{"rules": "{rules_file}", "data": "{data}", "{key}": -Infinity}}')
+    assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be finite, got -inf\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("name, text", [("W1", "NaN"), ("b2", "Infinity"), ("W2", "-Infinity")])
+def test_eval_rejects_checkpoint_with_non_finite_weights(tmp_path, rules_file, capsys, name, text):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--hidden", "2", "--out-model", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc[name][0] = float(text)  # json.dumps writes it back as the bare token NaN or Infinity
+    model.write_text(json.dumps(doc))
+    assert text in model.read_text()
+    assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: malformed checkpoint: non-finite values in parameter {name}\n"
+
+
 def test_train_steps_over_a_batch_with_every_entry_masked(tmp_path, capsys):
     rules = tmp_path / "rules.txt"
     rules.write_text("MUTEX(A, B)\nA => C\nD => !C\n")
