@@ -29,7 +29,6 @@ from .metrics import (
 )
 from .model import (
     BCE_CLAMP,
-    ForwardCache,
     ModelParams,
     TrainConfig,
     bce_masked,

@@ -13,10 +13,10 @@ import sys
 from dataclasses import fields
 
 from . import jsonio
-from .data import NOISE_MODES, DatasetError, audit, inject_noise, load_dataset, save_dataset, synthesize
+from .data import NOISE_MODES, audit, inject_noise, load_dataset, save_dataset, synthesize
 from .metrics import correction_report
 from .model import TrainConfig, load_model, save_model
-from .rules import RuleError, parse_rules
+from .rules import parse_rules
 from .supervision import CORRECTION_MODES
 from .training import evaluate, train
 
@@ -228,7 +228,7 @@ def run(argv=None) -> int:
     except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except (RuleError, DatasetError, ValueError) as err:
+    except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # noqa: BLE001  runtime failures map to exit 3

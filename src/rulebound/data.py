@@ -348,6 +348,8 @@ def inject_noise(
 
 # ---- audit ----
 
+_TEXT_MAX_SAMPLES = 100  # violating samples the text report lists
+
 
 @dataclass
 class AuditReport:
@@ -358,7 +360,7 @@ class AuditReport:
     violating_samples: int
     fraction: float
 
-    def to_text(self, max_samples: int = 100) -> str:
+    def to_text(self) -> str:
         lines = [
             f"violating samples: {self.violating_samples} "
             f"(fraction {jsonio.format_float(self.fraction)})",
@@ -367,8 +369,8 @@ class AuditReport:
         for row in self.per_rule:
             lines.append(f"  [{row['rule']}] {row['text']}: {row['count']}")
         if self.per_sample:
-            shown = self.per_sample[:max_samples]
-            suffix = f" (first {max_samples})" if len(self.per_sample) > max_samples else ""
+            shown = self.per_sample[:_TEXT_MAX_SAMPLES]
+            suffix = f" (first {_TEXT_MAX_SAMPLES})" if len(self.per_sample) > _TEXT_MAX_SAMPLES else ""
             lines.append(f"violating samples{suffix}:")
             for row in shown:
                 rule_list = ", ".join(str(r) for r in row["violated"])

@@ -10,6 +10,7 @@ order, so a record's field order is its file layout.
 
 from __future__ import annotations
 
+import errno
 import json as _json
 import math
 import os
@@ -75,14 +76,21 @@ def atomic_write(path):
 def atomic_paths(*paths):
     """Temporary paths that replace `paths`, all of them, only if the block completes.
 
-    Each temporary file is created empty in its target's directory, so a
-    target that cannot be written fails before anything is; after the block
-    each one replaces its target with `os.replace`, in order. If anything
+    A target named twice (after `os.path.abspath`) raises ValueError, and a
+    target that is a directory raises IsADirectoryError, before any file is
+    created. Each temporary file is created empty in its target's directory,
+    so a target that cannot be written fails before anything is; after the
+    block each one replaces its target with `os.replace`, in order. If anything
     raises, every temporary file is removed and each target keeps its old
     bytes, or stays absent. This guards against failures in the process, not
     against power loss: nothing is fsynced.
     """
     paths = [os.fspath(path) for path in paths]
+    for k, path in enumerate(paths):
+        if os.path.abspath(path) in map(os.path.abspath, paths[:k]):
+            raise ValueError(f"{path} is named as more than one output")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     tmps: list[str] = []
     try:
         for path in paths:
@@ -110,25 +118,21 @@ def _write(obj, parts: list[str]) -> None:
         parts.append("true")
     elif obj is False:
         parts.append("false")
-    elif isinstance(obj, np.bool_):
-        parts.append("true" if obj else "false")
     elif isinstance(obj, Raw):
         parts.append(obj)
     elif isinstance(obj, str):
         parts.append(_json.dumps(obj))
-    elif isinstance(obj, (float, np.floating)):
+    elif isinstance(obj, float):  # np.float64 included: it subclasses float
         parts.append(format_float(float(obj)))
-    elif isinstance(obj, (int, np.integer)):
+    elif isinstance(obj, int):
         parts.append(str(int(obj)))
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, list):
         parts.append("[")
         for k, item in enumerate(obj):
             if k:
                 parts.append(", ")
             _write(item, parts)
         parts.append("]")
-    elif isinstance(obj, np.ndarray):
-        _write(obj.tolist(), parts)
     elif isinstance(obj, dict):
         parts.append("{")
         for k, (key, value) in enumerate(obj.items()):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,12 +119,6 @@ class TrainConfig:
         return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
 
 
-class ForwardCache(NamedTuple):
-    x: np.ndarray
-    hidden: np.ndarray
-    probs: np.ndarray
-
-
 def init_params(seed: int, n_features: int, n_hidden: int, n_labels: int) -> ModelParams:
     """Seeded uniform init in +-1/sqrt(fan_in); W1 is drawn before W2, row-major; biases zero."""
     if min(n_features, n_hidden, n_labels) < 1:
@@ -147,14 +140,14 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def forward(params: ModelParams, X) -> tuple[np.ndarray, ForwardCache]:
-    """Per-label probabilities for a batch of feature rows, plus tensors backprop reuses."""
+def forward(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray]:
+    """Per-label probabilities for a batch of feature rows, and the hidden activations backprop reuses."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != params.n_features:
         raise ValueError(f"feature matrix has shape {X.shape}, expected (n, {params.n_features})")
     hidden = np.tanh(X @ params.W1.T + params.b1)
     probs = _sigmoid(hidden @ params.W2.T + params.b2)
-    return probs, ForwardCache(X, hidden, probs)
+    return probs, hidden
 
 
 def _as_loss_inputs(P, T, M) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
@@ -197,17 +190,18 @@ def loss_grads(params: ModelParams, X, T, M, rs: RuleSet, lambda_: float) -> Mod
     penalty gradient still applies."""
     if lambda_ < 0:
         raise ValueError("lambda must be nonnegative")
-    probs, cache = forward(params, X)
+    X = np.asarray(X, dtype=np.float64)
+    probs, hidden = forward(params, X)
     P, T, M, m = _as_loss_inputs(probs, T, M)
     grad_probs = _bce_grad_probs(P, T, M, m)
     if lambda_ > 0 and rs.rules:
         grad_probs = grad_probs + lambda_ * domain_loss_grad(rs, P)
     d_logits = grad_probs * P * (1.0 - P)
-    gW2 = d_logits.T @ cache.hidden
+    gW2 = d_logits.T @ hidden
     gb2 = d_logits.sum(axis=0)
     d_hidden = d_logits @ params.W2
-    d_pre = d_hidden * (1.0 - cache.hidden**2)
-    gW1 = d_pre.T @ cache.x
+    d_pre = d_hidden * (1.0 - hidden**2)
+    gW1 = d_pre.T @ X
     gb1 = d_pre.sum(axis=0)
     return ModelParams(gW1, gb1, gW2, gb2)
 

@@ -119,26 +119,18 @@ class Literal:
 
 
 @dataclass(frozen=True)
-class RuleSource:
-    """Where a rule came from in its file."""
-
-    line: int
-    text: str
-
-
-@dataclass(frozen=True)
 class Rule:
     """Conjunctive antecedent implying a disjunctive consequent.
 
     An empty consequent is the constant FALSE: the antecedent literals must
-    not all hold at once. `source` carries file provenance and is ignored
-    when comparing rules.
+    not all hold at once. `line` is the rule's 1-based line in its file, or
+    None for a rule not parsed from one, and is ignored when comparing rules.
     """
 
     antecedent: tuple[Literal, ...]
     consequent: tuple[Literal, ...] = ()
     weight: float = 1.0
-    source: RuleSource | None = field(default=None, compare=False)
+    line: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "antecedent", tuple(self.antecedent))
@@ -282,7 +274,7 @@ class _LineParser:
         tok = self.peek()
         return tok is not None and tok.kind == "sym" and tok.value == value
 
-    def parse(self, source: RuleSource) -> list[Rule]:
+    def parse(self) -> list[Rule]:
         first = self.peek()
         second = self.tokens[1] if len(self.tokens) > 1 else None
         if (
@@ -293,8 +285,8 @@ class _LineParser:
             and second.kind == "sym"
             and second.value == "("
         ):
-            return self._parse_mutex(source)
-        return [self._parse_clause(source)]
+            return self._parse_mutex()
+        return [self._parse_clause()]
 
     def _parse_name(self, context: str) -> tuple[str, _Token]:
         tok = self.peek()
@@ -342,7 +334,7 @@ class _LineParser:
             self.fail("unexpected input after the rule", tok)
         return weight
 
-    def _parse_clause(self, source: RuleSource) -> Rule:
+    def _parse_clause(self) -> Rule:
         tok = self.peek()
         if tok is not None and tok.kind == "arrow":
             raise EmptyAntecedentError("empty antecedent", self.line, tok.column)
@@ -366,9 +358,9 @@ class _LineParser:
                 self.take()
                 consequent.append(self._parse_literal(cons_used, "consequent"))
         weight = self._finish()
-        return Rule(tuple(antecedent), tuple(consequent), weight, source)
+        return Rule(tuple(antecedent), tuple(consequent), weight, self.line)
 
-    def _parse_mutex(self, source: RuleSource) -> list[Rule]:
+    def _parse_mutex(self) -> list[Rule]:
         self.take()  # MUTEX
         self.take()  # '('
         labels: list[int] = []
@@ -394,7 +386,7 @@ class _LineParser:
             self.fail("MUTEX needs at least two labels", tok)
         weight = self._finish()
         return [
-            Rule((Literal(a),), (Literal(b, negated=True),), weight, source)
+            Rule((Literal(a),), (Literal(b, negated=True),), weight, self.line)
             for i, a in enumerate(labels)
             for b in labels[i + 1 :]
         ]
@@ -426,7 +418,7 @@ def parse_rules(text: str, vocab: LabelVocabulary | None = None) -> RuleSet:
             continue
         tokens = _lex(body, line_no)
         parser = _LineParser(tokens, line_no, len(body), resolve)
-        for rule in parser.parse(RuleSource(line_no, raw)):
+        for rule in parser.parse():
             key = (tuple(sorted(rule.antecedent)), tuple(sorted(rule.consequent)))
             if key in seen_clauses:
                 warnings.warn(
@@ -516,6 +508,6 @@ def reindex_ruleset(rs: RuleSet, vocab: LabelVocabulary) -> RuleSet:
         return tuple(Literal(mapping[lit.label], lit.negated) for lit in lits)
 
     rules = tuple(
-        Rule(remap(r.antecedent), remap(r.consequent), r.weight, r.source) for r in rs.rules
+        Rule(remap(r.antecedent), remap(r.consequent), r.weight, r.line) for r in rs.rules
     )
     return RuleSet(vocab, rules)

@@ -1,9 +1,9 @@
 """Supervision bookkeeping: which labels to trust, mask, or self-correct.
 
 Labels implicated in rule violations of the originally given supervision get
-flagged once, up front. Masking modes drop flagged entries from the loss;
-the relabel schedule later re-admits an entry when the model grows confident
-about it, permanently.
+flagged once, up front. Masking modes give flagged entries ORIGIN_MASKED,
+which drops them from the loss; the relabel schedule later re-admits an
+entry when the model grows confident about it, permanently.
 """
 
 from __future__ import annotations
@@ -30,20 +30,18 @@ class SupervisionState:
     """
 
     targets: np.ndarray  # float64 entries, each 0.0 or 1.0
-    flags: np.ndarray  # uint8, rule-implicated positions of the original labels
     origin: np.ndarray  # uint8 origin codes
 
     def __post_init__(self):
         self.targets = np.asarray(self.targets, dtype=np.float64)
-        self.flags = np.asarray(self.flags, dtype=np.uint8)
         self.origin = np.asarray(self.origin, dtype=np.uint8)
-        if not (self.flags.shape == self.origin.shape == self.targets.shape):
+        if self.origin.shape != self.targets.shape:
             raise ValueError("supervision arrays must share one shape")
         if not ((self.targets == 0) | (self.targets == 1)).all():
             raise ValueError("targets must be 0 or 1")
 
     def copy(self) -> "SupervisionState":
-        return SupervisionState(self.targets.copy(), self.flags.copy(), self.origin.copy())
+        return SupervisionState(self.targets.copy(), self.origin.copy())
 
     @property
     def mask(self) -> np.ndarray:
@@ -70,7 +68,7 @@ def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
 
 
 def init_supervision(Y, F, mode: str) -> SupervisionState:
-    """Initial state: targets are the given labels; masking modes drop flagged entries."""
+    """Initial state: targets are the given labels Y; masking modes mask where F is 1."""
     if mode not in CORRECTION_MODES:
         raise ValueError(f"correction mode must be one of {CORRECTION_MODES}, got {mode!r}")
     Y = np.asarray(Y)
@@ -80,7 +78,7 @@ def init_supervision(Y, F, mode: str) -> SupervisionState:
     origin = np.full(Y.shape, ORIGIN_GIVEN, dtype=np.uint8)
     if mode != "off":
         origin[F == 1] = ORIGIN_MASKED
-    return SupervisionState(Y.astype(np.float64), F.astype(np.uint8), origin)
+    return SupervisionState(Y.astype(np.float64), origin)
 
 
 def correct_labels(state: SupervisionState, P, tau: float) -> tuple[SupervisionState, int]:

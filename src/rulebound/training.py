@@ -120,6 +120,10 @@ def evaluate(params: ModelParams, data: Dataset, rs: RuleSet, threshold: float =
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    if params.n_labels != len(data.names):
+        raise ValueError(
+            f"the checkpoint predicts {params.n_labels} labels and the dataset has {len(data.names)}"
+        )
     rs = reindex_ruleset(rs, data.names)
     probs, _ = forward(params, data.X)
     yhat = (probs >= threshold).astype(np.int64)

@@ -358,3 +358,47 @@ def test_train_failing_output_writes_none_of_them(tmp_path, rules_file, capsys):
     assert model.read_bytes() == b"old model\n" and report.read_bytes() == b"old report\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "m.json", "r.json", "rules.txt"]
     capsys.readouterr()
+
+
+def test_output_that_is_a_directory_fails_before_any_write(tmp_path, rules_file, capsys):
+    data = _synth(tmp_path, rules_file)
+    model, adir = tmp_path / "m.json", tmp_path / "adir"
+    model.write_bytes(b"old model\n")
+    adir.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    args = ["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+            "--out-model", str(model), "--out-history", str(adir)]
+    assert run(args) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{adir}'\n"
+    assert model.read_bytes() == b"old model\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before and not list(adir.iterdir())
+    # a single output takes the same path
+    assert run(["synth", "--rules", rules_file, "--out", str(adir), "--n", "10", "--dims", "3",
+                "--patterns", "4", "--seed", "5"]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{adir}'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_output_named_twice_fails_before_any_write(tmp_path, rules_file, capsys, monkeypatch):
+    data = _synth(tmp_path, rules_file)
+    monkeypatch.chdir(tmp_path)
+    same = tmp_path / "same.json"
+    same.write_bytes(b"old bytes\n")
+    before = sorted(p.name for p in tmp_path.iterdir())
+    code = run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--out-model", "same.json", "--out-history", "./same.json"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: ./same.json is named as more than one output\n"
+    assert same.read_bytes() == b"old bytes\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+def test_eval_names_the_label_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", _synth(tmp_path, rules_file),
+                "--epochs", "1", "--warmup", "0", "--out-model", str(model)]) == 0
+    wider = tmp_path / "wider.txt"
+    wider.write_text(RULES + "d => c\n")
+    data = _synth(tmp_path, str(wider), "wider.jsonl")
+    assert run(["eval", "--rules", str(wider), "--data", data, "--model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: the checkpoint predicts 3 labels and the dataset has 4\n"

@@ -121,3 +121,10 @@ def test_dataclass_writes_its_fields_in_declaration_order():
     )
     with pytest.raises(TypeError, match="cannot serialize type to JSON"):
         jsonio.dumps(_Doc)
+
+
+def test_dumps_takes_python_values_only():
+    assert jsonio.dumps([np.float64(0.5)]) == "[0.5]"  # np.float64 subclasses float
+    for value in (np.int64(1), np.zeros(2), (1, 2), np.bool_(True), np.float32(1)):
+        with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__} to JSON$"):
+            jsonio.dumps(value)

@@ -230,9 +230,9 @@ def test_correction_report_matches_per_flip_oracle(seed):
     rho = 0.0 if seed < 2 else rng.random()  # the first two seeds carry no flips
     noisy = np.where(rng.random(clean.shape) < rho, 1 - clean, clean)
     ds = Dataset(np.zeros((n, 1)), noisy, LabelVocabulary(tuple(f"l{j}" for j in range(n_labels))), clean_Y=clean)
-    state = SupervisionState(
-        rng.integers(0, 2, size=clean.shape), rng.integers(0, 2, size=clean.shape), rng.integers(0, 3, size=clean.shape)
-    )
+    targets = rng.integers(0, 2, size=clean.shape)
+    rng.integers(0, 2, size=clean.shape)  # unused: keeps the origin draw at its stream position
+    state = SupervisionState(targets, rng.integers(0, 3, size=clean.shape))
     stats = correction_report(state, ds)
     got = (stats.n_flipped, stats.n_corrected_right, stats.n_corrected_wrong, stats.n_still_masked, stats.n_undetected)
     assert got == oracles.correction_buckets(state, ds)

@@ -66,9 +66,9 @@ def test_init_validation():
 
 def test_forward_zero_params_gives_half():
     params = ModelParams(np.zeros((3, 2)), np.zeros(3), np.zeros((2, 3)), np.zeros(2))
-    probs, cache = forward(params, np.array([[5.0, -1.0], [0.0, 0.0]]))
+    probs, hidden = forward(params, np.array([[5.0, -1.0], [0.0, 0.0]]))
     assert np.array_equal(probs, np.full((2, 2), 0.5))
-    assert np.array_equal(cache.hidden, np.zeros((2, 3)))
+    assert np.array_equal(hidden, np.zeros((2, 3)))
 
 
 def test_forward_hand_computed_scalar_chain():

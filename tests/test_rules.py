@@ -39,7 +39,7 @@ def test_parse_single_clause():
     assert rule.antecedent == (Literal(0),)
     assert rule.consequent == (Literal(1),)
     assert rule.weight == 1.0
-    assert rule.source is not None and rule.source.line == 1
+    assert rule.line == 1
 
 
 def test_parse_negation_conjunction_disjunction():
@@ -65,8 +65,8 @@ def test_comments_blank_lines_crlf():
     text = "# header comment\r\n\r\na => b  # trailing\r\n   \t\r\n!b => FALSE\r\n"
     rs = parse_rules(text)
     assert len(rs.rules) == 2
-    assert rs.rules[0].source.line == 3
-    assert rs.rules[1].source.line == 5
+    assert rs.rules[0].line == 3
+    assert rs.rules[1].line == 5
 
 
 def test_vocab_first_appearance_order():
