@@ -49,15 +49,9 @@ def number(text: str) -> int | float:
         return float(text)
 
 
-def _read_text(path) -> str:
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
 def _load_config(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ConfigError(f"{path}: invalid JSON: {err.msg}") from None
     if not isinstance(doc, dict):
@@ -130,7 +124,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
-    rs = parse_rules(_read_text(args.rules))
+    rs = parse_rules(jsonio.read_text(args.rules))
     ds = synthesize(args.seed, args.n, args.dims, rs, args.patterns)
     save_dataset(ds, args.out)
     return 0
@@ -140,14 +134,14 @@ def cmd_noise(args) -> int:
     if args.mode == "violating" and not args.rules:
         raise UsageError("--mode violating requires --rules")
     ds = load_dataset(args.in_path)
-    rs = parse_rules(_read_text(args.rules), ds.names) if args.rules else None
+    rs = parse_rules(jsonio.read_text(args.rules), ds.names) if args.rules else None
     save_dataset(inject_noise(ds, args.rho, args.seed, args.mode, rs), args.out)
     return 0
 
 
 def cmd_audit(args) -> int:
     ds = load_dataset(args.data)
-    rs = parse_rules(_read_text(args.rules), ds.names)
+    rs = parse_rules(jsonio.read_text(args.rules), ds.names)
     report = audit(ds, rs)
     print(jsonio.dumps(report) if args.json else report.to_text())
     return 0
@@ -165,8 +159,12 @@ def cmd_train(args) -> int:
         raise UsageError("train needs a rule file (--rules or config key 'rules')")
     if not data_path:
         raise UsageError("train needs a dataset (--data or config key 'data')")
+    out_model = pick(args.out_model, "out_model")
+    out_history = pick(args.out_history, "out_history")
+    out_report = pick(args.out_report, "out_report")
+    jsonio.check_targets(*(path for path in (out_model, out_history, out_report) if path))
     ds = load_dataset(data_path)
-    rs = parse_rules(_read_text(rules_path), ds.names)
+    rs = parse_rules(jsonio.read_text(rules_path), ds.names)
     # a flag beats its config key; a key set by neither keeps the TrainConfig default
     cfg = TrainConfig(**{
         f.name: pick(getattr(args, key), key)
@@ -174,14 +172,13 @@ def cmd_train(args) -> int:
         if getattr(args, key) is not None or key in doc
     })
     params, history, state = train(ds, rs, cfg)
-    out_report = pick(args.out_report, "out_report")
     if out_report:
         report = evaluate(params, ds, rs, doc.get("threshold", 0.5))
         if ds.clean_Y is not None:
             report.correction = correction_report(state, ds)
     writes = [
-        (pick(args.out_model, "out_model"), lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
-        (pick(args.out_history, "out_history"), history.write_jsonl),
+        (out_model, lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
+        (out_history, history.write_jsonl),
         (out_report, lambda tmp: jsonio.dump(report, tmp)),
     ]
     writes = [(path, write) for path, write in writes if path]
@@ -195,7 +192,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params, _, _ = load_model(args.model)
     ds = load_dataset(args.data)
-    rs = parse_rules(_read_text(args.rules), ds.names)
+    rs = parse_rules(jsonio.read_text(args.rules), ds.names)
     report = evaluate(params, ds, rs, args.threshold)
     if args.out_report:
         jsonio.dump(report, args.out_report)

@@ -124,8 +124,7 @@ def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
 
 
 def load_dataset(path) -> Dataset:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = jsonio.read_text(path).splitlines()
     if not lines or not lines[0].strip():
         raise DatasetError(f"{path}: missing label header")
     try:
@@ -255,6 +254,77 @@ def _read_samples_by_line(lines: list[str], width: int, path):
 
 # ---- synthesis ----
 
+# Candidate label blocks grow to at most this many rows, so memory stays flat
+# in the rejection budget.
+_SEARCH_ROWS = 1 << 14
+
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _uint32_words(n: int) -> list[int]:
+    """A non-negative int as SeedSequence reads it: 32-bit words, least significant first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _row_seed_states(seed: int, rows: np.ndarray) -> np.ndarray:
+    """`SeedSequence([seed, 1, i]).generate_state(4, np.uint64)` for each i of
+    the uint32 array `rows`, as a (len(rows), 4) uint64 array: the SeedSequence
+    hash run once over uint32 arrays with an entry per row, whose products wrap
+    modulo 2**32 as the hash's do."""
+    hash_const = _INIT_A
+
+    def hashmix(value, mult):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> np.uint32(16))
+
+    # the entropy words: the seed's, 1, then i's one word; a pool of 4 words
+    entropy = [np.full(1, w, dtype=np.uint32) for w in [*_uint32_words(int(seed)), 1]]
+    entropy.append(rows)
+    entropy += [np.zeros(1, dtype=np.uint32)] * (4 - len(entropy))
+    pool = [hashmix(word, _MULT_A) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src], _MULT_A))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word, _MULT_A))
+    # i reaches every pool word, so each is one entry per row
+    hash_const = _INIT_B
+    words = np.stack([hashmix(pool[j % 4], _MULT_B) for j in range(8)], axis=1)
+    return words.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _row_generators(seed: int, rows: np.ndarray):
+    """For each i of the uint32 array `rows`, one reused Generator set to the
+    state `np.random.default_rng([seed, 1, i])` starts in."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    row_state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
+    for s_hi, s_lo, inc_hi, inc_lo in _row_seed_states(seed, rows).tolist():
+        # PCG64's seeding: inc = 2 * initseq + 1; step; add initstate; step
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+        row_state["state"] = {"state": state, "inc": inc}
+        bit_generator.state = row_state
+        yield rng
+
 
 def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patterns: int) -> Dataset:
     """Clustered features with rule-consistent labels; clean by construction.
@@ -266,11 +336,21 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     the stream SeedSequence([seed, 0]) and sample i from
     SeedSequence([seed, 1, i]), which makes parallel generation equal to the
     serial one.
+
+    Sample i's generator is not built from its seed sequence. Its PCG64 state
+    is computed for all rows at once by the algorithm of
+    `numpy.random.SeedSequence` (numpy's port of Melissa O'Neill's
+    seed_seq_fe hash), then set on one reused generator. That algorithm and
+    the PCG64 state layout fall under NumPy's stream-compatibility policy,
+    NEP 19 (https://numpy.org/neps/nep-0019-rng-policy.html), and the tests
+    check the states and draws against `np.random.default_rng` bit for bit.
     """
     if k_patterns < 2:
         raise ValueError("k_patterns must be at least 2")
     if n_samples < 1 or n_features < 1:
         raise ValueError("n_samples and n_features must be at least 1")
+    if n_samples > 2**32:
+        raise ValueError("synthesis supports at most 2**32 samples")
     n_labels = len(rs.vocabulary)
     if n_labels > 20:
         raise ValueError("synthesis supports at most 20 labels")
@@ -278,28 +358,39 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     accepted: dict[tuple[int, ...], None] = {}  # insertion-ordered, and the seen-set
     budget = 10_000 * k_patterns
     rejections = 0
+    rows = k_patterns
     while len(accepted) < k_patterns:
-        # no more draws than patterns missing, so the stream stops at the last accepted one
-        block = stream.integers(0, 2, size=(k_patterns - len(accepted), n_labels))
+        # no block holds more draws than could be examined before the search ends
+        rows = min(rows, budget - rejections + k_patterns - len(accepted))
+        before = stream.bit_generator.state
+        block = stream.integers(0, 2, size=(rows, n_labels))
+        used = 0
         for draw, violates in zip(map(tuple, block.tolist()), violation_matrix(rs, block).any(axis=1)):
             if rejections >= budget:
                 raise SynthesisBudgetError(
                     f"no {k_patterns} distinct rule-consistent label vectors "
                     f"within {budget} rejections"
                 )
+            used += 1
             if violates or draw in accepted:
                 rejections += 1
             else:
                 accepted[draw] = None
+                if len(accepted) == k_patterns:
+                    break
+        rows = max(k_patterns, min(2 * rows, _SEARCH_ROWS))
+    # draw again only the rows examined, so the centroids follow the last accepted draw
+    stream.bit_generator.state = before
+    stream.integers(0, 2, size=(used, n_labels))
     patterns = list(accepted)
     centroids = stream.uniform(-1.0, 1.0, size=(k_patterns, n_features))
-    X = np.empty((n_samples, n_features))
-    Y = np.empty((n_samples, n_labels), dtype=np.int64)
-    for i in range(n_samples):
-        rng_i = np.random.default_rng([seed, 1, i])
-        pick = int(rng_i.integers(k_patterns))
-        X[i] = centroids[pick] + rng_i.normal(0.0, 0.3, size=n_features)
-        Y[i] = patterns[pick]
+    picks = np.empty(n_samples, dtype=np.intp)
+    noise = np.empty((n_samples, n_features))
+    for i, rng_i in enumerate(_row_generators(seed, np.arange(n_samples, dtype=np.uint32))):
+        picks[i] = rng_i.integers(k_patterns)
+        noise[i] = rng_i.normal(0.0, 0.3, size=n_features)
+    X = centroids[picks] + noise
+    Y = np.array(patterns, dtype=np.int64)[picks]
     return Dataset(X, Y, rs.vocabulary, clean_Y=Y.copy())
 
 

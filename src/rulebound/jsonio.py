@@ -5,7 +5,8 @@ produce byte-identical artifacts, and through `atomic_write` so that a
 failed write leaves no half-written file behind.
 
 A dataclass instance is written as an object of its fields in declaration
-order, so a record's field order is its file layout.
+order, so a record's field order is its file layout. Input files are read
+through `read_text`, so one that is not UTF-8 names itself.
 """
 
 from __future__ import annotations
@@ -51,6 +52,19 @@ def float_list(values) -> Raw:
     return Raw("[" + ", ".join([FLOAT_FORMAT] * values.size) % tuple(values.tolist()) + "]")
 
 
+def read_text(path) -> str:
+    """The contents of a UTF-8 file, its newlines left as they are: its readers
+    split lines with `str.splitlines` or parse JSON, which take \\r, \\r\\n and
+    \\n alike. A file that is not UTF-8 raises ValueError naming it and the line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        line = data[: err.start].count(b"\n") + 1
+        raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+
 def dumps(obj) -> str:
     """Serialize to a JSON string with a fixed, reproducible layout."""
     parts: list[str] = []
@@ -72,13 +86,24 @@ def atomic_write(path):
         yield fh
 
 
+def check_targets(*paths) -> None:
+    """Raise ValueError for a target named twice (after `os.path.abspath`) and
+    IsADirectoryError for a target that is a directory. It writes nothing, so a
+    command can call it before doing any work."""
+    paths = [os.fspath(path) for path in paths]
+    for k, path in enumerate(paths):
+        if os.path.abspath(path) in map(os.path.abspath, paths[:k]):
+            raise ValueError(f"{path} is named as more than one output")
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+
+
 @contextmanager
 def atomic_paths(*paths):
     """Temporary paths that replace `paths`, all of them, only if the block completes.
 
-    A target named twice (after `os.path.abspath`) raises ValueError, and a
-    target that is a directory raises IsADirectoryError, before any file is
-    created. Each temporary file is created empty in its target's directory,
+    The targets pass `check_targets` before any file is created. Each
+    temporary file is created empty in its target's directory,
     so a target that cannot be written fails before anything is; after the
     block each one replaces its target with `os.replace`, in order. If anything
     raises, every temporary file is removed and each target keeps its old
@@ -86,11 +111,7 @@ def atomic_paths(*paths):
     against power loss: nothing is fsynced.
     """
     paths = [os.fspath(path) for path in paths]
-    for k, path in enumerate(paths):
-        if os.path.abspath(path) in map(os.path.abspath, paths[:k]):
-            raise ValueError(f"{path} is named as more than one output")
-        if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    check_targets(*paths)
     tmps: list[str] = []
     try:
         for path in paths:

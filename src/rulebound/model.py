@@ -261,12 +261,15 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
 
 
 def load_model(path) -> tuple[ModelParams, int, dict | None]:
-    """Read a checkpoint back; returns (params, seed, config echo or None)."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
+    """Read a checkpoint back; returns (params, seed, config echo or None).
+
+    The seed must be an integer in [0, 2**64), as `TrainConfig.seed` is, and a
+    config echo must hold exactly the keys `TrainConfig.as_dict` writes, with
+    values `TrainConfig` accepts."""
+    try:
+        doc = json.loads(jsonio.read_text(path))
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     try:
         dims = doc["dims"]
         d, h, l = int(dims["n_features"]), int(dims["n_hidden"]), int(dims["n_labels"])
@@ -277,10 +280,22 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
             np.asarray(doc["b2"], dtype=np.float64),
         )
         _check_finite(params)  # JSON readers take NaN and Infinity, which save_model never writes
-        seed = int(doc["seed"])
+        seed = doc["seed"]
+        if type(seed) is not int or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {json.dumps(seed)}")
         config = doc.get("config")
+        if config is not None:
+            _check_config_echo(config)
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed checkpoint: {err}") from None
-    if config is not None and not isinstance(config, dict):
-        raise ValueError(f"{path}: malformed checkpoint: config echo must be an object")
     return params, seed, config
+
+
+def _check_config_echo(config) -> None:
+    keys = list(TrainConfig().as_dict())
+    if not isinstance(config, dict) or sorted(config) != sorted(keys):
+        raise ValueError(f"config echo must be an object with the keys {', '.join(keys)}")
+    try:
+        TrainConfig(**{f.name: config[key] for f, key in zip(fields(TrainConfig), keys)})
+    except ValueError as err:
+        raise ValueError(f"config echo: {err}") from None

@@ -120,6 +120,10 @@ def evaluate(params: ModelParams, data: Dataset, rs: RuleSet, threshold: float =
     """
     if not 0 < threshold < 1:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
+    if params.n_features != data.X.shape[1]:
+        raise ValueError(
+            f"the checkpoint reads {params.n_features} features and the dataset has {data.X.shape[1]}"
+        )
     if params.n_labels != len(data.names):
         raise ValueError(
             f"the checkpoint predicts {params.n_labels} labels and the dataset has {len(data.names)}"

@@ -402,3 +402,106 @@ def test_eval_names_the_label_counts_of_a_mismatched_checkpoint(tmp_path, rules_
     data = _synth(tmp_path, str(wider), "wider.jsonl")
     assert run(["eval", "--rules", str(wider), "--data", data, "--model", str(model)]) == 2
     assert capsys.readouterr().err == "error: the checkpoint predicts 3 labels and the dataset has 4\n"
+
+
+def test_train_checks_its_output_targets_before_any_work(tmp_path, rules_file, capsys, monkeypatch):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    started = []
+    monkeypatch.setattr("rulebound.cli.train", lambda *args: started.append(args))
+    args = ["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0"]
+    assert run(args + ["--out-history", str(adir)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{adir}'\n"
+    monkeypatch.chdir(tmp_path)
+    assert run(args + ["--out-model", "m.json", "--out-report", "./m.json"]) == 2
+    assert capsys.readouterr().err == "error: ./m.json is named as more than one output\n"
+    assert started == [] and not (tmp_path / "m.json").exists()
+
+
+def test_eval_names_the_feature_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", _synth(tmp_path, rules_file),
+                "--epochs", "1", "--warmup", "0", "--out-model", str(model)]) == 0
+    wide = tmp_path / "wide.jsonl"
+    assert run(["synth", "--rules", rules_file, "--out", str(wide), "--n", "20", "--dims", "5",
+                "--patterns", "3", "--seed", "2"]) == 0
+    assert run(["eval", "--rules", rules_file, "--data", str(wide), "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the checkpoint reads 3 features and the dataset has 5\n"
+
+
+_ECHO_KEYS = ", ".join(["learning_rate", "epochs", "batch_size", "lambda", "warmup_epochs", "tau",
+                        "hidden_units", "seed", "correction_mode"])
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc.update(seed=-1), "seed must be an integer in [0, 2**64), got -1"),
+    (lambda doc: doc.update(seed="7"), 'seed must be an integer in [0, 2**64), got "7"'),
+    (lambda doc: doc.update(seed=2**64), "seed must be an integer in [0, 2**64), got 18446744073709551616"),
+    (lambda doc: doc["config"].update(epochs="x"), "config echo: epochs must be a number, got 'x'"),
+    (lambda doc: doc["config"].update(tau=2), "config echo: tau must lie in (0.5, 1)"),
+    (lambda doc: doc["config"].pop("tau"), f"config echo must be an object with the keys {_ECHO_KEYS}"),
+    (lambda doc: doc["config"].update(extra=1), f"config echo must be an object with the keys {_ECHO_KEYS}"),
+    (lambda doc: doc.update(config=[]), f"config echo must be an object with the keys {_ECHO_KEYS}"),
+], ids=["negative-seed", "string-seed", "seed-past-64-bits", "string-epochs", "tau-out-of-range",
+        "missing-key", "extra-key", "config-not-an-object"])
+def test_eval_rejects_checkpoint_with_bad_seed_or_config_echo(tmp_path, rules_file, capsys, edit, message):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--hidden", "2", "--out-model", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    edit(doc)
+    model.write_text(json.dumps(doc))
+    assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: malformed checkpoint: {message}\n"
+
+
+def test_rule_file_that_is_not_utf8_names_itself(tmp_path, rules_file, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"MUTEX(a, b)\na => \xff c\n")
+    out = tmp_path / "out.jsonl"
+    assert run(["synth", "--rules", str(bad), "--out", str(out), "--n", "10", "--dims", "2",
+                "--patterns", "2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 2: not UTF-8 text\n"
+    assert not out.exists()
+    assert run(["audit", "--rules", str(bad), "--data", _synth(tmp_path, rules_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 2: not UTF-8 text\n"
+
+
+def test_dataset_that_is_not_utf8_names_itself(tmp_path, rules_file, capsys):
+    bad = tmp_path / "bad.jsonl"
+    lines = _synth(tmp_path, rules_file, "good.jsonl", n=5)
+    text = open(lines, "rb").read().split(b"\n")
+    text[3] = text[3].replace(b"]", b"\xff]", 1)
+    bad.write_bytes(b"\n".join(text))
+    out = tmp_path / "out.jsonl"
+    assert run(["noise", "--in", str(bad), "--out", str(out), "--rho", "0.5", "--mode", "uniform",
+                "--seed", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 4: not UTF-8 text\n"
+    assert not out.exists()
+    assert run(["audit", "--rules", rules_file, "--data", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 4: not UTF-8 text\n"
+
+
+def test_config_and_checkpoint_that_are_not_utf8_name_themselves(tmp_path, rules_file, capsys):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{\n"epochs": 1,\n"seed": "\xe9"}\n')
+    model = tmp_path / "m.json"
+    assert run(["train", "--config", str(bad), "--rules", rules_file, "--data", data,
+                "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: line 3: not UTF-8 text\n"
+    assert not model.exists()
+    assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {bad}: line 3: not UTF-8 text\n"

@@ -180,6 +180,17 @@ def test_synthesis_is_bitwise_equal_to_the_per_row_reference(data):
     _assert_same_dataset(synthesize(seed, n, dims, rs, k), oracles.synthesize_per_row(seed, n, dims, rs, k))
 
 
+@settings(deadline=None, database=None, max_examples=50)
+@given(st.data())
+def test_synthesis_with_multi_word_seeds_is_bitwise_equal_to_the_per_row_reference(data):
+    rs = data.draw(rulesets())
+    n_consistent = _n_consistent(rs)
+    assume(n_consistent >= 2)
+    k = data.draw(st.integers(2, min(n_consistent, 6)))
+    seed, n, dims = data.draw(st.integers(2**32, 2**70)), data.draw(st.integers(1, 30)), data.draw(st.integers(1, 3))
+    _assert_same_dataset(synthesize(seed, n, dims, rs, k), oracles.synthesize_per_row(seed, n, dims, rs, k))
+
+
 @settings(deadline=None, database=None)
 @given(st.data())
 def test_violating_noise_is_bitwise_equal_to_the_per_row_reference(data):

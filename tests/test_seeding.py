@@ -1,0 +1,84 @@
+"""Synthesis computes each row's generator state instead of building it: the
+states and draws against numpy's own SeedSequence and default_rng, bit for
+bit, so that a numpy upgrade which changed either fails here; and the grown
+candidate blocks of the pattern search against the one-draw reference."""
+
+import numpy as np
+import pytest
+
+from rulebound import LabelVocabulary, SynthesisBudgetError, parse_rules, synthesize
+from rulebound import data
+
+import oracles
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+# seeds of one, two and three 32-bit words, and the word boundaries
+SEEDS = st.one_of(
+    st.integers(0, 2**70),
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]),
+)
+ROWS = st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=8)
+
+
+@settings(deadline=None, database=None, max_examples=200)
+@given(SEEDS, ROWS)
+def test_row_states_equal_seed_sequence(seed, rows):
+    states = data._row_seed_states(seed, np.array(rows, dtype=np.uint32))
+    assert states.dtype == np.uint64 and states.shape == (len(rows), 4)
+    for i, state in zip(rows, states):
+        expected = np.random.SeedSequence([seed, 1, i]).generate_state(4, np.uint64)
+        assert state.tobytes() == expected.tobytes()
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(SEEDS, ROWS, st.integers(2, 40), st.integers(1, 20))
+def test_row_generators_draw_as_default_rng(seed, rows, k, dims):
+    for i, rng in zip(rows, data._row_generators(seed, np.array(rows, dtype=np.uint32))):
+        reference = np.random.default_rng([seed, 1, i])
+        assert rng.bit_generator.state == reference.bit_generator.state
+        assert rng.integers(k) == reference.integers(k)
+        assert rng.normal(0.0, 0.3, size=dims).tobytes() == reference.normal(0.0, 0.3, size=dims).tobytes()
+
+
+def test_row_generators_cover_every_row_in_order():
+    rows = np.arange(300, dtype=np.uint32)
+    draws = [rng.random() for rng in data._row_generators(2**33 + 1, rows)]
+    assert draws == [np.random.default_rng([2**33 + 1, 1, i]).random() for i in range(300)]
+
+
+def test_synthesis_rejects_rows_past_the_32_bit_index():
+    rs = parse_rules("a => b")
+    with pytest.raises(ValueError, match="at most 2\\*\\*32 samples"):
+        synthesize(0, 2**32 + 1, 1, rs, 2)
+
+
+@pytest.mark.parametrize(
+    "rules, k, n_consistent",
+    [("a => FALSE\n!a => FALSE", 4, 0), ("b => FALSE\nc => FALSE\nd => FALSE", 4, 2)],
+    ids=["unsatisfiable", "two-patterns"],  # the second leaves a free: 0000 and 1000
+)
+def test_budget_runs_out_inside_a_grown_block(monkeypatch, rules, k, n_consistent):
+    rs = parse_rules(rules, LabelVocabulary(("a", "b", "c", "d")))
+    blocks = []
+    check = data.violation_matrix
+
+    def recording(rs, Y):
+        blocks.append(len(Y))
+        return check(rs, Y)
+
+    monkeypatch.setattr(data, "violation_matrix", recording)
+    with pytest.raises(SynthesisBudgetError) as grown:
+        synthesize(3, 10, 2, rs, k)
+    with pytest.raises(SynthesisBudgetError) as per_row:
+        oracles.synthesize_per_row(3, 10, 2, rs, k)
+    assert str(grown.value) == str(per_row.value) == (
+        f"no {k} distinct rule-consistent label vectors within {10_000 * k} rejections"
+    )
+    # every rejection, every acceptance and the raising draw were examined; the last block
+    # grew past the missing patterns, and the search stopped before its end
+    examined = 10_000 * k + n_consistent + 1
+    assert len(blocks) > 2 and blocks[-1] > k
+    assert sum(blocks[:-1]) < examined < sum(blocks)
+
