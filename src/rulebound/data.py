@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jsonio
-from .rules import LabelVocabulary, RuleSet, format_rule, reindex_ruleset, violation_matrix
+from .rules import LabelVocabulary, RuleSet, breaking_flips, format_rule, reindex_ruleset, violation_matrix
 from .rules import violated_rules  # noqa: F401  perfbench/layers.py traces this name
 
 
@@ -89,25 +89,40 @@ class Dataset:
 _BLOCK_ROWS = 1024
 
 
-def _row_template(n_features: int, n_labels: int, with_clean: bool) -> str:
-    """One %-format sample line, laid out by `jsonio.dumps` itself."""
+def _sample_layout(n_features: int, width: int, with_clean: bool) -> tuple[str, np.ndarray, np.ndarray]:
+    """A sample line as `jsonio.dumps` lays it out, cut where the x list ends:
+    the %-format head that takes the features, then the label suffix as uint8
+    text with every label 0, and the offsets of the label digits in that
+    suffix, y's then y_clean's. With no features the head is the x prefix."""
     x = [jsonio.Raw(jsonio.FLOAT_FORMAT)] * n_features
-    y = [jsonio.Raw("%d")] * n_labels
-    row = {"x": x, "y": y, "y_clean": y} if with_clean else {"x": x, "y": y}
-    return jsonio.dumps(row) + "\n"
+    zeros = [0] * width
+    row = {"x": x, "y": zeros, "y_clean": zeros} if with_clean else {"x": x, "y": zeros}
+    line = jsonio.dumps(row)
+    cut = line.index("]")  # the x list's end: no key or feature format holds "]"
+    suffix = np.frombuffer(line[cut:].encode("ascii"), dtype=np.uint8)
+    return line[:cut], suffix, np.flatnonzero(suffix == ord("0"))
 
 
 def save_dataset(ds: Dataset, path) -> None:
     """Write the JSONL form; output bytes depend only on the dataset's values."""
     jsonio.check_finite(ds.X)
-    columns = [ds.X, ds.Y] if ds.clean_Y is None else [ds.X, ds.Y, ds.clean_Y]
-    template = _row_template(ds.X.shape[1], ds.Y.shape[1], ds.clean_Y is not None)
+    labels = [ds.Y] if ds.clean_Y is None else [ds.Y, ds.clean_Y]
+    head, suffix, digits = _sample_layout(ds.X.shape[1], ds.Y.shape[1], ds.clean_Y is not None)
+    template, w = head + "%s\n", suffix.size
     with jsonio.atomic_write(path) as fh:
         fh.write(jsonio.dumps({"labels": list(ds.names.names)}) + "\n")
         for start in range(0, ds.n_samples, _BLOCK_ROWS):
-            # object columns hold Python floats and ints, which %-format like float(v) and int(v)
-            block = np.concatenate([c[start : start + _BLOCK_ROWS].astype(object) for c in columns], axis=1)
-            fh.write("".join([template % tuple(row) for row in block.tolist()]))
+            rows = slice(start, start + _BLOCK_ROWS)
+            X = ds.X[rows].tolist()  # Python floats, which %-format like float(v)
+            values = np.concatenate([Y[rows] for Y in labels], axis=1) + ord("0")
+            # labels set after the Dataset checked them would wrap in uint8 and could read back as 0 or 1
+            if not ((values == ord("0")) | (values == ord("1"))).all():
+                raise DatasetError("labels must be 0 or 1")
+            codes = np.tile(suffix, (len(X), 1))
+            codes[:, digits] = values
+            text = codes.tobytes().decode("ascii")
+            suffixes = [text[k : k + w] for k in range(0, len(text), w)]
+            fh.write("".join([template % (*x, t) for x, t in zip(X, suffixes)]))
 
 
 def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
@@ -153,6 +168,16 @@ def _int_keeping_negative_zero(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
+def _feature_array(rows: list) -> np.ndarray | None:
+    try:
+        X = np.array(rows)
+    except ValueError:
+        return None
+    if X.ndim != 2 or X.dtype.kind not in "fi":
+        return None
+    return X.astype(np.float64)
+
+
 def _label_array(rows: list, width: int) -> np.ndarray | None:
     try:
         Y = np.array(rows)
@@ -163,9 +188,57 @@ def _label_array(rows: list, width: int) -> np.ndarray | None:
     return Y
 
 
+def _read_written_samples(lines: list[str], width: int):
+    """(X, Y, clean Y or None) from sample lines in the writer's layout, which
+    `_sample_layout` states; None wherever a later reader has to decide.
+
+    Every line must be the x prefix, then its features, then the label suffix
+    byte for byte but for label digits that are 0 or 1. The labels come off
+    those bytes as one uint8 matrix. The features of all lines are parsed in
+    one `json.loads`, each line's as one list, and must come out as one flat
+    list of numbers per line. A bracket among a line's features would add a
+    list or nest one, so then each line's list is the x list that the line
+    reader reads. Integer tokens parse as that reader parses them, so -0 keeps
+    its sign. The letters of true, false and null, which numpy would read as
+    numbers, send the file on, and so do those of Infinity.
+    """
+    if not lines:
+        return None
+    with_clean = '"y_clean": [' in lines[0]
+    head, suffix, digits = _sample_layout(0, width, with_clean)
+    n, h, w = len(lines), len(head), suffix.size
+    if min(map(len, lines)) < h + w or "".join([line[:h] for line in lines]) != head * n:
+        return None
+    try:
+        tails = "".join([line[-w:] for line in lines]).encode("ascii")
+    except UnicodeEncodeError:
+        return None
+    # 0 where a byte matches the suffix; a digit reads 0 or 1 only for "0" or "1"
+    codes = np.frombuffer(tails, dtype=np.uint8).reshape(n, w) ^ suffix
+    allowed = np.zeros(w, dtype=np.uint8)
+    allowed[digits] = 1
+    if (codes > allowed).any():
+        return None
+    body = "[[" + "],[".join([line[h:-w] for line in lines]) + "]]"
+    if "t" in body or "f" in body or "n" in body:
+        return None
+    try:
+        rows = json.loads(body, parse_int=_int_keeping_negative_zero)
+    except (ValueError, RecursionError):
+        return None
+    X = _feature_array(rows) if len(rows) == n else None
+    if X is None:
+        return None
+    Y = codes[:, digits].astype(np.int64)
+    return X, Y[:, :width], Y[:, width:] if with_clean else None
+
+
 def _read_samples(lines: list[str], width: int):
     """(X, Y, clean Y or None) from the sample lines in one parse, validated as
     whole arrays; None wherever the line-by-line reader has to decide.
+
+    Lines in the writer's layout take `_read_written_samples`; any others
+    take one parse of the whole rows.
 
     It accepts only files that reader accepts, with equal arrays: every line
     starts with { and ends with }; every row has keys exactly x and y, or x, y
@@ -176,6 +249,9 @@ def _read_samples(lines: list[str], width: int):
     numbers, so any of those tokens sends the file to the line-by-line reader,
     and so does -0, whose sign only that reader keeps.
     """
+    written = _read_written_samples(lines, width)
+    if written is not None:
+        return written
     if not lines or not all(line[:1] == "{" and line[-1:] == "}" for line in lines):
         return None
     body = "[" + ",".join(lines) + "]"
@@ -188,17 +264,12 @@ def _read_samples(lines: list[str], width: int):
     keys = rows[0].keys() if len(rows) == len(lines) and type(rows[0]) is dict else None
     if keys not in _SAMPLE_KEYS or not all(type(row) is dict and row.keys() == keys for row in rows):
         return None
-    try:
-        X = np.array([row["x"] for row in rows])
-    except ValueError:
-        return None
-    if X.ndim != 2 or X.dtype.kind not in "fi":
-        return None
+    X = _feature_array([row["x"] for row in rows])
     Y = _label_array([row["y"] for row in rows], width)
     clean = _label_array([row["y_clean"] for row in rows], width) if "y_clean" in keys else None
-    if Y is None or (clean is None and "y_clean" in keys):
+    if X is None or Y is None or (clean is None and "y_clean" in keys):
         return None
-    return X.astype(np.float64), Y, clean
+    return X, Y, clean
 
 
 def _read_samples_by_line(lines: list[str], width: int, path):
@@ -326,6 +397,13 @@ def _row_generators(seed: int, rows: np.ndarray):
         yield rng
 
 
+def _check_seed(seed) -> None:
+    """Raise ValueError for a seed that is not a non-negative integer, whose
+    rejection by `np.random.default_rng` would name neither seed nor value."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patterns: int) -> Dataset:
     """Clustered features with rule-consistent labels; clean by construction.
 
@@ -345,6 +423,7 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     NEP 19 (https://numpy.org/neps/nep-0019-rng-policy.html), and the tests
     check the states and draws against `np.random.default_rng` bit for bit.
     """
+    _check_seed(seed)
     if k_patterns < 2:
         raise ValueError("k_patterns must be at least 2")
     if n_samples < 1 or n_features < 1:
@@ -408,6 +487,7 @@ def inject_noise(
     least one new rule violation (the sample is skipped when no such flip
     exists); this mode needs the rule set.
     """
+    _check_seed(seed)
     if not 0 <= rho <= 1:
         raise ValueError("rho must lie in [0, 1]")
     if mode not in NOISE_MODES:
@@ -422,14 +502,12 @@ def inject_noise(
     else:
         if rs is None:
             raise ValueError("violating mode needs a rule set")
-        rs = reindex_ruleset(rs, ds.names)
-        # row 0 keeps the labels, row j + 1 flips label j
-        flip_masks = np.eye(Y.shape[1] + 1, Y.shape[1], k=-1, dtype=Y.dtype)
+        # the table draws nothing, so each row's two draws keep their order
+        table = breaking_flips(reindex_ruleset(rs, ds.names), Y)
         for i in range(Y.shape[0]):
             if rng.random() >= rho:
                 continue
-            violated = violation_matrix(rs, Y[i] ^ flip_masks)
-            candidates = np.flatnonzero((violated[1:] & ~violated[0]).any(axis=1))
+            candidates = np.flatnonzero(table[i])
             if not len(candidates):
                 continue
             j = candidates[int(rng.integers(len(candidates)))]

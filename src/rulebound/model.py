@@ -263,16 +263,15 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
 def load_model(path) -> tuple[ModelParams, int, dict | None]:
     """Read a checkpoint back; returns (params, seed, config echo or None).
 
-    The seed must be an integer in [0, 2**64), as `TrainConfig.seed` is, and a
-    config echo must hold exactly the keys `TrainConfig.as_dict` writes, with
-    values `TrainConfig` accepts."""
+    Each dim must be a non-negative integer. The seed must be an integer in
+    [0, 2**64), as `TrainConfig.seed` is, and a config echo must hold exactly
+    the keys `TrainConfig.as_dict` writes, with values `TrainConfig` accepts."""
     try:
         doc = json.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     try:
-        dims = doc["dims"]
-        d, h, l = int(dims["n_features"]), int(dims["n_hidden"]), int(dims["n_labels"])
+        d, h, l = (_checkpoint_dim(doc["dims"], key) for key in ("n_features", "n_hidden", "n_labels"))
         params = ModelParams(
             np.asarray(doc["W1"], dtype=np.float64).reshape(h, d),
             np.asarray(doc["b1"], dtype=np.float64),
@@ -289,6 +288,15 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
     except (KeyError, TypeError, ValueError) as err:
         raise ValueError(f"{path}: malformed checkpoint: {err}") from None
     return params, seed, config
+
+
+def _checkpoint_dim(dims, key: str) -> int:
+    """A layer size from the checkpoint's dims: a JSON integer, and not negative,
+    which `reshape` would read as "infer this size"."""
+    value = dims[key]
+    if type(value) is not int or value < 0:
+        raise ValueError(f"dims key '{key}' must be a non-negative integer, got {json.dumps(value)}")
+    return value
 
 
 def _check_config_echo(config) -> None:

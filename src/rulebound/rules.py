@@ -466,16 +466,62 @@ def violated_rules(rs: RuleSet, y) -> list[int]:
     return np.flatnonzero(violation_matrix(rs, arr[None, :])[0]).tolist()
 
 
-def violation_matrix(rs: RuleSet, Y) -> np.ndarray:
-    """Boolean matrix (samples x rules), True where a sample's labels violate a rule."""
+def _label_matrix(rs: RuleSet, Y) -> np.ndarray:
+    """Y as a uint8 (samples x labels) matrix over the rule set's vocabulary,
+    after checking its shape and that it holds only 0 and 1."""
     arr = np.asarray(Y)
     width = len(rs.vocabulary)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"label matrix has shape {arr.shape}, expected (n, {width})")
     if not ((arr == 0) | (arr == 1)).all():
         raise ValueError("label matrix entries must be 0 or 1")
+    return arr.astype(np.uint8)
+
+
+def violation_matrix(rs: RuleSet, Y) -> np.ndarray:
+    """Boolean matrix (samples x rules), True where a sample's labels violate a rule."""
     # a rule is violated where every one of its factors is 1
-    return factor_values(rs.factor_index, arr.astype(np.uint8)).all(axis=0).T
+    return factor_values(rs.factor_index, _label_matrix(rs, Y)).all(axis=0).T
+
+
+# Rows `breaking_flips` takes at a time, so its memory stays flat in the row count.
+_FLIP_BLOCK_ROWS = 4096
+
+
+def breaking_flips(rs: RuleSet, Y) -> np.ndarray:
+    """Boolean matrix (samples x labels), True where flipping that one label of
+    a sample breaks a rule the sample keeps.
+
+    Flipping label j breaks a kept rule exactly when every factor off j is 1
+    and every factor on j is 0. A rule's factors read columns of [y, 1 - y, 1];
+    take each column once. A rule with both the y and the 1 - y column of one
+    label is violated by no vector, so no flip breaks it. In every other rule
+    each label has at most one column, so a flip breaks the rule exactly when
+    one of its columns reads 0, and it is the flip of that column's label.
+    """
+    arr = _label_matrix(rs, Y)
+    n, width = arr.shape
+    columns = []
+    for row in rs.factor_index.tolist():
+        read = sorted(set(row) - {2 * width})
+        if len({c % width for c in read}) == len(read):
+            columns.append(read)
+    table = np.zeros((n, width), dtype=bool)
+    if not columns:
+        return table
+    k = max(map(len, columns))
+    index = np.array([c + [2 * width] * (k - len(c)) for c in columns], dtype=np.intp)
+    labels = (index % width).astype(np.min_scalar_type(width))
+    for start in range(0, n, _FLIP_BLOCK_ROWS):
+        F = factor_values(index, arr[start : start + _FLIP_BLOCK_ROWS])
+        # the (rule, row) pairs, flattened, where one factor reads 0; padding reads 1
+        hits = np.flatnonzero(F.sum(axis=0, dtype=np.min_scalar_type(k)) == k - 1)
+        # at those pairs the sum is the label of the one factor that reads 0; it
+        # may wrap at pairs with more zeros, and those are never read
+        zero_label = sum((F[p] == 0) * labels[:, p, None] for p in range(k))
+        rows = start + hits % F.shape[2]
+        table.ravel()[rows * width + zero_label.ravel()[hits]] = True
+    return table
 
 
 # ---- formatting ----

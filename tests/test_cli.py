@@ -461,6 +461,40 @@ def test_eval_rejects_checkpoint_with_bad_seed_or_config_echo(tmp_path, rules_fi
     assert captured.err == f"error: {model}: malformed checkpoint: {message}\n"
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda dims: dims.update(n_features="2"), 'dims key \'n_features\' must be a non-negative integer, got "2"'),
+    (lambda dims: dims.update(n_hidden=2.0), "dims key 'n_hidden' must be a non-negative integer, got 2.0"),
+    (lambda dims: dims.update(n_hidden=-1), "dims key 'n_hidden' must be a non-negative integer, got -1"),
+    (lambda dims: dims.update(n_labels=True), "dims key 'n_labels' must be a non-negative integer, got true"),
+    (lambda dims: dims.pop("n_labels"), "'n_labels'"),
+], ids=["string", "float", "negative", "bool", "missing"])
+def test_eval_rejects_checkpoint_dims_that_are_not_integers(tmp_path, rules_file, capsys, edit, message):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--hidden", "2", "--out-model", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    edit(doc["dims"])
+    model.write_text(json.dumps(doc))
+    assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: malformed checkpoint: {message}\n"
+
+
+def test_synth_and_noise_name_a_negative_seed(tmp_path, rules_file, capsys):
+    out = tmp_path / "out.jsonl"
+    assert run(["synth", "--rules", rules_file, "--out", str(out), "--n", "10", "--dims", "2",
+                "--patterns", "2", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    data = _synth(tmp_path, rules_file)
+    for mode in ("uniform", "violating"):
+        assert run(["noise", "--in", data, "--out", str(out), "--rho", "0.5", "--mode", mode,
+                    "--seed", "-1", "--rules", rules_file]) == 2
+        assert capsys.readouterr().err == "error: seed must be a non-negative integer, got -1\n"
+    assert not out.exists()
+
+
 def test_rule_file_that_is_not_utf8_names_itself(tmp_path, rules_file, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"MUTEX(a, b)\na => \xff c\n")

@@ -23,6 +23,7 @@ from rulebound import (
     violated_rules,
 )
 from rulebound import data, jsonio
+from rulebound import rules as rules_module
 from rulebound.cli import run
 
 import oracles
@@ -136,7 +137,10 @@ def _random_ds(seed, n, d, n_labels, with_clean):
 
 
 @pytest.mark.parametrize("with_clean", [False, True])
-@pytest.mark.parametrize("seed, n, d, n_labels", [(0, 1, 1, 1), (1, 7, 3, 2), (2, 2500, 16, 20), (3, 40, 0, 3)])
+@pytest.mark.parametrize(
+    "seed, n, d, n_labels",
+    [(0, 1, 1, 1), (1, 7, 3, 2), (2, 2500, 16, 20), (3, 40, 0, 3), (5, 1023, 2, 3), (6, 1024, 1, 4), (7, 1025, 3, 2)],
+)
 def test_save_matches_generic_row_serializer(tmp_path, seed, n, d, n_labels, with_clean):
     ds = _random_ds(seed, n, d, n_labels, with_clean)
     path = tmp_path / "data.jsonl"
@@ -166,6 +170,16 @@ def test_save_rejects_non_finite_features(tmp_path):
     ds.X[2, 0] = np.nan
     path = tmp_path / "data.jsonl"
     with pytest.raises(ValueError, match=r"^cannot serialize non-finite number -inf$"):
+        save_dataset(ds, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("label", [2, -1, 256, 257])
+def test_save_rejects_labels_set_to_other_values_after_construction(tmp_path, label):
+    ds = _small_ds(with_clean=True)
+    ds.clean_Y[2, 1] = label
+    path = tmp_path / "data.jsonl"
+    with pytest.raises(DatasetError, match="^labels must be 0 or 1$"):
         save_dataset(ds, path)
     assert not path.exists()
 
@@ -240,6 +254,8 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
         (_OK + ['{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'], "features must be finite"),
         (_OK + ['{"x": [-1' + "0" * 400 + ', 1.0], "y": [1, 0]}'], "features must be finite"),
         (_OK + ['{"x": [0.5, 1e400], "y": [1, 0]}'], "features must be finite"),
+        # the writer's prefix and label suffix around an x list split in two
+        (['{"x": [0.5], [1.0], "y": [1, 0]}'], "line 2: invalid JSON: Expecting property name enclosed in double quotes"),
     ],
 )
 def test_loader_fault_paths_keep_their_messages(tmp_path, capsys, lines, message):
@@ -356,6 +372,87 @@ def test_fast_loader_returns_only_what_the_line_reader_returns():
     assert edited > 200 and deferred > 200
 
 
+_LABEL_LIST = re.compile(r'"(y|y_clean)": \[([^\]]*)\]')
+
+
+def _mutate_labels(rng: random.Random, lines: list[str]) -> list[str]:
+    """One random edit aimed at the label suffix of one line, or at what the
+    label-byte stage reads around it. Some edits keep the file legal (a digit
+    swapped for the other one, CRLF line ends); most break the writer's
+    layout (a digit made 2, -0, 0.0 or true, an entry dropped or repeated,
+    other spacing, y_clean dropped, non-ASCII text in x, an edited line end,
+    one bit of a suffix byte flipped, a bracket in x)."""
+    lines = list(lines)
+    i = rng.randrange(len(lines))
+    line = lines[i]
+    kind = rng.choice([0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9])  # a legal swap often, so edited files get read
+    lists = list(_LABEL_LIST.finditer(line))
+    if kind < 4 and lists:
+        m = rng.choice(lists)
+        entries = m.group(2).split(", ")
+        k = rng.randrange(len(entries))
+        sep, colon = ", ", ": "
+        if kind == 0:
+            entries[k] = {"0": "1", "1": "0"}.get(entries[k], "0")
+        elif kind == 1:
+            entries[k] = rng.choice(["2", "-0", "0.0", "true", "01", " 1"])
+        elif kind == 2:
+            entries[k : k + 1] = rng.choice([[], entries[k : k + 1] * 2])
+        else:
+            sep, colon = rng.choice([(",", ": "), (", ", ":"), (" , ", ": "), (", ", ":  ")])
+        lines[i] = line[: m.start()] + f'"{m.group(1)}"{colon}[{sep.join(entries)}]' + line[m.end() :]
+    elif kind == 4:
+        lines[i] = re.sub(r', "y_clean": \[[^\]]*\]', "", line)
+    elif kind == 5:
+        lines = [line + "\r" for line in lines]  # CRLF ends, split on \n alone
+    elif kind == 6:
+        lines[i] = line.replace("[", rng.choice(['["\\u00e9", ', '["é", ', "[é"]), 1)
+    elif kind == 7:
+        lines[i] = line[:-1] + rng.choice(["", "}}", "} ", "é}"])
+    elif kind == 8 and "]" in line:  # one bit of one byte after the x list: "y" becomes "x", ", " becomes "- "
+        at = rng.randrange(line.index("]"), len(line))
+        lines[i] = line[:at] + chr(ord(line[at]) ^ 1) + line[at + 1 :]
+    elif kind == 9:  # the x list split in two or nested, when its first separator is in it
+        lines[i] = line.replace(", ", rng.choice(["], [", ", [", "], "]), 1)
+    return lines
+
+
+def test_loader_label_bytes_return_only_what_the_line_reader_returns():
+    rng = random.Random(20261019)
+    read = deferred = edited = 0
+    for trial in range(2000):
+        ds = _random_ds(trial, rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 3), trial % 2 == 0)
+        lines = clean_lines = oracles.dataset_jsonl(ds).splitlines()[1:]
+        for _ in range(rng.randint(0, 2)):
+            lines = _mutate_labels(rng, lines)
+        width = len(ds.names)
+        fast = data._read_written_samples(lines, width)
+        if fast is None:
+            deferred += 1
+            continue
+        read += 1
+        edited += lines != clean_lines
+        slow = data._read_samples_by_line(lines, width, "mutated.jsonl")
+        for a, b in zip(fast, slow):
+            if a is None or b is None:
+                assert a is None and b is None
+            else:
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    # the stage reads unedited files, and edited ones that keep the layout; it defers the rest
+    assert read > 600 and edited > 200 and deferred > 600
+
+
+def test_loader_label_bytes_read_the_writers_files(tmp_path):
+    for with_clean in (False, True):
+        ds = _random_ds(8, 1500, 3, 5, with_clean)
+        path = tmp_path / "data.jsonl"
+        save_dataset(ds, path)
+        lines = jsonio.read_text(path).splitlines()[1:]
+        X, Y, clean = data._read_written_samples(lines, 5)
+        assert X.tobytes() == ds.X.tobytes() and Y.tobytes() == ds.Y.tobytes()
+        assert clean is None if not with_clean else clean.tobytes() == ds.clean_Y.tobytes()
+
+
 # ---- synthesis ----
 
 
@@ -413,6 +510,25 @@ def test_synthesize_validation():
         synthesize(0, 10, 2, rs, k_patterns=1)
     with pytest.raises(ValueError):
         synthesize(0, 0, 2, rs, k_patterns=2)
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, "3"])
+def test_synthesize_and_noise_name_a_seed_that_is_not_a_non_negative_integer(seed):
+    rs = parse_rules("a => b")
+    message = re.escape(f"seed must be a non-negative integer, got {seed}")
+    with pytest.raises(ValueError, match=message):
+        synthesize(seed, 10, 2, rs, k_patterns=2)
+    for mode in data.NOISE_MODES:
+        with pytest.raises(ValueError, match=message):
+            inject_noise(synthesize(0, 10, 2, rs, k_patterns=2), 0.5, seed, mode, rs)
+
+
+def test_synthesize_and_noise_take_seeds_past_64_bits():
+    rs = parse_rules("a => b")
+    clean = synthesize(2**70, 20, 2, rs, k_patterns=2)
+    assert clean.X.tobytes() == oracles.synthesize_per_row(2**70, 20, 2, rs, 2).X.tobytes()
+    noisy = inject_noise(clean, 0.5, 2**70, "violating", rs)
+    assert noisy.Y.tobytes() == oracles.inject_noise_per_row(clean, 0.5, 2**70, rs).Y.tobytes()
 
 
 # ---- noise injection ----
@@ -491,6 +607,26 @@ def test_violating_noise_skips_rows_with_no_harmful_flip():
     noisy = inject_noise(ds, 1.0, 3, "violating", rs=rs)
     assert noisy.flips == []
     assert np.array_equal(noisy.Y, ds.Y)
+
+
+# Rules that repeat a label, on one side or across both, in one polarity or both;
+# "a & !a => b" itself is rejected by the parser, as every label repeated on one side is.
+@pytest.mark.parametrize("rules", [
+    "a => a", "a => !a", "!a => a", "a & b => !a | c", "!a & b => a | c", "a & !b => b | d",
+    "a & b => FALSE", "MUTEX(a, b, c)", "", "a => b\nb => !a\nc & d => FALSE\nMUTEX(b, c, d)",
+])
+@pytest.mark.parametrize("names", [("a", "b", "c", "d"), ("d", "b", "a", "c")], ids=["rule-order", "other-order"])
+@pytest.mark.parametrize("rho", [0.5, 1.0])
+def test_violating_noise_equals_the_per_row_reference_on_hand_written_rules(monkeypatch, rules, names, rho):
+    monkeypatch.setattr(rules_module, "_FLIP_BLOCK_ROWS", 7)  # 128 rows in uneven blocks
+    vocab = LabelVocabulary(("a", "b", "c", "d"))
+    rs = parse_rules(rules, vocab) if rules else RuleSet(vocab, ())
+    Y = np.array(list(itertools.product((0, 1), repeat=4)) * 8)  # every vertex, 8 times
+    ds = Dataset(np.zeros((len(Y), 1)), Y, LabelVocabulary(names))
+    for seed in range(5):
+        noisy, reference = inject_noise(ds, rho, seed, "violating", rs), oracles.inject_noise_per_row(ds, rho, seed, rs)
+        assert noisy.Y.tobytes() == reference.Y.tobytes()
+        assert noisy.clean_Y.tobytes() == reference.clean_Y.tobytes()
 
 
 def test_violating_noise_rate_roughly_rho():
