@@ -16,7 +16,7 @@ from . import jsonio
 from .data import NOISE_MODES, audit, inject_noise, load_dataset, save_dataset, synthesize
 from .metrics import correction_report
 from .model import TrainConfig, load_model, save_model
-from .rules import parse_rules
+from .rules import RuleError, parse_rules
 from .supervision import CORRECTION_MODES
 from .training import evaluate, train
 
@@ -72,6 +72,14 @@ def _load_config(path) -> dict:
     return doc
 
 
+def _load_rules(path, vocab=None):
+    """`parse_rules` of the rule file at `path`, whose errors name the file."""
+    try:
+        return parse_rules(jsonio.read_text(path), vocab)
+    except RuleError as err:
+        raise RuleError(f"{path}: {err}") from None
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="rulebound", description="Rule-constrained multi-label training.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
@@ -124,7 +132,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
-    rs = parse_rules(jsonio.read_text(args.rules))
+    rs = _load_rules(args.rules)
     ds = synthesize(args.seed, args.n, args.dims, rs, args.patterns)
     save_dataset(ds, args.out)
     return 0
@@ -134,14 +142,14 @@ def cmd_noise(args) -> int:
     if args.mode == "violating" and not args.rules:
         raise UsageError("--mode violating requires --rules")
     ds = load_dataset(args.in_path)
-    rs = parse_rules(jsonio.read_text(args.rules), ds.names) if args.rules else None
+    rs = _load_rules(args.rules, ds.names) if args.rules else None
     save_dataset(inject_noise(ds, args.rho, args.seed, args.mode, rs), args.out)
     return 0
 
 
 def cmd_audit(args) -> int:
     ds = load_dataset(args.data)
-    rs = parse_rules(jsonio.read_text(args.rules), ds.names)
+    rs = _load_rules(args.rules, ds.names)
     report = audit(ds, rs)
     print(jsonio.dumps(report) if args.json else report.to_text())
     return 0
@@ -164,7 +172,7 @@ def cmd_train(args) -> int:
     out_report = pick(args.out_report, "out_report")
     jsonio.check_targets(*(path for path in (out_model, out_history, out_report) if path))
     ds = load_dataset(data_path)
-    rs = parse_rules(jsonio.read_text(rules_path), ds.names)
+    rs = _load_rules(rules_path, ds.names)
     # a flag beats its config key; a key set by neither keeps the TrainConfig default
     cfg = TrainConfig(**{
         f.name: pick(getattr(args, key), key)
@@ -192,7 +200,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     params, _, _ = load_model(args.model)
     ds = load_dataset(args.data)
-    rs = parse_rules(jsonio.read_text(args.rules), ds.names)
+    rs = _load_rules(args.rules, ds.names)
     report = evaluate(params, ds, rs, args.threshold)
     if args.out_report:
         jsonio.dump(report, args.out_report)

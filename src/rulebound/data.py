@@ -9,6 +9,7 @@ y/y_clean on load, so noise records survive a save/load round trip.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -139,25 +140,29 @@ def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
 
 
 def load_dataset(path) -> Dataset:
+    """The dataset file at `path`. Files in the writer's layout are read by
+    `_read_written_samples`, any others by `_read_samples_by_line`, to the
+    same arrays; errors name the file, and the file line where there is one."""
     lines = jsonio.read_text(path).splitlines()
-    if not lines or not lines[0].strip():
-        raise DatasetError(f"{path}: missing label header")
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as err:
-        raise DatasetError(f"line 1: invalid JSON: {err.msg}") from None
-    if not isinstance(header, dict) or not isinstance(header.get("labels"), list):
-        raise DatasetError("line 1: header must be an object with a 'labels' list")
-    try:
-        vocab = LabelVocabulary(header["labels"])
-    except ValueError as err:
-        raise DatasetError(f"line 1: bad label header: {err}") from None
-    samples = lines[1:]
-    X, Y, clean = _read_samples(samples, len(vocab)) or _read_samples_by_line(samples, len(vocab), path)
+        if not lines or not lines[0].strip():
+            raise DatasetError("missing label header")
+        try:
+            header = json.loads(lines[0])
+        except json.JSONDecodeError as err:
+            raise DatasetError(f"line 1: invalid JSON: {err.msg}") from None
+        if not isinstance(header, dict) or not isinstance(header.get("labels"), list):
+            raise DatasetError("line 1: header must be an object with a 'labels' list")
+        try:
+            vocab = LabelVocabulary(header["labels"])
+        except ValueError as err:
+            raise DatasetError(f"line 1: bad label header: {err}") from None
+        samples, width = lines[1:], len(vocab)
+        X, Y, clean = _read_written_samples(samples, width) or _read_samples_by_line(samples, width)
+    except DatasetError as err:
+        raise DatasetError(f"{path}: {err}") from None
     return Dataset(X, Y, vocab, clean)
 
-
-_SAMPLE_KEYS = ({"x", "y"}, {"x", "y", "y_clean"})
 
 # The JSON integer token -0, which json reads as int 0 and so loses the sign
 # that "%.17g" writes for a feature of -0.0.
@@ -168,39 +173,20 @@ def _int_keeping_negative_zero(token: str):
     return -0.0 if token == "-0" else int(token)
 
 
-def _feature_array(rows: list) -> np.ndarray | None:
-    try:
-        X = np.array(rows)
-    except ValueError:
-        return None
-    if X.ndim != 2 or X.dtype.kind not in "fi":
-        return None
-    return X.astype(np.float64)
-
-
-def _label_array(rows: list, width: int) -> np.ndarray | None:
-    try:
-        Y = np.array(rows)
-    except ValueError:
-        return None
-    if Y.ndim != 2 or Y.dtype.kind != "i" or Y.shape[1] != width or not ((Y == 0) | (Y == 1)).all():
-        return None
-    return Y
-
-
 def _read_written_samples(lines: list[str], width: int):
     """(X, Y, clean Y or None) from sample lines in the writer's layout, which
-    `_sample_layout` states; None wherever a later reader has to decide.
+    `_sample_layout` states; None for any other lines, which the line reader
+    then reads or rejects.
 
     Every line must be the x prefix, then its features, then the label suffix
     byte for byte but for label digits that are 0 or 1. The labels come off
     those bytes as one uint8 matrix. The features of all lines are parsed in
     one `json.loads`, each line's as one list, and must come out as one flat
-    list of numbers per line. A bracket among a line's features would add a
-    list or nest one, so then each line's list is the x list that the line
-    reader reads. Integer tokens parse as that reader parses them, so -0 keeps
-    its sign. The letters of true, false and null, which numpy would read as
-    numbers, send the file on, and so do those of Infinity.
+    list of finite numbers per line. A bracket among a line's features would
+    add a list or nest one, so then each line's list is the x list that the
+    line reader reads. Integer tokens parse as that reader parses them, so -0
+    keeps its sign. The letters of true, false and null, which numpy would
+    read as numbers, send the file on, and so do those of Infinity.
     """
     if not lines:
         return None
@@ -223,61 +209,29 @@ def _read_written_samples(lines: list[str], width: int):
     if "t" in body or "f" in body or "n" in body:
         return None
     try:
-        rows = json.loads(body, parse_int=_int_keeping_negative_zero)
+        X = np.array(json.loads(body, parse_int=_int_keeping_negative_zero))
     except (ValueError, RecursionError):
         return None
-    X = _feature_array(rows) if len(rows) == n else None
-    if X is None:
+    if X.shape[:1] != (n,) or X.ndim != 2 or X.dtype.kind not in "fi" or not np.isfinite(X).all():
         return None
     Y = codes[:, digits].astype(np.int64)
-    return X, Y[:, :width], Y[:, width:] if with_clean else None
+    return X.astype(np.float64), Y[:, :width], Y[:, width:] if with_clean else None
 
 
-def _read_samples(lines: list[str], width: int):
-    """(X, Y, clean Y or None) from the sample lines in one parse, validated as
-    whole arrays; None wherever the line-by-line reader has to decide.
-
-    Lines in the writer's layout take `_read_written_samples`; any others
-    take one parse of the whole rows.
-
-    It accepts only files that reader accepts, with equal arrays: every line
-    starts with { and ends with }; every row has keys exactly x and y, or x, y
-    and y_clean; x holds numbers, y and y_clean the integers 0 and 1; widths
-    match. Rows of that shape hold no braces but their own, so each line holds
-    whole rows, and with as many rows as lines each line holds exactly the one
-    row it parses to on its own. Numpy would read JSON true, false and null as
-    numbers, so any of those tokens sends the file to the line-by-line reader,
-    and so does -0, whose sign only that reader keeps.
-    """
-    written = _read_written_samples(lines, width)
-    if written is not None:
-        return written
-    if not lines or not all(line[:1] == "{" and line[-1:] == "}" for line in lines):
-        return None
-    body = "[" + ",".join(lines) + "]"
-    if "true" in body or "false" in body or "null" in body or _NEGATIVE_ZERO.search(body):
-        return None
+def _finite(x: list) -> bool:
     try:
-        rows = json.loads(body)
-    except (ValueError, RecursionError):
-        return None
-    keys = rows[0].keys() if len(rows) == len(lines) and type(rows[0]) is dict else None
-    if keys not in _SAMPLE_KEYS or not all(type(row) is dict and row.keys() == keys for row in rows):
-        return None
-    X = _feature_array([row["x"] for row in rows])
-    Y = _label_array([row["y"] for row in rows], width)
-    clean = _label_array([row["y_clean"] for row in rows], width) if "y_clean" in keys else None
-    if X is None or Y is None or (clean is None and "y_clean" in keys):
-        return None
-    return X, Y, clean
+        return all(map(math.isfinite, x))
+    except OverflowError:  # an integer past the float range, which a float token there reads as inf
+        return False
 
 
-def _read_samples_by_line(lines: list[str], width: int, path):
+def _read_samples_by_line(lines: list[str], width: int):
     """(X, Y, clean Y or None) from the sample lines, checked one at a time;
     errors name the file line, the header being line 1."""
     xs: list[list] = []
     ys: list[list] = []
     cleans: list[list] = []
+    line_nos: list[int] = []
     has_clean: bool | None = None
     n_features: int | None = None
     for line_no, line in enumerate(lines, start=2):
@@ -313,12 +267,16 @@ def _read_samples_by_line(lines: list[str], width: int, path):
             cleans.append(y_clean)
         xs.append(x)
         ys.append(y)
+        line_nos.append(line_no)
     if not xs:
-        raise DatasetError(f"{path}: dataset has no samples")
+        raise DatasetError("dataset has no samples")
     try:
         X = np.asarray(xs, dtype=np.float64)
-    except OverflowError:  # an integer past the float range, which a float token there reads as inf
-        raise DatasetError("features must be finite") from None
+    except OverflowError:
+        X = None
+    if X is None or not np.isfinite(X).all():
+        bad = next(line_no for line_no, x in zip(line_nos, xs) if not _finite(x))
+        raise DatasetError(f"line {bad}: features must be finite")
     clean = np.asarray(cleans, dtype=np.int64) if has_clean else None
     return X, np.asarray(ys, dtype=np.int64), clean
 

@@ -321,6 +321,24 @@ def test_validation_errors_exit_two(tmp_path, rules_file, capsys):
     capsys.readouterr()
 
 
+def test_rule_and_dataset_errors_name_their_file(tmp_path, rules_file, capsys):
+    data = _write_plain_dataset(tmp_path / "d.jsonl")
+    bad_rules = tmp_path / "r.txt"
+    bad_rules.write_text("a => b\nz => c\n")
+    assert run(["train", "--rules", str(bad_rules), "--data", data]) == 2
+    assert capsys.readouterr().err == f"error: {bad_rules}: line 2, column 1: unknown label 'z'\n"
+
+    bad_data = tmp_path / "bad.jsonl"
+    bad_data.write_text('{"labels": ["a", "b", "c"]}\n{"x": [0.1], "y": [0, 1, 0]}\n{"x": [0.2], "y": [3, 0, 0]}\n')
+    assert run(["train", "--rules", rules_file, "--data", str(bad_data)]) == 2
+    assert capsys.readouterr().err == f"error: {bad_data}: line 3: y entries must be 0 or 1\n"
+
+    # a rule file that fails to parse on its own, as synth reads it
+    assert run(["synth", "--rules", str(bad_data), "--out", str(tmp_path / "o.jsonl"), "--n", "4",
+                "--dims", "2", "--patterns", "2", "--seed", "0"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad_data}: line 1, column 1: ")
+
+
 def test_runtime_errors_exit_three(tmp_path, rules_file, capsys):
     assert run(["audit", "--rules", rules_file, "--data", str(tmp_path / "missing.jsonl")]) == 3
     impossible = tmp_path / "impossible.rules"

@@ -221,8 +221,8 @@ _OK = ['{"x": [0.5, 1.0], "y": [1, 0]}', '{"x": [1.5, -2.0], "y": [0, 1]}']
 _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
 
 
-# Messages as the line-by-line reader has always given them; the whole-array
-# reader must fall back to it for every one of these files.
+# Messages of the line reader, after the file's path; the writer-layout reader
+# must leave every one of these files to it.
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -239,9 +239,9 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
          "line 4: y_clean entries must be 0 or 1"),
         (_OK + ['{"x": [0.5, 1.0], "y": [1, 18446744073709551616]}'], "line 4: y entries must be 0 or 1"),
         (_OK + ['{"x": ["0.5", 1.0], "y": [1, 0]}'], "line 4: x entries must be numbers"),
-        (_OK + ['{"x": [NaN, 1.0], "y": [1, 0]}'], "features must be finite"),
-        (_OK + ['{"x": [0.5, Infinity], "y": [1, 0]}'], "features must be finite"),
-        (_OK + ['{"x": [0.5, -Infinity], "y": [1, 0]}'], "features must be finite"),
+        (_OK + ['{"x": [NaN, 1.0], "y": [1, 0]}'], "line 4: features must be finite"),
+        (_OK + ['{"x": [0.5, Infinity], "y": [1, 0]}'], "line 4: features must be finite"),
+        (_OK + ['{"x": [0.5, -Infinity], "y": [1, 0]}'], "line 4: features must be finite"),
         (_OK + _OK + ['{"x": [0.5, 1.0, 2.0], "y": [1, 0]}'], "line 6: expected 2 features, got 3"),
         (_OK + ['{"x": [0.5, 1.0], "y": [1,'], "line 4: invalid JSON: Expecting value"),
         # a row split over two lines, made up by two rows on one line
@@ -251,9 +251,14 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
          "line 2: invalid JSON: Expecting ',' delimiter"),
         ([_OK[0], _OK[0] + ", " + _OK[1]], "line 3: invalid JSON: Extra data"),
         # an integer too large for a float fails like the float token 1e400
-        (_OK + ['{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'], "features must be finite"),
-        (_OK + ['{"x": [-1' + "0" * 400 + ', 1.0], "y": [1, 0]}'], "features must be finite"),
-        (_OK + ['{"x": [0.5, 1e400], "y": [1, 0]}'], "features must be finite"),
+        (_OK + ['{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'], "line 4: features must be finite"),
+        (_OK + ['{"x": [-1' + "0" * 400 + ', 1.0], "y": [1, 0]}'], "line 4: features must be finite"),
+        (_OK + ['{"x": [0.5, 1e400], "y": [1, 0]}'], "line 4: features must be finite"),
+        # blank lines count, and the first line with a non-finite feature is named
+        (_OK + ["", '{"x": [0.5, 1e400], "y": [1, 0]}'], "line 5: features must be finite"),
+        (["  ", _OK[0], "", '{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'], "line 5: features must be finite"),
+        (_OK + ['{"x": [NaN, 1.0], "y": [1, 0]}', '{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'],
+         "line 4: features must be finite"),
         # the writer's prefix and label suffix around an x list split in two
         (['{"x": [0.5], [1.0], "y": [1, 0]}'], "line 2: invalid JSON: Expecting property name enclosed in double quotes"),
     ],
@@ -263,11 +268,11 @@ def test_loader_fault_paths_keep_their_messages(tmp_path, capsys, lines, message
     path.write_text("\n".join([_HEADER] + lines) + "\n")
     with pytest.raises(DatasetError) as err:
         load_dataset(path)
-    assert str(err.value) == message
+    assert str(err.value) == f"{path}: {message}"
     rules = tmp_path / "rules.txt"
     rules.write_text("a => b\n")
     assert run(["audit", "--rules", str(rules), "--data", str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
 
 def test_loader_accepts_what_the_line_reader_accepts(tmp_path):
@@ -294,6 +299,11 @@ _TOKENS = ["true", "false", "null", "-0", "-0.0", "0", "1", "2", "-1", "1.0", "0
            "Infinity", "-Infinity", '"1"', "[]", "[0]", "{}", "18446744073709551616", "1e-400"]
 
 
+# Kinds 0 and 1, another token in place of a number, come up most often: on an
+# x token they keep the writer's layout, so edited files get read, not deferred.
+_MUTATION_KINDS = [0, 1] * 12 + list(range(2, 12))
+
+
 def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
     """One random edit of a sample file's lines. Some edits keep the file legal
     (another number, other spacing, an escaped key, keys reordered); others
@@ -304,7 +314,7 @@ def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
     if not lines:
         return lines
     i = rng.randrange(len(lines))
-    kind = rng.randrange(12)
+    kind = rng.choice(_MUTATION_KINDS)
     if kind in (0, 1):
         tokens = list(_NUMBER.finditer(lines[i]))
         if tokens:
@@ -345,31 +355,6 @@ def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
     else:
         lines[i] = " " + lines[i]
     return lines
-
-
-def test_fast_loader_returns_only_what_the_line_reader_returns():
-    rng = random.Random(20261018)
-    deferred = edited = 0
-    for trial in range(2000):
-        ds = _random_ds(trial, rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 3), trial % 2 == 0)
-        lines = oracles.dataset_jsonl(ds).splitlines()[1:]
-        clean_lines = lines
-        for _ in range(rng.randint(0, 3)):
-            lines = _mutate(rng, lines)
-        width = len(ds.names)
-        fast = data._read_samples(lines, width)
-        if fast is None:
-            deferred += 1
-            continue
-        edited += lines != clean_lines
-        slow = data._read_samples_by_line(lines, width, "mutated.jsonl")
-        for a, b in zip(fast, slow):
-            if a is None or b is None:
-                assert a is None and b is None
-            else:
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    # both outcomes of the fast path occur, and it accepts edited files too
-    assert edited > 200 and deferred > 200
 
 
 _LABEL_LIST = re.compile(r'"(y|y_clean)": \[([^\]]*)\]')
@@ -417,29 +402,39 @@ def _mutate_labels(rng: random.Random, lines: list[str]) -> list[str]:
     return lines
 
 
-def test_loader_label_bytes_return_only_what_the_line_reader_returns():
-    rng = random.Random(20261019)
-    read = deferred = edited = 0
-    for trial in range(2000):
+@pytest.mark.parametrize(
+    "mutate, seed, max_edits, floors",
+    [
+        # edits anywhere in the line: the reader reads files whose x tokens were edited, and defers
+        (_mutate, 20261018, 3, {"edited": 200, "deferred": 200}),
+        # edits aimed at the label suffix: it reads unedited files and edited ones that keep
+        # the layout, and defers the rest
+        (_mutate_labels, 20261019, 2, {"read": 600, "edited": 200, "deferred": 600}),
+    ],
+    ids=["anywhere", "labels"],
+)
+def test_loader_written_layout_returns_only_what_the_line_reader_returns(mutate, seed, max_edits, floors):
+    rng = random.Random(seed)
+    counts = dict.fromkeys(["read", "edited", "deferred"], 0)
+    for trial in range(3000):
         ds = _random_ds(trial, rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 3), trial % 2 == 0)
         lines = clean_lines = oracles.dataset_jsonl(ds).splitlines()[1:]
-        for _ in range(rng.randint(0, 2)):
-            lines = _mutate_labels(rng, lines)
+        for _ in range(rng.randint(0, max_edits)):
+            lines = mutate(rng, lines)
         width = len(ds.names)
         fast = data._read_written_samples(lines, width)
         if fast is None:
-            deferred += 1
+            counts["deferred"] += 1
             continue
-        read += 1
-        edited += lines != clean_lines
-        slow = data._read_samples_by_line(lines, width, "mutated.jsonl")
+        counts["read"] += 1
+        counts["edited"] += lines != clean_lines
+        slow = data._read_samples_by_line(lines, width)
         for a, b in zip(fast, slow):
             if a is None or b is None:
                 assert a is None and b is None
             else:
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    # the stage reads unedited files, and edited ones that keep the layout; it defers the rest
-    assert read > 600 and edited > 200 and deferred > 600
+    assert all(counts[key] > floor for key, floor in floors.items()), counts
 
 
 def test_loader_label_bytes_read_the_writers_files(tmp_path):
