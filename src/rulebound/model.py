@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -82,14 +83,11 @@ class TrainConfig:
                 continue
             raw = getattr(self, f.name)
             key = f.name.rstrip("_")  # messages name the config key, as `as_dict` writes it
-            if isinstance(raw, bool):
+            if isinstance(raw, bool) or not isinstance(raw, numbers.Real):  # a string such as "6" too
                 raise ValueError(f"{key} must be a number, got {raw!r}")
             if cast is int and isinstance(raw, float) and not raw.is_integer():
                 raise ValueError(f"{key} must be an integer, got {raw!r}")
-            try:
-                value = cast(raw)
-            except (TypeError, ValueError):
-                raise ValueError(f"{key} must be a number, got {raw!r}") from None
+            value = cast(raw)
             if not math.isfinite(value):  # NaN would pass every range check below
                 raise ValueError(f"{key} must be finite, got {raw!r}")
             object.__setattr__(self, f.name, value)
@@ -263,21 +261,18 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
 def load_model(path) -> tuple[ModelParams, int, dict | None]:
     """Read a checkpoint back; returns (params, seed, config echo or None).
 
-    Each dim must be a non-negative integer. The seed must be an integer in
-    [0, 2**64), as `TrainConfig.seed` is, and a config echo must hold exactly
-    the keys `TrainConfig.as_dict` writes, with values `TrainConfig` accepts."""
+    Each dim must be a non-negative integer and each weight array a flat list
+    of numbers. The seed must be an integer in [0, 2**64), as `TrainConfig.seed`
+    is, and a config echo must hold exactly the keys `TrainConfig.as_dict`
+    writes, with values `TrainConfig` accepts."""
     try:
         doc = json.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     try:
         d, h, l = (_checkpoint_dim(doc["dims"], key) for key in ("n_features", "n_hidden", "n_labels"))
-        params = ModelParams(
-            np.asarray(doc["W1"], dtype=np.float64).reshape(h, d),
-            np.asarray(doc["b1"], dtype=np.float64),
-            np.asarray(doc["W2"], dtype=np.float64).reshape(l, h),
-            np.asarray(doc["b2"], dtype=np.float64),
-        )
+        W1, b1, W2, b2 = (_weight_array(doc, name) for name in ("W1", "b1", "W2", "b2"))
+        params = ModelParams(W1.reshape(h, d), b1, W2.reshape(l, h), b2)
         _check_finite(params)  # JSON readers take NaN and Infinity, which save_model never writes
         seed = doc["seed"]
         if type(seed) is not int or not 0 <= seed < 2**64:
@@ -297,6 +292,15 @@ def _checkpoint_dim(dims, key: str) -> int:
     if type(value) is not int or value < 0:
         raise ValueError(f"dims key '{key}' must be a non-negative integer, got {json.dumps(value)}")
     return value
+
+
+def _weight_array(doc, name: str) -> np.ndarray:
+    """A weight array as `save_model` writes it: a flat JSON list of numbers,
+    not strings or booleans, which numpy would convert."""
+    values = doc[name]
+    if type(values) is not list or not set(map(type, values)) <= {int, float}:
+        raise ValueError(f"{name} must be a list of numbers")
+    return np.array(values, dtype=np.float64)
 
 
 def _check_config_echo(config) -> None:

@@ -251,6 +251,9 @@ def _lex(line: str, line_no: int) -> list[_Token]:
 
 
 class _LineParser:
+    """Parses one rule line's tokens. Every error names the column of the token
+    it is about, or the column just past the line when the line ended early."""
+
     def __init__(self, tokens: list[_Token], line_no: int, line_len: int, resolve):
         self.tokens = tokens
         self.line = line_no
@@ -266,124 +269,90 @@ class _LineParser:
         self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        column = tok.column if tok is not None else self.end_column
-        raise RuleSyntaxError(message, self.line, column)
+    def at(self, kind: str, value: str | None = None, ahead: int = 0) -> bool:
+        """Whether the token `ahead` places on is of `kind` (and `value`, if given)."""
+        tok = self.tokens[self.pos + ahead] if self.pos + ahead < len(self.tokens) else None
+        return tok is not None and tok.kind == kind and value in (None, tok.value)
 
-    def is_sym(self, value: str) -> bool:
-        tok = self.peek()
-        return tok is not None and tok.kind == "sym" and tok.value == value
+    def fail(self, message: str, tok: _Token | None = None, cls: type[RuleError] = RuleSyntaxError):
+        """Raise `cls` at `tok`, by default the next token."""
+        tok = tok or self.peek()
+        raise cls(message, self.line, tok.column if tok is not None else self.end_column)
+
+    def expect(self, kind: str, value: str | None, message: str) -> _Token:
+        if not self.at(kind, value):
+            self.fail(message)
+        return self.take()
+
+    def separated(self, sep: str, item) -> list:
+        """One or more `item()` results with the symbol `sep` between them."""
+        items = [item()]
+        while self.at("sym", sep):
+            self.take()
+            items.append(item())
+        return items
 
     def parse(self) -> list[Rule]:
-        first = self.peek()
-        second = self.tokens[1] if len(self.tokens) > 1 else None
-        if (
-            first is not None
-            and first.kind == "ident"
-            and first.value == "MUTEX"
-            and second is not None
-            and second.kind == "sym"
-            and second.value == "("
-        ):
-            return self._parse_mutex()
-        return [self._parse_clause()]
+        if self.at("ident", "MUTEX") and self.at("sym", "(", ahead=1):
+            return self._mutex()
+        return [self._clause()]
 
-    def _parse_name(self, context: str) -> tuple[str, _Token]:
-        tok = self.peek()
-        if tok is None or tok.kind != "ident":
-            self.fail(f"expected a label name {context}", tok)
+    def _label(self, context: str, used: set[int], duplicate_message: str) -> int:
+        """A label name's index; `used` holds those read before it in the same list."""
+        tok = self.expect("ident", None, f"expected a label name {context}")
         if tok.value in _RESERVED:
             self.fail(f"{tok.value} is a reserved word and cannot be used as a label", tok)
-        return self.take().value, tok
-
-    def _parse_literal(self, used: set[int], side: str) -> Literal:
-        negated = False
-        tok = self.peek()
-        if self.is_sym("!"):
-            self.take()
-            negated = True
-            tok = self.peek()
-        name, tok = self._parse_name("after '!'" if negated else f"in the {side}")
-        label = self.resolve(name, self.line, tok.column)
+        label = self.resolve(tok.value, self.line, tok.column)
         if label in used:
-            raise DuplicateLiteralError(
-                f"label {name} appears twice in the {side}", self.line, tok.column
-            )
+            self.fail(f"label {tok.value} {duplicate_message}", tok, DuplicateLiteralError)
         used.add(label)
-        return Literal(label, negated)
+        return label
 
-    def _parse_weight(self) -> float:
-        self.take()  # '@'
-        tok = self.peek()
-        if tok is None or tok.kind != "number":
-            self.fail("expected a weight after '@'", tok)
-        self.take()
-        value = float(tok.value)
-        if not (value > 0 and math.isfinite(value)):
-            raise InvalidWeightError(
-                f"rule weight must be positive and finite, got {tok.value}", self.line, tok.column
-            )
-        return value
+    def _literals(self, sep: str, side: str) -> list[Literal]:
+        used: set[int] = set()
+
+        def literal() -> Literal:
+            negated = self.at("sym", "!")
+            if negated:
+                self.take()
+            context = "after '!'" if negated else f"in the {side}"
+            return Literal(self._label(context, used, f"appears twice in the {side}"), negated)
+
+        return self.separated(sep, literal)
 
     def _finish(self) -> float:
+        """The rule's weight, 1.0 unless `@ w` follows; nothing may come after it."""
         weight = 1.0
-        if self.is_sym("@"):
-            weight = self._parse_weight()
-        tok = self.peek()
-        if tok is not None:
-            self.fail("unexpected input after the rule", tok)
+        if self.at("sym", "@"):
+            self.take()
+            tok = self.expect("number", None, "expected a weight after '@'")
+            weight = float(tok.value)
+            if not (weight > 0 and math.isfinite(weight)):
+                message = f"rule weight must be positive and finite, got {tok.value}"
+                self.fail(message, tok, InvalidWeightError)
+        if self.peek() is not None:
+            self.fail("unexpected input after the rule")
         return weight
 
-    def _parse_clause(self) -> Rule:
-        tok = self.peek()
-        if tok is not None and tok.kind == "arrow":
-            raise EmptyAntecedentError("empty antecedent", self.line, tok.column)
-        ant_used: set[int] = set()
-        antecedent = [self._parse_literal(ant_used, "antecedent")]
-        while self.is_sym("&"):
-            self.take()
-            antecedent.append(self._parse_literal(ant_used, "antecedent"))
-        tok = self.peek()
-        if tok is None or tok.kind != "arrow":
-            self.fail("expected '=>'", tok)
-        self.take()
-        consequent: list[Literal] = []
-        tok = self.peek()
-        if tok is not None and tok.kind == "ident" and tok.value == "FALSE":
+    def _clause(self) -> Rule:
+        if self.at("arrow"):
+            self.fail("empty antecedent", cls=EmptyAntecedentError)
+        antecedent = self._literals("&", "antecedent")
+        self.expect("arrow", None, "expected '=>'")
+        consequent = []
+        if self.at("ident", "FALSE"):
             self.take()
         else:
-            cons_used: set[int] = set()
-            consequent.append(self._parse_literal(cons_used, "consequent"))
-            while self.is_sym("|"):
-                self.take()
-                consequent.append(self._parse_literal(cons_used, "consequent"))
-        weight = self._finish()
-        return Rule(tuple(antecedent), tuple(consequent), weight, self.line)
+            consequent = self._literals("|", "consequent")
+        return Rule(antecedent, consequent, self._finish(), self.line)
 
-    def _parse_mutex(self) -> list[Rule]:
-        self.take()  # MUTEX
-        self.take()  # '('
-        labels: list[int] = []
+    def _mutex(self) -> list[Rule]:
+        self.pos += 2  # MUTEX (
         used: set[int] = set()
-        while True:
-            name, tok = self._parse_name("inside MUTEX")
-            label = self.resolve(name, self.line, tok.column)
-            if label in used:
-                raise DuplicateLiteralError(
-                    f"label {name} listed twice in MUTEX", self.line, tok.column
-                )
-            used.add(label)
-            labels.append(label)
-            if self.is_sym(","):
-                self.take()
-                continue
-            break
-        tok = self.peek()
-        if tok is None or tok.kind != "sym" or tok.value != ")":
-            self.fail("expected ',' or ')' in MUTEX", tok)
-        self.take()
+        labels = self.separated(",", lambda: self._label("inside MUTEX", used, "listed twice in MUTEX"))
+        close = self.expect("sym", ")", "expected ',' or ')' in MUTEX")
         if len(labels) < 2:
-            self.fail("MUTEX needs at least two labels", tok)
+            self.fail("MUTEX needs at least two labels", close)
         weight = self._finish()
         return [
             Rule((Literal(a),), (Literal(b, negated=True),), weight, self.line)

@@ -166,6 +166,27 @@ def test_fractional_integer_hyperparameter_exits_two(tmp_path, rules_file, capsy
     assert "invalid number value: 'many'" in capsys.readouterr().err
 
 
+def test_string_hyperparameters_in_a_config_exit_two(tmp_path, rules_file, capsys):
+    # the config keys take JSON numbers; a string holding one is not read as a number
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+    cfg_path = tmp_path / "exp.json"
+    doc = {"rules": rules_file, "data": data, "epochs": "6", "learning_rate": "0.1", "seed": " 7 "}
+    cfg_path.write_text(json.dumps(doc))
+    # the fields are checked in TrainConfig's order: learning_rate, epochs, ..., seed
+    assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: learning_rate must be a number, got '0.1'\n"
+    doc["learning_rate"] = 0.1
+    cfg_path.write_text(json.dumps(doc))
+    assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: epochs must be a number, got '6'\n"
+    doc["epochs"] = 6
+    cfg_path.write_text(json.dumps(doc))
+    assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: seed must be a number, got ' 7 '\n"
+    assert not model.exists()
+
+
 def test_config_and_flag_messages_name_the_config_key(tmp_path, rules_file, capsys):
     data = _write_plain_dataset(tmp_path / "plain.jsonl")
     history = tmp_path / "h.jsonl"
@@ -223,6 +244,27 @@ def test_eval_rejects_checkpoint_with_non_finite_weights(tmp_path, rules_file, c
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {model}: malformed checkpoint: non-finite values in parameter {name}\n"
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("W1", lambda values: [str(v) for v in values]),
+    ("b2", lambda values: [True] * len(values)),
+    ("W2", lambda values: [values]),
+    ("b1", lambda values: [None] * len(values)),
+    ("W1", lambda values: {"values": values}),
+], ids=["strings", "booleans", "nested", "nulls", "object"])
+def test_eval_rejects_checkpoint_weights_that_are_not_numbers(tmp_path, rules_file, capsys, name, edit):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--hidden", "2", "--out-model", str(model)]) == 0
+    doc = json.loads(model.read_text())
+    doc[name] = edit(doc[name])
+    model.write_text(json.dumps(doc))
+    assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(model)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {model}: malformed checkpoint: {name} must be a list of numbers\n"
 
 
 def test_train_steps_over_a_batch_with_every_entry_masked(tmp_path, capsys):
@@ -459,11 +501,14 @@ _ECHO_KEYS = ", ".join(["learning_rate", "epochs", "batch_size", "lambda", "warm
     (lambda doc: doc.update(seed="7"), 'seed must be an integer in [0, 2**64), got "7"'),
     (lambda doc: doc.update(seed=2**64), "seed must be an integer in [0, 2**64), got 18446744073709551616"),
     (lambda doc: doc["config"].update(epochs="x"), "config echo: epochs must be a number, got 'x'"),
+    (lambda doc: doc["config"].update(seed="7"), "config echo: seed must be a number, got '7'"),
+    (lambda doc: doc["config"].update(tau="0.9"), "config echo: tau must be a number, got '0.9'"),
     (lambda doc: doc["config"].update(tau=2), "config echo: tau must lie in (0.5, 1)"),
     (lambda doc: doc["config"].pop("tau"), f"config echo must be an object with the keys {_ECHO_KEYS}"),
     (lambda doc: doc["config"].update(extra=1), f"config echo must be an object with the keys {_ECHO_KEYS}"),
     (lambda doc: doc.update(config=[]), f"config echo must be an object with the keys {_ECHO_KEYS}"),
-], ids=["negative-seed", "string-seed", "seed-past-64-bits", "string-epochs", "tau-out-of-range",
+], ids=["negative-seed", "string-seed", "seed-past-64-bits", "string-epochs", "echo-string-seed",
+        "echo-string-tau", "tau-out-of-range",
         "missing-key", "extra-key", "config-not-an-object"])
 def test_eval_rejects_checkpoint_with_bad_seed_or_config_echo(tmp_path, rules_file, capsys, edit, message):
     data = _write_plain_dataset(tmp_path / "plain.jsonl")

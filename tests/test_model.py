@@ -361,7 +361,11 @@ def test_train_config_rejects_fractional_integers(kwargs, field):
 @pytest.mark.parametrize(
     "kwargs, message",
     [({"lambda_": None}, "lambda must be a number, got None"),
-     ({"lambda_": True}, "lambda must be a number, got True")],
+     ({"lambda_": True}, "lambda must be a number, got True"),
+     ({"epochs": "6"}, "epochs must be a number, got '6'"),
+     ({"learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
+     ({"seed": " 7 "}, "seed must be a number, got ' 7 '"),
+     ({"tau": "nan"}, "tau must be a number, got 'nan'")],
 )
 def test_train_config_messages_name_the_config_key(kwargs, message):
     with pytest.raises(ValueError) as err:

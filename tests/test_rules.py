@@ -126,39 +126,94 @@ def test_syntax_error_carries_line_and_column():
     assert "column" in str(exc.value)
 
 
+# The tables below give each input's exact error: its class, str(err), err.line and
+# err.column. A column one past the line's end, its comment stripped, means the line
+# ended early.
+
+
+def _assert_parse_error(text, cls, message, line, column, vocab=None):
+    with pytest.raises(RuleError) as exc:
+        parse_rules(text, LabelVocabulary(vocab.split()) if vocab else None)
+    err = exc.value
+    assert (type(err), str(err), err.line, err.column) == (cls, message, line, column)
+
+
+_SYNTAX = RuleSyntaxError
+
+
 @pytest.mark.parametrize(
-    "text",
+    "text, vocab, cls, message, line, column",
     [
-        "a =>",
-        "a => b c",
-        "a | b => c",
-        "a & & b => c",
-        "MUTEX(a)",
-        "MUTEX a, b",
-        "a => b @",
-        "a => b @ fast",
-        "a $ => b",
-        "(a) => b",
+        ("a =>", None, _SYNTAX, "line 1, column 5: expected a label name in the consequent", 1, 5),
+        ("a => b |", None, _SYNTAX, "line 1, column 9: expected a label name in the consequent", 1, 9),
+        ("a => b c", None, _SYNTAX, "line 1, column 8: unexpected input after the rule", 1, 8),
+        ("a => FALSE | b", None, _SYNTAX, "line 1, column 12: unexpected input after the rule", 1, 12),
+        ("a => b @ 1 2", None, _SYNTAX, "line 1, column 12: unexpected input after the rule", 1, 12),
+        ("MUTEX(a, b) c", None, _SYNTAX, "line 1, column 13: unexpected input after the rule", 1, 13),
+        ("a | b => c", None, _SYNTAX, "line 1, column 3: expected '=>'", 1, 3),
+        ("a # no arrow", None, _SYNTAX, "line 1, column 3: expected '=>'", 1, 3),
+        ("a & & b => c", None, _SYNTAX, "line 1, column 5: expected a label name in the antecedent", 1, 5),
+        ("(a) => b", None, _SYNTAX, "line 1, column 1: expected a label name in the antecedent", 1, 1),
+        ("a => !", None, _SYNTAX, "line 1, column 7: expected a label name after '!'", 1, 7),
+        ("!=> b", None, _SYNTAX, "line 1, column 2: expected a label name after '!'", 1, 2),
+        ("MUTEX(a, )", None, _SYNTAX, "line 1, column 10: expected a label name inside MUTEX", 1, 10),
+        ("MUTEX(", None, _SYNTAX, "line 1, column 7: expected a label name inside MUTEX", 1, 7),
+        ("MUTEX(a b)", None, _SYNTAX, "line 1, column 9: expected ',' or ')' in MUTEX", 1, 9),
+        ("MUTEX(a, b", None, _SYNTAX, "line 1, column 11: expected ',' or ')' in MUTEX", 1, 11),
+        ("MUTEX(a)", None, _SYNTAX, "line 1, column 8: MUTEX needs at least two labels", 1, 8),
+        ("MUTEX a, b", None, _SYNTAX,
+         "line 1, column 1: MUTEX is a reserved word and cannot be used as a label", 1, 1),
+        ("a => b @", None, _SYNTAX, "line 1, column 9: expected a weight after '@'", 1, 9),
+        ("a => b @ # w", None, _SYNTAX, "line 1, column 10: expected a weight after '@'", 1, 10),
+        ("a => b @ fast", None, _SYNTAX, "line 1, column 10: expected a weight after '@'", 1, 10),
+        ("a $ => b", None, _SYNTAX, "line 1, column 3: unexpected character '$'", 1, 3),
+        ("=> b", None, EmptyAntecedentError, "line 1, column 1: empty antecedent", 1, 1),
+        ("a => b\na & => b", None, _SYNTAX,
+         "line 2, column 5: expected a label name in the antecedent", 2, 5),
+        ("a => b\r\n\r\n  c => d @ x", None, _SYNTAX,
+         "line 3, column 12: expected a weight after '@'", 3, 12),
+        ("# c\n=> b", None, EmptyAntecedentError, "line 2, column 1: empty antecedent", 2, 1),
+        ("a => b\nb ; c", None, _SYNTAX, "line 2, column 3: unexpected character ';'", 2, 3),
+        ("a => w", "a b c", UnknownLabelError, "line 1, column 6: unknown label 'w'", 1, 6),
+        ("w => a", "a b c", UnknownLabelError, "line 1, column 1: unknown label 'w'", 1, 1),
+        ("a & !w => b", "a b c", UnknownLabelError, "line 1, column 6: unknown label 'w'", 1, 6),
+        ("MUTEX(a, w)", "a b c", UnknownLabelError, "line 1, column 10: unknown label 'w'", 1, 10),
+        ("a => b\nc => w @ 0", "a b c", UnknownLabelError, "line 2, column 6: unknown label 'w'", 2, 6),
+        ("a & => w", "a b c", _SYNTAX, "line 1, column 5: expected a label name in the antecedent", 1, 5),
     ],
 )
-def test_malformed_lines_raise_syntax_errors(text):
-    with pytest.raises(RuleSyntaxError):
-        parse_rules(text)
-
-
-@pytest.mark.parametrize("text", ["FALSE => a", "a => b | MUTEX", "MUTEX(a, FALSE)"])
-def test_reserved_words_rejected_as_labels(text):
-    with pytest.raises(RuleSyntaxError, match="reserved"):
-        parse_rules(text)
+def test_malformed_lines_raise_syntax_errors(text, vocab, cls, message, line, column):
+    _assert_parse_error(text, cls, message, line, column, vocab)
 
 
 @pytest.mark.parametrize(
-    "text",
-    ["a & a => b", "a & !a => b", "a => b | !b", "MUTEX(a, b, a)"],
+    "text, message, line, column",
+    [
+        ("FALSE => a", "line 1, column 1: FALSE is a reserved word and cannot be used as a label", 1, 1),
+        ("a => b | MUTEX", "line 1, column 10: MUTEX is a reserved word and cannot be used as a label", 1, 10),
+        ("MUTEX(a, FALSE)", "line 1, column 10: FALSE is a reserved word and cannot be used as a label", 1, 10),
+        ("a & !MUTEX => b", "line 1, column 6: MUTEX is a reserved word and cannot be used as a label", 1, 6),
+        ("a => !FALSE", "line 1, column 7: FALSE is a reserved word and cannot be used as a label", 1, 7),
+        ("MUTEX", "line 1, column 1: MUTEX is a reserved word and cannot be used as a label", 1, 1),
+        ("a => b\nMUTEX => a", "line 2, column 1: MUTEX is a reserved word and cannot be used as a label", 2, 1),
+    ],
 )
-def test_duplicate_literal_same_side(text):
-    with pytest.raises(DuplicateLiteralError):
-        parse_rules(text)
+def test_reserved_words_rejected_as_labels(text, message, line, column):
+    _assert_parse_error(text, RuleSyntaxError, message, line, column)
+
+
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("a & a => b", "line 1, column 5: label a appears twice in the antecedent", 1, 5),
+        ("a & !a => b", "line 1, column 6: label a appears twice in the antecedent", 1, 6),
+        ("a => b | !b", "line 1, column 11: label b appears twice in the consequent", 1, 11),
+        ("MUTEX(a, b, a)", "line 1, column 13: label a listed twice in MUTEX", 1, 13),
+        ("a => b\nMUTEX(c,c)", "line 2, column 9: label c listed twice in MUTEX", 2, 9),
+    ],
+)
+def test_duplicate_literal_same_side(text, message, line, column):
+    _assert_parse_error(text, DuplicateLiteralError, message, line, column)
 
 
 def test_repeat_across_sides_is_fine():
@@ -166,10 +221,20 @@ def test_repeat_across_sides_is_fine():
     assert len(rs.rules) == 1
 
 
-@pytest.mark.parametrize("text", ["a => b @ 0", "a => b @ -2", "a => b @ -0.0"])
-def test_nonpositive_weight_rejected(text):
-    with pytest.raises(InvalidWeightError):
-        parse_rules(text)
+@pytest.mark.parametrize(
+    "text, message, line, column",
+    [
+        ("a => b @ 0", "line 1, column 10: rule weight must be positive and finite, got 0", 1, 10),
+        ("a => b @ -2", "line 1, column 10: rule weight must be positive and finite, got -2", 1, 10),
+        ("a => b @ -0.0", "line 1, column 10: rule weight must be positive and finite, got -0.0", 1, 10),
+        ("a => b @ +0", "line 1, column 10: rule weight must be positive and finite, got +0", 1, 10),
+        ("a => b @ 1e999", "line 1, column 10: rule weight must be positive and finite, got 1e999", 1, 10),
+        ("a => b @ 0 x", "line 1, column 10: rule weight must be positive and finite, got 0", 1, 10),
+        ("a => b\nMUTEX(a, b) @ -1", "line 2, column 15: rule weight must be positive and finite, got -1", 2, 15),
+    ],
+)
+def test_nonpositive_weight_rejected(text, message, line, column):
+    _assert_parse_error(text, InvalidWeightError, message, line, column)
 
 
 def test_empty_text_without_vocab_rejected():
