@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
 
 from . import jsonio
 from .data import NOISE_MODES, audit, inject_noise, load_dataset, save_dataset, synthesize
@@ -36,7 +35,8 @@ class _Parser(argparse.ArgumentParser):
 
 # config keys of the TrainConfig fields, in field order; each is also its flag's dest
 _TRAIN_KEYS = tuple(TrainConfig().as_dict())
-_PATH_KEYS = ("rules", "data", "out_model", "out_history", "out_report")
+_OUTPUT_KEYS = ("out_model", "out_history", "out_report")
+_PATH_KEYS = ("rules", "data") + _OUTPUT_KEYS
 _CONFIG_KEYS = _TRAIN_KEYS + _PATH_KEYS + ("threshold",)
 
 
@@ -156,40 +156,29 @@ def cmd_audit(args) -> int:
 
 
 def cmd_train(args) -> int:
-    doc = _load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, default=None):
-        return flag_value if flag_value is not None else doc.get(key, default)
-
-    rules_path = pick(args.rules, "rules")
-    data_path = pick(args.data, "data")
-    if not rules_path:
-        raise UsageError("train needs a rule file (--rules or config key 'rules')")
-    if not data_path:
-        raise UsageError("train needs a dataset (--data or config key 'data')")
-    out_model = pick(args.out_model, "out_model")
-    out_history = pick(args.out_history, "out_history")
-    out_report = pick(args.out_report, "out_report")
-    jsonio.check_targets(*(path for path in (out_model, out_history, out_report) if path))
-    ds = load_dataset(data_path)
-    rs = _load_rules(rules_path, ds.names)
+    settings = _load_config(args.config) if args.config else {}
     # a flag beats its config key; a key set by neither keeps the TrainConfig default
-    cfg = TrainConfig(**{
-        f.name: pick(getattr(args, key), key)
-        for f, key in zip(fields(TrainConfig), _TRAIN_KEYS)
-        if getattr(args, key) is not None or key in doc
-    })
+    flags = vars(args).items()
+    settings.update((key, value) for key, value in flags if key in _CONFIG_KEYS and value is not None)
+    if not settings.get("rules"):
+        raise UsageError("train needs a rule file (--rules or config key 'rules')")
+    if not settings.get("data"):
+        raise UsageError("train needs a dataset (--data or config key 'data')")
+    cfg = TrainConfig.from_dict(settings)
+    jsonio.check_targets(*(settings[key] for key in _OUTPUT_KEYS if settings.get(key)))
+    ds = load_dataset(settings["data"])
+    rs = _load_rules(settings["rules"], ds.names)
     params, history, state = train(ds, rs, cfg)
-    if out_report:
-        report = evaluate(params, ds, rs, doc.get("threshold", 0.5))
+    if settings.get("out_report"):
+        report = evaluate(params, ds, rs, settings.get("threshold", 0.5))
         if ds.clean_Y is not None:
             report.correction = correction_report(state, ds)
     writes = [
-        (out_model, lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
-        (out_history, history.write_jsonl),
-        (out_report, lambda tmp: jsonio.dump(report, tmp)),
+        ("out_model", lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
+        ("out_history", history.write_jsonl),
+        ("out_report", lambda tmp: jsonio.dump(report, tmp)),
     ]
-    writes = [(path, write) for path, write in writes if path]
+    writes = [(settings[key], write) for key, write in writes if settings.get(key)]
     # every output is written in full before any of them replaces its target
     with jsonio.atomic_paths(*(path for path, _ in writes)) as tmps:
         for tmp, (_, write) in zip(tmps, writes):

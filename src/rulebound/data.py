@@ -232,8 +232,6 @@ def _read_samples_by_line(lines: list[str], width: int):
     ys: list[list] = []
     cleans: list[list] = []
     line_nos: list[int] = []
-    has_clean: bool | None = None
-    n_features: int | None = None
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -247,18 +245,14 @@ def _read_samples_by_line(lines: list[str], width: int):
         if _NEGATIVE_ZERO.search(line):
             x = json.loads(line, parse_int=_int_keeping_negative_zero)["x"]
         y = _parse_number_list(row["y"], line_no, "y", binary=True)
-        if n_features is None:
-            n_features = len(x)
-        elif len(x) != n_features:
-            raise DatasetError(f"line {line_no}: expected {n_features} features, got {len(x)}")
+        # the first kept sample sets the feature count and whether y_clean appears
+        if xs and len(x) != len(xs[0]):
+            raise DatasetError(f"line {line_no}: expected {len(xs[0])} features, got {len(x)}")
         if len(y) != width:
             raise DatasetError(f"line {line_no}: expected {width} labels, got {len(y)}")
-        row_has_clean = "y_clean" in row
-        if has_clean is None:
-            has_clean = row_has_clean
-        elif row_has_clean != has_clean:
+        if xs and ("y_clean" in row) != bool(cleans):
             raise DatasetError(f"line {line_no}: y_clean must appear on every sample or on none")
-        if row_has_clean:
+        if "y_clean" in row:
             y_clean = _parse_number_list(row["y_clean"], line_no, "y_clean", binary=True)
             if len(y_clean) != width:
                 raise DatasetError(
@@ -277,7 +271,7 @@ def _read_samples_by_line(lines: list[str], width: int):
     if X is None or not np.isfinite(X).all():
         bad = next(line_no for line_no, x in zip(line_nos, xs) if not _finite(x))
         raise DatasetError(f"line {bad}: features must be finite")
-    clean = np.asarray(cleans, dtype=np.int64) if has_clean else None
+    clean = np.asarray(cleans, dtype=np.int64) if cleans else None
     return X, np.asarray(ys, dtype=np.int64), clean
 
 
@@ -401,14 +395,13 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
         rows = min(rows, budget - rejections + k_patterns - len(accepted))
         before = stream.bit_generator.state
         block = stream.integers(0, 2, size=(rows, n_labels))
-        used = 0
-        for draw, violates in zip(map(tuple, block.tolist()), violation_matrix(rs, block).any(axis=1)):
+        draws = zip(map(tuple, block.tolist()), violation_matrix(rs, block).any(axis=1))
+        for used, (draw, violates) in enumerate(draws, start=1):
             if rejections >= budget:
                 raise SynthesisBudgetError(
                     f"no {k_patterns} distinct rule-consistent label vectors "
                     f"within {budget} rejections"
                 )
-            used += 1
             if violates or draw in accepted:
                 rejections += 1
             else:

@@ -62,6 +62,15 @@ class ModelParams:
         return self.W2.shape[0]
 
 
+def _inf_past_float_range(value):
+    """`value`, or +-inf for an integer past the float range, as the JSON float token 1e400 reads."""
+    try:
+        float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+    return value
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of the training schedule."""
@@ -85,6 +94,7 @@ class TrainConfig:
             key = f.name.rstrip("_")  # messages name the config key, as `as_dict` writes it
             if isinstance(raw, bool) or not isinstance(raw, numbers.Real):  # a string such as "6" too
                 raise ValueError(f"{key} must be a number, got {raw!r}")
+            raw = _inf_past_float_range(raw)
             if cast is int and isinstance(raw, float) and not raw.is_integer():
                 raise ValueError(f"{key} must be an integer, got {raw!r}")
             value = cast(raw)
@@ -115,6 +125,12 @@ class TrainConfig:
     def as_dict(self) -> dict:
         """Every field in declaration order, keyed by name; `lambda_` is keyed "lambda"."""
         return {f.name.rstrip("_"): getattr(self, f.name) for f in fields(self)}
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "TrainConfig":
+        """The config with each field read from its `as_dict` key in `doc`; a
+        field whose key is absent keeps its default, and other keys are not read."""
+        return cls(**{f.name: doc[key] for f in fields(cls) if (key := f.name.rstrip("_")) in doc})
 
 
 def init_params(seed: int, n_features: int, n_hidden: int, n_labels: int) -> ModelParams:
@@ -300,7 +316,10 @@ def _weight_array(doc, name: str) -> np.ndarray:
     values = doc[name]
     if type(values) is not list or not set(map(type, values)) <= {int, float}:
         raise ValueError(f"{name} must be a list of numbers")
-    return np.array(values, dtype=np.float64)
+    try:
+        return np.array(values, dtype=np.float64)
+    except OverflowError:
+        return np.array([_inf_past_float_range(value) for value in values], dtype=np.float64)
 
 
 def _check_config_echo(config) -> None:
@@ -308,6 +327,6 @@ def _check_config_echo(config) -> None:
     if not isinstance(config, dict) or sorted(config) != sorted(keys):
         raise ValueError(f"config echo must be an object with the keys {', '.join(keys)}")
     try:
-        TrainConfig(**{f.name: config[key] for f, key in zip(fields(TrainConfig), keys)})
+        TrainConfig.from_dict(config)
     except ValueError as err:
         raise ValueError(f"config echo: {err}") from None

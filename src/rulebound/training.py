@@ -29,7 +29,7 @@ from .model import (
 )
 from .relax import domain_loss
 from .rules import RuleSet, reindex_ruleset
-from .supervision import SupervisionState, correct_labels, flag_inconsistent, init_supervision
+from .supervision import ORIGIN_SELF_CORRECTED, SupervisionState, correct_labels, flag_inconsistent, init_supervision
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,6 @@ def train(
     if not state.mask.any():  # corrections only unmask entries, so later epochs keep some supervision
         raise ValueError(NO_SUPERVISION)
     history = TrainHistory()
-    corrected_total = 0
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(cfg.seed, epoch, n)
         mask = state.mask  # the state changes only at epoch ends
@@ -103,12 +102,11 @@ def train(
                 epoch_domain,
                 epoch_bce + cfg.lambda_ * epoch_domain,
                 state.n_masked,
-                corrected_total,
+                int((state.origin == ORIGIN_SELF_CORRECTED).sum()),
             )
         )
         if cfg.correction_mode == "relabel" and epoch >= cfg.warmup_epochs:
-            state, n_new = correct_labels(state, probs, cfg.tau)
-            corrected_total += n_new
+            state, _ = correct_labels(state, probs, cfg.tau)
     return params, history, state
 
 

@@ -164,6 +164,10 @@ def test_fractional_integer_hyperparameter_exits_two(tmp_path, rules_file, capsy
     assert len(history.read_text().splitlines()) == 2
     assert run(["train", "--config", str(cfg_path), "--epochs", "many"]) == 1
     assert "invalid number value: 'many'" in capsys.readouterr().err
+    # an integer past the float range reads as the float token 1e400 does
+    cfg_path.write_text(f'{{"rules": "{rules_file}", "data": "{data}", "epochs": 1{"0" * 400}}}')
+    assert run(["train", "--config", str(cfg_path), "--out-history", str(history)]) == 2
+    assert capsys.readouterr().err == "error: epochs must be an integer, got inf\n"
 
 
 def test_string_hyperparameters_in_a_config_exit_two(tmp_path, rules_file, capsys):
@@ -227,17 +231,24 @@ def test_non_finite_hyperparameter_exits_two_before_training(
     cfg_path.write_text(f'{{"rules": "{rules_file}", "data": "{data}", "{key}": -Infinity}}')
     assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
     assert capsys.readouterr().err == f"error: {key} must be finite, got -inf\n"
+    # and an integer past the float range reads as the float token -1e400 does
+    cfg_path.write_text(f'{{"rules": "{rules_file}", "data": "{data}", "{key}": -1{"0" * 400}}}')
+    assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be finite, got -inf\n"
     assert not model.exists()
 
 
-@pytest.mark.parametrize("name, text", [("W1", "NaN"), ("b2", "Infinity"), ("W2", "-Infinity")])
+@pytest.mark.parametrize("name, text", [
+    ("W1", "NaN"), ("b2", "Infinity"), ("W2", "-Infinity"),
+    pytest.param("b2", "1" + "0" * 400, id="b2-integer-past-the-float-range"),
+])
 def test_eval_rejects_checkpoint_with_non_finite_weights(tmp_path, rules_file, capsys, name, text):
     data = _write_plain_dataset(tmp_path / "plain.jsonl")
     model = tmp_path / "m.json"
     assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
                 "--hidden", "2", "--out-model", str(model)]) == 0
     doc = json.loads(model.read_text())
-    doc[name][0] = float(text)  # json.dumps writes it back as the bare token NaN or Infinity
+    doc[name][0] = json.loads(text)  # json.dumps writes it back as the bare token
     model.write_text(json.dumps(doc))
     assert text in model.read_text()
     assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(model)]) == 2
@@ -381,6 +392,28 @@ def test_rule_and_dataset_errors_name_their_file(tmp_path, rules_file, capsys):
     assert capsys.readouterr().err.startswith(f"error: {bad_data}: line 1, column 1: ")
 
 
+def test_train_settings_are_checked_before_any_file_is_read(tmp_path, rules_file, capsys):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model, adir = tmp_path / "m.json", tmp_path / "adir"
+    adir.mkdir()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    # the setting is named, not the missing dataset
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"rules": rules_file, "data": str(tmp_path / "missing.jsonl"), "epochs": "6"}))
+    assert run(["train", "--config", str(cfg_path), "--out-model", str(model)]) == 2
+    assert capsys.readouterr().err == "error: epochs must be a number, got '6'\n"
+    # nor a rule file that does not parse, nor an output target that is a directory
+    bad_rules = tmp_path / "bad.rules"
+    bad_rules.write_text("a & => b\n")
+    args = ["train", "--rules", str(bad_rules), "--data", data, "--tau", "2", "--out-model", str(model)]
+    assert run(args) == 2
+    assert capsys.readouterr().err == "error: tau must lie in (0.5, 1)\n"
+    assert run(args + ["--out-history", str(adir)]) == 2
+    assert capsys.readouterr().err == "error: tau must lie in (0.5, 1)\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(before + ["bad.rules", "exp.json"])
+    assert not list(adir.iterdir())
+
+
 def test_runtime_errors_exit_three(tmp_path, rules_file, capsys):
     assert run(["audit", "--rules", rules_file, "--data", str(tmp_path / "missing.jsonl")]) == 3
     impossible = tmp_path / "impossible.rules"
@@ -504,11 +537,12 @@ _ECHO_KEYS = ", ".join(["learning_rate", "epochs", "batch_size", "lambda", "warm
     (lambda doc: doc["config"].update(seed="7"), "config echo: seed must be a number, got '7'"),
     (lambda doc: doc["config"].update(tau="0.9"), "config echo: tau must be a number, got '0.9'"),
     (lambda doc: doc["config"].update(tau=2), "config echo: tau must lie in (0.5, 1)"),
+    (lambda doc: doc["config"].update(learning_rate=10**400), "config echo: learning_rate must be finite, got inf"),
     (lambda doc: doc["config"].pop("tau"), f"config echo must be an object with the keys {_ECHO_KEYS}"),
     (lambda doc: doc["config"].update(extra=1), f"config echo must be an object with the keys {_ECHO_KEYS}"),
     (lambda doc: doc.update(config=[]), f"config echo must be an object with the keys {_ECHO_KEYS}"),
 ], ids=["negative-seed", "string-seed", "seed-past-64-bits", "string-epochs", "echo-string-seed",
-        "echo-string-tau", "tau-out-of-range",
+        "echo-string-tau", "tau-out-of-range", "echo-integer-past-the-float-range",
         "missing-key", "extra-key", "config-not-an-object"])
 def test_eval_rejects_checkpoint_with_bad_seed_or_config_echo(tmp_path, rules_file, capsys, edit, message):
     data = _write_plain_dataset(tmp_path / "plain.jsonl")

@@ -243,6 +243,10 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
         (_OK + ['{"x": [0.5, Infinity], "y": [1, 0]}'], "line 4: features must be finite"),
         (_OK + ['{"x": [0.5, -Infinity], "y": [1, 0]}'], "line 4: features must be finite"),
         (_OK + _OK + ['{"x": [0.5, 1.0, 2.0], "y": [1, 0]}'], "line 6: expected 2 features, got 3"),
+        # the feature count is the first kept sample's, after blank lines
+        (["", "  ", _OK[0], '{"x": [0.5], "y": [1, 0]}'], "line 5: expected 2 features, got 1"),
+        ([_OK[0], _OK_CLEAN[1]], "line 3: y_clean must appear on every sample or on none"),
+        ([_OK_CLEAN[0], '{"x": [1.5, -2.0], "y": [0, 1], "y_clean": [1]}'], "line 3: expected 2 clean labels, got 1"),
         (_OK + ['{"x": [0.5, 1.0], "y": [1,'], "line 4: invalid JSON: Expecting value"),
         # a row split over two lines, made up by two rows on one line
         (['{"x": [0.5, 1.0]', '"y": [1, 0]}, {"x": [1.5, -2.0], "y": [0, 1]}'],

@@ -365,7 +365,11 @@ def test_train_config_rejects_fractional_integers(kwargs, field):
      ({"epochs": "6"}, "epochs must be a number, got '6'"),
      ({"learning_rate": "0.1"}, "learning_rate must be a number, got '0.1'"),
      ({"seed": " 7 "}, "seed must be a number, got ' 7 '"),
-     ({"tau": "nan"}, "tau must be a number, got 'nan'")],
+     ({"tau": "nan"}, "tau must be a number, got 'nan'"),
+     # an integer past the float range reads as the float token 1e400 does
+     ({"tau": 10**400}, "tau must be finite, got inf"),
+     ({"lambda_": -(10**400)}, "lambda must be finite, got -inf"),
+     ({"epochs": 10**400}, "epochs must be an integer, got inf")],
 )
 def test_train_config_messages_name_the_config_key(kwargs, message):
     with pytest.raises(ValueError) as err:

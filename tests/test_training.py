@@ -302,7 +302,17 @@ def test_warmup_equal_to_epochs_only_corrects_after_last_record():
     assert np.array_equal(s_rel.origin, expect.origin)
 
 
-def test_relabel_run_actually_corrects():
+def test_relabel_run_actually_corrects(monkeypatch):
+    import rulebound.training
+
+    counts = []
+
+    def counting(*args):
+        state, n_corrected = correct_labels(*args)
+        counts.append(n_corrected)
+        return state, n_corrected
+
+    monkeypatch.setattr(rulebound.training, "correct_labels", counting)
     ds, rs = _toy_dataset(seed=7, n=120)
     noisy = _with_noise(ds, rs, rho=0.3, seed=9)
     cfg = TrainConfig(epochs=20, warmup_epochs=4, batch_size=8, seed=0, tau=0.85)
@@ -311,6 +321,11 @@ def test_relabel_run_actually_corrects():
         noisy.Y, flag_inconsistent(rs, noisy.Y), "relabel"
     ).n_masked
     assert (state.origin == ORIGIN_SELF_CORRECTED).sum() > 0
+    # a record counts the corrections of the passes at earlier epoch ends, one pass per
+    # epoch from warmup_epochs on
+    assert len(counts) == 17 and sum(counts) > 0
+    passes_before = [max(0, epoch - 4) for epoch in range(1, 21)]
+    assert [r.n_corrected_cumulative for r in history.records] == [sum(counts[:k]) for k in passes_before]
 
 
 def test_train_rejects_foreign_vocabulary():
