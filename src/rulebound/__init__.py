@@ -42,11 +42,8 @@ from .model import (
 )
 from .relax import (
     BatchPenaltyResult,
-    PenaltyResult,
     domain_loss,
     domain_loss_grad,
-    literal_value,
-    rule_penalty,
     rule_penalty_batch,
 )
 from .rules import (
@@ -61,7 +58,6 @@ from .rules import (
     RuleSyntaxError,
     UnknownLabelError,
     format_rule,
-    hard_satisfied,
     parse_rules,
     reindex_ruleset,
     violated_rules,

@@ -391,8 +391,9 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     rejections = 0
     rows = k_patterns
     while len(accepted) < k_patterns:
-        # no block holds more draws than could be examined before the search ends
-        rows = min(rows, budget - rejections + k_patterns - len(accepted))
+        # no block holds more than _SEARCH_ROWS rows, nor more draws than could
+        # be examined before the search ends
+        rows = min(rows, _SEARCH_ROWS, budget - rejections + k_patterns - len(accepted))
         before = stream.bit_generator.state
         block = stream.integers(0, 2, size=(rows, n_labels))
         draws = zip(map(tuple, block.tolist()), violation_matrix(rs, block).any(axis=1))
@@ -408,7 +409,7 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
                 accepted[draw] = None
                 if len(accepted) == k_patterns:
                     break
-        rows = max(k_patterns, min(2 * rows, _SEARCH_ROWS))
+        rows *= 2
     # draw again only the rows examined, so the centroids follow the last accepted draw
     stream.bit_generator.state = before
     stream.integers(0, 2, size=(used, n_labels))

@@ -28,19 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Literal, Rule, RuleSet, compile_factors, factor_values
+from .rules import Rule, RuleSet, compile_factors, factor_values
 
 # factor entries (factors x rules x rows) per block of a `domain_loss` pass, so
 # that a pass holds about as much memory however many rules the set has
 _BLOCK_ENTRIES = 1 << 15
-
-
-@dataclass(frozen=True)
-class PenaltyResult:
-    """Violation degree of one rule at one probability vector, with its gradient."""
-
-    value: float
-    grad: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -57,17 +49,6 @@ def _check_probabilities(p) -> np.ndarray:
     if not ((arr >= 0) & (arr <= 1)).all():
         raise ValueError("probabilities must lie in [0, 1]")
     return arr
-
-
-def literal_value(lit: Literal, p) -> float:
-    """Relaxed truth value of a literal: p[label], or its complement when negated."""
-    arr = _check_probabilities(p)
-    if arr.ndim != 1:
-        raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
-    if lit.label >= arr.shape[0]:
-        raise ValueError(f"literal label {lit.label} outside vector of length {arr.shape[0]}")
-    value = arr[lit.label]
-    return float(1.0 - value) if lit.negated else float(value)
 
 
 def _degrees(P: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,17 +83,9 @@ def _penalty_grad(
     return grad.reshape(n, width)
 
 
-def rule_penalty(rule: Rule, p) -> PenaltyResult:
-    """Violation degree of one rule and its exact gradient in each probability."""
-    arr = _check_probabilities(p)
-    if arr.ndim != 1:
-        raise ValueError(f"probability vector must be 1-D, got shape {arr.shape}")
-    batch = rule_penalty_batch(rule, arr[None, :])
-    return PenaltyResult(float(batch.values[0]), batch.grads[0])
-
-
 def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
-    """`rule_penalty` over a whole batch in one pass."""
+    """Violation degree of one rule at each row of P, with its exact gradient in
+    each probability of that row; a one-row batch gives one vector's."""
     arr = _check_probabilities(P)
     if arr.ndim != 2:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")

@@ -24,7 +24,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -145,17 +144,6 @@ class Rule:
         if not (self.weight > 0 and math.isfinite(self.weight)):
             raise InvalidWeightError(f"rule weight must be positive and finite, got {self.weight}")
 
-    @cached_property
-    def factors(self) -> tuple[tuple[int, bool], ...]:
-        """(label, complemented) per factor of the violation product, antecedent
-        then consequent literals in stored order. A factor reads 1 - y[label]
-        for a negated antecedent or plain consequent literal, else y[label];
-        a crisp vector violates the rule exactly when every factor is 1.
-        """
-        return tuple((lit.label, lit.negated) for lit in self.antecedent) + tuple(
-            (lit.label, not lit.negated) for lit in self.consequent
-        )
-
 
 @dataclass(frozen=True)
 class RuleSet:
@@ -189,17 +177,25 @@ class RuleSet:
 
 def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rules over `width` labels compiled to (factor index, signs, labels),
-    each rules x max factors. Row r of the index holds rule r's factors as
-    columns of [y, 1 - y, 1] (see `factor_values`): label + width *
-    complemented, padded with the constant column 2 * width. A sign is 1 for
-    a y column, -1 for a 1 - y column and 0 for padding, whose label reads 0."""
-    top = max((max(rule.factors)[0] for rule in rules), default=0)  # the highest label
+    each rules x max factors. Row r of the index holds rule r's factors, its
+    antecedent then its consequent literals in stored order, as columns of
+    [y, 1 - y, 1] (see `factor_values`), padded with the constant column
+    2 * width. A negated antecedent literal or a plain consequent literal reads
+    1 - y, column label + width; any other literal reads y, column label. A
+    crisp vector violates a rule exactly when every factor reads 1. A sign is
+    1 for a y column, -1 for a 1 - y column and 0 for padding, whose label
+    reads 0."""
+    top = max((lit.label for rule in rules for lit in rule.antecedent + rule.consequent), default=0)
     if top >= width:
         raise RuleError(f"rule mentions label index {top} outside {width} labels")
-    k = max((len(rule.factors) for rule in rules), default=0)
+    rows = [
+        [lit.label + width * lit.negated for lit in rule.antecedent]
+        + [lit.label + width * (not lit.negated) for lit in rule.consequent]
+        for rule in rules
+    ]
+    k = max(map(len, rows), default=0)
     pad = [2 * width] * k  # the constant column
-    rows = [[label + width * c for label, c in rule.factors] + pad[len(rule.factors) :] for rule in rules]
-    index = np.array(rows, dtype=np.intp).reshape(len(rows), k)
+    index = np.array([row + pad[len(row) :] for row in rows], dtype=np.intp).reshape(len(rows), k)
     return index, _BLOCK_SIGNS[index // width], index % width
 
 
@@ -406,23 +402,6 @@ def parse_rules(text: str, vocab: LabelVocabulary | None = None) -> RuleSet:
 
 
 # ---- crisp evaluation ----
-
-
-def hard_satisfied(rule: Rule, y) -> bool:
-    """Crisp semantics: satisfied unless all antecedent literals hold and no consequent literal does.
-    Kept off the compiled path: it is the independent reference the compiled penalty is
-    checked against, one rule and vector per call, where a compile costs more than the check."""
-    arr = np.asarray(y)
-    if arr.ndim != 1:
-        raise ValueError(f"label vector must be 1-D, got shape {arr.shape}")
-    values = arr.tolist()
-    if not set(values) <= {0, 1}:
-        raise ValueError("label vector entries must be 0 or 1")
-    top = max(label for label, _ in rule.factors)
-    if top >= len(values):
-        raise ValueError(f"label vector of length {len(values)} too short for label index {top}")
-    # a factor is 0, and the rule satisfied, where the label equals its complement flag
-    return any(values[label] == complemented for label, complemented in rule.factors)
 
 
 def violated_rules(rs: RuleSet, y) -> list[int]:

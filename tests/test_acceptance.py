@@ -24,7 +24,6 @@ from rulebound import (
     audit,
     correction_report,
     evaluate,
-    hard_satisfied,
     init_params,
     inject_noise,
     parse_rules,
@@ -34,6 +33,7 @@ from rulebound import (
     synthesize,
     total_loss_and_grads,
     train,
+    violation_matrix,
 )
 from rulebound.cli import run as cli_run
 from rulebound.rules import (
@@ -128,7 +128,7 @@ def test_criterion_2_penalty_agrees_with_hard_semantics_everywhere():
                 rule = Rule(ant, cons)
                 relaxed = rule_penalty_batch(rule, P).values
                 hard = np.array(
-                    [0.0 if hard_satisfied(rule, y) else 1.0 for y in vertices]
+                    [0.0 if oracles.crisp_satisfied(rule, y) else 1.0 for y in vertices]
                 )
                 assert np.array_equal(relaxed, hard), format_rule(
                     rule, LabelVocabulary(("a", "b", "c", "d"))
@@ -159,8 +159,9 @@ def test_criterion_3_parser_round_trip_and_errors():
             assert len(parsed.rules) == 1
             assert parsed.rules[0] == rule, text
             if i % 10 == 0:  # literal order never changes meaning
-                for y in itertools.product((0, 1), repeat=6):
-                    assert hard_satisfied(raw, y) == hard_satisfied(parsed.rules[0], y)
+                vertices = list(itertools.product((0, 1), repeat=6))
+                expected = [[not oracles.crisp_satisfied(raw, y)] for y in vertices]
+                assert violation_matrix(parsed, vertices).tolist() == expected, text
 
         for k in range(2, 7):
             names = ", ".join(f"lab{i}" for i in range(k))

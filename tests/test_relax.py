@@ -13,10 +13,7 @@ from rulebound import (
     RuleSet,
     domain_loss,
     domain_loss_grad,
-    hard_satisfied,
-    literal_value,
     parse_rules,
-    rule_penalty,
     rule_penalty_batch,
 )
 
@@ -28,22 +25,15 @@ def _rule(text):
     return rs.rules[0], rs
 
 
-# ---- literal values ----
+# ---- literal values: one-literal rules ----
 
 
-def test_literal_value_examples():
-    p = np.array([0.7, 0.2])
-    assert literal_value(Literal(0), p) == 0.7
-    assert literal_value(Literal(0, negated=True), p) == pytest.approx(0.3)
-    assert literal_value(Literal(1, negated=True), p) == 0.8
-
-
-def test_literal_value_validation():
-    for bad in (1.2, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            literal_value(Literal(0), np.array([bad]))
-    with pytest.raises(ValueError):
-        literal_value(Literal(3), np.array([0.5, 0.5]))
+def test_one_literal_rule_degrees():
+    # a => FALSE has degree p_a, and !a => FALSE has degree 1 - p_a
+    P = np.array([[0.7, 0.2]])
+    assert rule_penalty_batch(Rule((Literal(0),)), P).values[0] == 0.7
+    assert rule_penalty_batch(Rule((Literal(0, negated=True),)), P).values[0] == pytest.approx(0.3)
+    assert rule_penalty_batch(Rule((Literal(1, negated=True),)), P).values[0] == 0.8
 
 
 # ---- single-rule penalty: frozen hand values ----
@@ -51,33 +41,33 @@ def test_literal_value_validation():
 
 def test_penalty_implication_at_vertex():
     rule, _ = _rule("a => b")
-    res = rule_penalty(rule, np.array([1.0, 0.0]))
-    assert res.value == 1.0
-    assert res.grad.tolist() == [1.0, -1.0]
+    res = rule_penalty_batch(rule, np.array([[1.0, 0.0]]))
+    assert res.values[0] == 1.0
+    assert res.grads[0].tolist() == [1.0, -1.0]
 
 
 def test_penalty_mutex_pair_at_half():
     # a => !b at p = (0.5, 0.5): value 0.5 * 0.5, gradient (0.5, 0.5)
     rule, _ = _rule("a => !b")
-    res = rule_penalty(rule, np.array([0.5, 0.5]))
-    assert res.value == 0.25
-    assert res.grad.tolist() == [0.5, 0.5]
+    res = rule_penalty_batch(rule, np.array([[0.5, 0.5]]))
+    assert res.values[0] == 0.25
+    assert res.grads[0].tolist() == [0.5, 0.5]
 
 
 def test_penalty_forbidden_conjunction():
     # a & b => FALSE: value p_a * p_b
     rule, _ = _rule("a & b => FALSE")
-    res = rule_penalty(rule, np.array([0.5, 0.25]))
-    assert res.value == 0.125
-    assert res.grad.tolist() == [0.25, 0.5]
+    res = rule_penalty_batch(rule, np.array([[0.5, 0.25]]))
+    assert res.values[0] == 0.125
+    assert res.grads[0].tolist() == [0.25, 0.5]
 
 
 def test_penalty_implication_interior_point():
     # a => b: value p_a * (1 - p_b); grad ((1 - p_b), -p_a)
     rule, _ = _rule("a => b")
-    res = rule_penalty(rule, np.array([0.6, 0.3]))
-    assert res.value == pytest.approx(0.42, rel=1e-15)
-    assert res.grad == pytest.approx(np.array([0.7, -0.6]), rel=1e-15)
+    res = rule_penalty_batch(rule, np.array([[0.6, 0.3]]))
+    assert res.values[0] == pytest.approx(0.42, rel=1e-15)
+    assert res.grads[0] == pytest.approx(np.array([0.7, -0.6]), rel=1e-15)
 
 
 def test_penalty_matches_crisp_at_vertices():
@@ -86,9 +76,9 @@ def test_penalty_matches_crisp_at_vertices():
     for _ in range(200):
         rule = oracles.random_rule(rng, n_labels)
         for y in itertools.product((0, 1), repeat=n_labels):
-            res = rule_penalty(rule, np.array(y, dtype=np.float64))
-            expected = 0.0 if hard_satisfied(rule, y) else 1.0
-            assert res.value == expected, (rule, y)
+            res = rule_penalty_batch(rule, np.array([y], dtype=np.float64))
+            expected = 0.0 if oracles.crisp_satisfied(rule, y) else 1.0
+            assert res.values[0] == expected, (rule, y)
 
 
 def test_penalty_value_in_unit_interval():
@@ -97,26 +87,26 @@ def test_penalty_value_in_unit_interval():
     for _ in range(100):
         rule = oracles.random_rule(rng, 5)
         p = npr.random(5)
-        v = rule_penalty(rule, p).value
+        v = rule_penalty_batch(rule, p[None]).values[0]
         assert 0.0 <= v <= 1.0
 
 
 def test_penalty_zero_iff_some_factor_zero():
     rule, _ = _rule("a & !b => c")
     interior = np.array([0.4, 0.6, 0.7])
-    assert rule_penalty(rule, interior).value > 0.0
+    assert rule_penalty_batch(rule, interior[None]).values[0] > 0.0
     for idx, val in [(0, 0.0), (1, 1.0), (2, 1.0)]:
         p = interior.copy()
         p[idx] = val
-        assert rule_penalty(rule, p).value == 0.0, idx
+        assert rule_penalty_batch(rule, p[None]).values[0] == 0.0, idx
 
 
 def test_penalty_monotone_in_antecedent_and_consequent():
     rule, _ = _rule("a => b")
     grid = np.linspace(0.0, 1.0, 11)
-    vals_up = [rule_penalty(rule, np.array([pa, 0.3])).value for pa in grid]
+    vals_up = [rule_penalty_batch(rule, np.array([[pa, 0.3]])).values[0] for pa in grid]
     assert all(b > a for a, b in zip(vals_up, vals_up[1:]))
-    vals_down = [rule_penalty(rule, np.array([0.8, pb])).value for pb in grid]
+    vals_down = [rule_penalty_batch(rule, np.array([[0.8, pb]])).values[0] for pb in grid]
     assert all(b < a for a, b in zip(vals_down, vals_down[1:]))
 
 
@@ -126,20 +116,20 @@ def test_penalty_gradient_matches_finite_differences():
     for _ in range(200):
         rule = oracles.random_rule(rng, 5)
         p = 0.05 + 0.9 * npr.random(5)
-        analytic = rule_penalty(rule, p).grad
-        numeric = oracles.fd_grad(lambda q: rule_penalty(rule, q).value, p)
+        analytic = rule_penalty_batch(rule, p[None]).grads[0]
+        numeric = oracles.fd_grad(lambda q: rule_penalty_batch(rule, q[None]).values[0], p)
         assert oracles.max_rel_err(analytic, numeric, floor=1e-4) < 1e-6
 
 
 def test_penalty_repeated_label_across_sides():
     # a => a: value p * (1 - p), grad 1 - 2p; the same index accumulates both factors
     rule = Rule((Literal(0),), (Literal(0),))
-    res = rule_penalty(rule, np.array([0.25]))
-    assert res.value == pytest.approx(0.1875, rel=1e-15)
-    assert res.grad[0] == pytest.approx(0.5, rel=1e-15)
+    res = rule_penalty_batch(rule, np.array([[0.25]]))
+    assert res.values[0] == pytest.approx(0.1875, rel=1e-15)
+    assert res.grads[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
-def test_penalty_batch_matches_per_row_calls():
+def test_penalty_batch_rows_are_independent():
     rng = random.Random(321)
     npr = np.random.default_rng(321)
     for _ in range(20):
@@ -148,9 +138,9 @@ def test_penalty_batch_matches_per_row_calls():
         batch = rule_penalty_batch(rule, P)
         assert batch.values.shape == (7,) and batch.grads.shape == (7, 4)
         for i in range(7):
-            single = rule_penalty(rule, P[i])
-            assert batch.values[i] == single.value
-            assert np.array_equal(batch.grads[i], single.grad)
+            single = rule_penalty_batch(rule, P[i : i + 1])
+            assert batch.values[i] == single.values[0]
+            assert np.array_equal(batch.grads[i], single.grads[0])
 
 
 def test_penalty_batch_validation():
@@ -159,6 +149,9 @@ def test_penalty_batch_validation():
         rule_penalty_batch(rule, np.zeros((0, 2)))
     with pytest.raises(ValueError):
         rule_penalty_batch(rule, np.array([0.5, 0.5]))
+    for bad in (1.2, np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            rule_penalty_batch(rule, np.array([[0.5, bad]]))
     for label in (2, -1):
         with pytest.raises(ValueError, match="label index"):
             rule_penalty_batch(Rule((Literal(label),)), np.full((1, 2), 0.5))
@@ -167,10 +160,10 @@ def test_penalty_batch_validation():
 def test_penalty_deterministic_bitwise():
     rule, _ = _rule("a & b => c | !d")
     p = np.random.default_rng(3).random(4)
-    r1 = rule_penalty(rule, p)
-    r2 = rule_penalty(rule, p)
-    assert r1.value == r2.value
-    assert np.array_equal(r1.grad, r2.grad)
+    r1 = rule_penalty_batch(rule, p[None])
+    r2 = rule_penalty_batch(rule, p[None])
+    assert r1.values[0] == r2.values[0]
+    assert np.array_equal(r1.grads[0], r2.grads[0])
 
 
 # ---- batch domain loss ----

@@ -18,7 +18,6 @@ from rulebound import (
     RuleSyntaxError,
     UnknownLabelError,
     format_rule,
-    hard_satisfied,
     parse_rules,
     reindex_ruleset,
     violated_rules,
@@ -269,8 +268,6 @@ def test_literal_rejects_negative_label_index():
     # a negative index would read the label vector from its end
     with pytest.raises(RuleError, match="label index must be non-negative, got -1"):
         Literal(-1)
-    with pytest.raises(RuleError):
-        hard_satisfied(Rule((Literal(-1),)), (0, 1))
     assert Literal(0).label == 0
 
 
@@ -294,17 +291,17 @@ def test_ruleset_rejects_out_of_range_labels():
 # ---- crisp evaluation ----
 
 
-def test_hard_satisfied_hand_cases():
+def test_violation_matrix_hand_cases():
     rs = parse_rules("a => b")
-    rule = rs.rules[0]
-    assert hard_satisfied(rule, (1, 1)) is True
-    assert hard_satisfied(rule, (1, 0)) is False
-    assert hard_satisfied(rule, (0, 0)) is True
-    assert hard_satisfied(rule, (0, 1)) is True
+    assert violation_matrix(rs, [(1, 1), (1, 0), (0, 0), (0, 1)]).tolist() == [
+        [False],
+        [True],
+        [False],
+        [False],
+    ]
 
-    forbid = parse_rules("a & b => FALSE").rules[0]
-    assert hard_satisfied(forbid, (1, 1)) is False
-    assert hard_satisfied(forbid, (1, 0)) is True
+    forbid = parse_rules("a & b => FALSE")
+    assert violation_matrix(forbid, [(1, 1), (1, 0)]).tolist() == [[True], [False]]
 
 
 def test_violated_rules_hand_case():
@@ -321,15 +318,6 @@ def test_violated_rules_validation():
         violated_rules(rs, (1,))
     with pytest.raises(ValueError):
         violated_rules(rs, (1, 2))
-
-
-def test_crisp_semantics_match_truth_table_oracle():
-    rng = random.Random(90210)
-    n_labels = 4
-    for _ in range(300):
-        rule = oracles.random_rule(rng, n_labels)
-        for y in itertools.product((0, 1), repeat=n_labels):
-            assert hard_satisfied(rule, y) == oracles.crisp_satisfied(rule, y), (rule, y)
 
 
 def test_violation_matrix_matches_per_row_calls():

@@ -82,3 +82,24 @@ def test_budget_runs_out_inside_a_grown_block(monkeypatch, rules, k, n_consisten
     assert len(blocks) > 2 and blocks[-1] > k
     assert sum(blocks[:-1]) < examined < sum(blocks)
 
+
+
+def test_blocks_stay_within_the_row_cap_when_patterns_exceed_it(monkeypatch):
+    # 24 of the 32 vectors over five labels keep a => b; the search needs 12 of them
+    # from blocks of at most 8 rows, so even the first block is cut to the cap
+    rs = parse_rules("a => b", LabelVocabulary(("a", "b", "c", "d", "e")))
+    blocks = []
+    check = data.violation_matrix
+
+    def recording(rs, Y):
+        blocks.append(len(Y))
+        return check(rs, Y)
+
+    monkeypatch.setattr(data, "_SEARCH_ROWS", 8)
+    monkeypatch.setattr(data, "violation_matrix", recording)
+    grown = synthesize(5, 30, 3, rs, 12)
+    assert blocks and max(blocks) <= 8
+    per_row = oracles.synthesize_per_row(5, 30, 3, rs, 12)
+    assert grown.X.tobytes() == per_row.X.tobytes()
+    assert grown.Y.tobytes() == per_row.Y.tobytes()
+    assert grown.clean_Y.tobytes() == per_row.clean_Y.tobytes()
