@@ -24,10 +24,6 @@ class UsageError(Exception):
     pass
 
 
-class ConfigError(ValueError):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); the contract wants 1
         raise UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
@@ -53,20 +49,20 @@ def _load_config(path) -> dict:
     try:
         doc = json.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON: {err.msg}") from None
+        raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
+        raise ValueError(f"{path}: config must be a JSON object")
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
-        raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
+        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
     for key in _PATH_KEYS:  # null leaves a path unset, as a missing key does
         value = doc.get(key)
         if value is not None and not isinstance(value, str):
-            raise ConfigError(f"{path}: config key '{key}' must be a path string, got {json.dumps(value)}")
+            raise ValueError(f"{path}: config key '{key}' must be a path string, got {json.dumps(value)}")
     if "threshold" in doc:
         threshold = doc["threshold"]
         if isinstance(threshold, bool) or not isinstance(threshold, (int, float)) or not 0 < threshold < 1:
-            raise ConfigError(
+            raise ValueError(
                 f"{path}: config key 'threshold' must be a number in (0, 1), got {json.dumps(threshold)}"
             )
     return doc
@@ -132,6 +128,7 @@ def build_parser() -> _Parser:
 
 
 def cmd_synth(args) -> int:
+    jsonio.check_targets(args.out, inputs=[args.rules])
     rs = _load_rules(args.rules)
     ds = synthesize(args.seed, args.n, args.dims, rs, args.patterns)
     save_dataset(ds, args.out)
@@ -141,6 +138,7 @@ def cmd_synth(args) -> int:
 def cmd_noise(args) -> int:
     if args.mode == "violating" and not args.rules:
         raise UsageError("--mode violating requires --rules")
+    jsonio.check_targets(args.out, inputs=[args.in_path, args.rules])
     ds = load_dataset(args.in_path)
     rs = _load_rules(args.rules, ds.names) if args.rules else None
     save_dataset(inject_noise(ds, args.rho, args.seed, args.mode, rs), args.out)
@@ -165,7 +163,8 @@ def cmd_train(args) -> int:
     if not settings.get("data"):
         raise UsageError("train needs a dataset (--data or config key 'data')")
     cfg = TrainConfig.from_dict(settings)
-    jsonio.check_targets(*(settings[key] for key in _OUTPUT_KEYS if settings.get(key)))
+    inputs = [settings["rules"], settings["data"], args.config]
+    jsonio.check_targets(*(settings.get(key) for key in _OUTPUT_KEYS), inputs=inputs)
     ds = load_dataset(settings["data"])
     rs = _load_rules(settings["rules"], ds.names)
     params, history, state = train(ds, rs, cfg)
@@ -187,6 +186,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    jsonio.check_targets(args.out_report, inputs=[args.rules, args.data, args.model])
     params, _, _ = load_model(args.model)
     ds = load_dataset(args.data)
     rs = _load_rules(args.rules, ds.names)

@@ -129,13 +129,12 @@ def save_dataset(ds: Dataset, path) -> None:
 def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
     if not isinstance(value, list):
         raise DatasetError(f"line {line_no}: {key} must be a list")
-    for v in value:
-        if binary:
-            if type(v) is not int or v not in (0, 1):
-                raise DatasetError(f"line {line_no}: {key} entries must be 0 or 1")
-        else:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise DatasetError(f"line {line_no}: {key} entries must be numbers")
+    if binary:
+        # the types first, so that an unhashable entry never reaches set(value)
+        if not (set(map(type, value)) <= {int} and set(value) <= {0, 1}):
+            raise DatasetError(f"line {line_no}: {key} entries must be 0 or 1")
+    elif not set(map(type, value)) <= {int, float}:
+        raise DatasetError(f"line {line_no}: {key} entries must be numbers")
     return value
 
 

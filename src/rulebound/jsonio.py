@@ -86,12 +86,16 @@ def atomic_write(path):
         yield fh
 
 
-def check_targets(*paths) -> None:
-    """Raise ValueError for a target named twice (after `os.path.abspath`) and
-    IsADirectoryError for a target that is a directory. It writes nothing, so a
-    command can call it before doing any work."""
-    paths = [os.fspath(path) for path in paths]
+def check_targets(*paths, inputs=()) -> None:
+    """Raise ValueError for a target that is one of `inputs` or is named twice
+    (both after `os.path.abspath`), and IsADirectoryError for a target that is
+    a directory. A path that is None or empty is an option left unset and is
+    skipped. It writes nothing, so a command can call it before doing any work."""
+    paths = [os.fspath(path) for path in paths if path]
+    sources = {os.path.abspath(path) for path in inputs if path}
     for k, path in enumerate(paths):
+        if os.path.abspath(path) in sources:
+            raise ValueError(f"{path} is named as both an input and an output")
         if os.path.abspath(path) in map(os.path.abspath, paths[:k]):
             raise ValueError(f"{path} is named as more than one output")
         if os.path.isdir(path):

@@ -55,6 +55,15 @@ def _binary_matrix(A, what: str) -> np.ndarray:
     return arr.astype(np.int64)
 
 
+def _prediction_pair(Yhat, Yref) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and reference labels as 0/1 int64 matrices of one shape."""
+    yhat = _binary_matrix(Yhat, "predictions")
+    yref = _binary_matrix(Yref, "reference labels")
+    if yhat.shape != yref.shape:
+        raise ValueError(f"shape mismatch: {yhat.shape} vs {yref.shape}")
+    return yhat, yref
+
+
 def _prf(tp: int, fp: int, fn: int) -> tuple[float, float, float]:
     # 0/0 counts as 0 throughout
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -67,10 +76,7 @@ def f1_scores(
     Yhat, Yref, names: Sequence[str] | None = None
 ) -> tuple[list[LabelScores], float, float]:
     """Per-label precision/recall/F1 plus the macro and micro averages."""
-    yhat = _binary_matrix(Yhat, "predictions")
-    yref = _binary_matrix(Yref, "reference labels")
-    if yhat.shape != yref.shape:
-        raise ValueError(f"shape mismatch: {yhat.shape} vs {yref.shape}")
+    yhat, yref = _prediction_pair(Yhat, Yref)
     n_labels = yhat.shape[1]
     if names is not None and len(names) != n_labels:
         raise ValueError("names length differs from label count")
@@ -93,10 +99,7 @@ def f1_scores(
 
 def exact_match(Yhat, Yref) -> float:
     """Fraction of samples whose whole label vector is predicted exactly."""
-    yhat = _binary_matrix(Yhat, "predictions")
-    yref = _binary_matrix(Yref, "reference labels")
-    if yhat.shape != yref.shape:
-        raise ValueError(f"shape mismatch: {yhat.shape} vs {yref.shape}")
+    yhat, yref = _prediction_pair(Yhat, Yref)
     return float((yhat == yref).all(axis=1).mean())
 
 

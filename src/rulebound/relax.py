@@ -43,8 +43,12 @@ class BatchPenaltyResult:
     grads: np.ndarray  # (n, n_labels)
 
 
-def _check_probabilities(p) -> np.ndarray:
-    arr = np.asarray(p, dtype=np.float64)
+def _check_batch(P, width: int) -> np.ndarray:
+    arr = np.asarray(P, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"probability matrix has shape {arr.shape}, expected (n, {width})")
+    if arr.shape[0] == 0:
+        raise ValueError("empty batch")
     # NaN and infinities fail the range test too
     if not ((arr >= 0) & (arr <= 1)).all():
         raise ValueError("probabilities must lie in [0, 1]")
@@ -86,11 +90,10 @@ def _penalty_grad(
 def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
     """Violation degree of one rule at each row of P, with its exact gradient in
     each probability of that row; a one-row batch gives one vector's."""
-    arr = _check_probabilities(P)
+    arr = np.asarray(P, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
-    if arr.shape[0] == 0:
-        raise ValueError("empty batch")
+    arr = _check_batch(arr, arr.shape[1])
     index, signs, labels = compile_factors((rule,), arr.shape[1])
     factors, prefix = _degrees(arr, index)
     # one rule of unit weight: its signed weights are the signs
@@ -98,23 +101,12 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
     return BatchPenaltyResult(prefix[-1, 0], grads)
 
 
-def _check_batch(rs: RuleSet, P) -> np.ndarray:
-    arr = _check_probabilities(P)
-    if arr.ndim != 2 or arr.shape[1] != len(rs.vocabulary):
-        raise ValueError(
-            f"probability matrix has shape {arr.shape}, expected (n, {len(rs.vocabulary)})"
-        )
-    if arr.shape[0] == 0:
-        raise ValueError("empty batch")
-    return arr
-
-
 def domain_loss(rs: RuleSet, P) -> float:
     """Weight-normalized mean violation degree over a batch of probability rows.
 
     Zero for an empty rule set; per-sample degrees are averaged over samples.
     """
-    arr = _check_batch(rs, P)
+    arr = _check_batch(P, len(rs.vocabulary))
     if not rs.rules:
         return 0.0
     total = np.empty(arr.shape[0])
@@ -127,7 +119,7 @@ def domain_loss(rs: RuleSet, P) -> float:
 
 def domain_loss_grad(rs: RuleSet, P) -> np.ndarray:
     """Exact gradient of `domain_loss` with respect to every probability entry."""
-    arr = _check_batch(rs, P)
+    arr = _check_batch(P, len(rs.vocabulary))
     if not rs.rules:
         return np.zeros_like(arr)
     factors, prefix = _degrees(arr, rs.factor_index)

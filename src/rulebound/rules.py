@@ -24,7 +24,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -73,11 +72,15 @@ class InvalidWeightError(RuleError):
 # ---- types ----
 
 
+@dataclass(frozen=True)
 class LabelVocabulary:
     """Ordered unique label names; a label's index is its position in `names`."""
 
-    def __init__(self, names: Iterable[str]):
-        names = tuple(names)
+    names: tuple[str, ...]
+    index: dict[str, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        names = tuple(self.names)
         if not names:
             raise ValueError("vocabulary needs at least one label")
         seen: set[str] = set()
@@ -89,20 +92,11 @@ class LabelVocabulary:
             if name in seen:
                 raise ValueError(f"duplicate label name: {name}")
             seen.add(name)
-        self.names = names
-        self.index = {name: i for i, name in enumerate(names)}
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "index", {name: i for i, name in enumerate(names)})
 
     def __len__(self) -> int:
         return len(self.names)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LabelVocabulary) and self.names == other.names
-
-    def __hash__(self) -> int:
-        return hash(self.names)
-
-    def __repr__(self) -> str:
-        return f"LabelVocabulary({list(self.names)!r})"
 
 
 @dataclass(frozen=True, order=True)
@@ -170,9 +164,6 @@ class RuleSet:
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "signed_weights", signs * weights[:, None])
         object.__setattr__(self, "factor_labels", labels)
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
 
 def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -512,6 +512,57 @@ def test_train_checks_its_output_targets_before_any_work(tmp_path, rules_file, c
     assert started == [] and not (tmp_path / "m.json").exists()
 
 
+@pytest.fixture
+def chain_dir(tmp_path, rules_file, monkeypatch):
+    """The working directory after synth, noise and train: every file a command reads."""
+    monkeypatch.chdir(tmp_path)
+    _synth(tmp_path, rules_file, "clean.jsonl", n=30)
+    assert run(["noise", "--in", "clean.jsonl", "--out", "noisy.jsonl", "--rho", "0.2", "--mode", "uniform",
+                "--seed", "1"]) == 0
+    (tmp_path / "cfg.json").write_text(json.dumps({"rules": "rules.txt", "data": "noisy.jsonl", "epochs": 1,
+                                                   "warmup_epochs": 0}))
+    assert run(["train", "--config", "cfg.json", "--out-model", "m.json"]) == 0
+    return tmp_path
+
+
+_SYNTH = ["--n", "20", "--dims", "3", "--patterns", "4", "--seed", "5"]
+_NOISE = ["--rho", "0.2", "--seed", "1"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["synth", "--rules", "rules.txt", "--out", "./rules.txt", *_SYNTH], "./rules.txt"),
+    (["noise", "--in", "clean.jsonl", "--out", "clean.jsonl", "--mode", "uniform", *_NOISE], "clean.jsonl"),
+    (["noise", "--in", "clean.jsonl", "--out", "rules.txt", "--mode", "violating", "--rules", "rules.txt",
+      *_NOISE], "rules.txt"),
+    (["train", "--rules", "rules.txt", "--data", "noisy.jsonl", "--out-model", "noisy.jsonl"], "noisy.jsonl"),
+    (["train", "--config", "cfg.json", "--out-history", "cfg.json"], "cfg.json"),
+    (["train", "--config", "cfg.json", "--out-report", "rules.txt"], "rules.txt"),  # a config setting
+    (["eval", "--rules", "rules.txt", "--data", "noisy.jsonl", "--model", "m.json", "--out-report", "m.json"],
+     "m.json"),
+    (["eval", "--rules", "rules.txt", "--data", "noisy.jsonl", "--model", "m.json", "--out-report",
+      "noisy.jsonl"], "noisy.jsonl"),
+    (["eval", "--rules", "rules.txt", "--data", "noisy.jsonl", "--model", "m.json", "--out-report",
+      "rules.txt"], "rules.txt"),
+])
+def test_output_that_names_an_input_fails_before_any_read(chain_dir, capsys, argv, target):
+    before = {path.name: path.read_bytes() for path in chain_dir.iterdir()}
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {target} is named as both an input and an output\n")
+    assert {path.name: path.read_bytes() for path in chain_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["synth", "--rules", "missing.txt", "--out", "adir", *_SYNTH],
+    ["noise", "--in", "missing.jsonl", "--out", "adir", "--mode", "uniform", *_NOISE],
+    ["eval", "--rules", "rules.txt", "--data", "noisy.jsonl", "--model", "missing.json", "--out-report", "adir"],
+])
+def test_every_command_checks_its_output_target_before_any_read(chain_dir, capsys, argv):
+    (chain_dir / "adir").mkdir()
+    assert run(argv) == 3  # a missing input would exit 3 too, naming itself
+    assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'adir'\n")
+    assert not list((chain_dir / "adir").iterdir())
+
+
 def test_eval_names_the_feature_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):
     model = tmp_path / "m.json"
     assert run(["train", "--rules", rules_file, "--data", _synth(tmp_path, rules_file),

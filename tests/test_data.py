@@ -1,9 +1,12 @@
 """Dataset files, synthesis, noise injection, and the audit command's core."""
 
+import dataclasses
+import hashlib
 import itertools
 import json
 import random
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -720,3 +723,30 @@ def test_audit_text_caps_sample_listing():
     assert "first 100" in text
     assert text.count("\n  sample ") == 100
     assert json.loads(jsonio.dumps(report))["per_sample"] == report.per_sample
+
+
+# sha256 of clean.jsonl, noisy.jsonl and the audit stdout of the chain below
+_GOLDEN = {
+    "clean.jsonl": "7572c3919b9f3e1eb80ad0385d052913af125800685af801dba71000dd1abb92",
+    "noisy.jsonl": "17818ff8a23a95a4d9462a1b484128d4f0b1f85abb4142be22adb2de59d7690f",
+    "audit": "fd938a7686240dfc92c7f9072155b229be6d97fcb0e31661d1760c496a729f75",
+}
+
+
+def test_synth_noise_audit_bytes_match_golden_digests(tmp_path, monkeypatch, capsys):
+    """synth, noise --mode violating and audit --json of train-rules' rule set at
+    300 rows, seeds 1,2,3. None of them makes a BLAS call, so their bytes depend
+    only on numpy's generator streams, the float format and the package."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "work").mkdir()
+    (tmp_path / "work" / "rules.txt").write_text(workloads.MANY_RULES)
+    wl = dataclasses.replace(workloads.WORKLOADS["train-rules"], rows=300)
+    for _, argv in workloads.commands(wl, "work", (1, 2, 3))[:3]:
+        assert run(argv) == 0
+    digests = {name: hashlib.sha256((tmp_path / "work" / name).read_bytes()).hexdigest()
+               for name in ("clean.jsonl", "noisy.jsonl")}
+    digests["audit"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digests == _GOLDEN
