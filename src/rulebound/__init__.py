@@ -73,6 +73,6 @@ from .supervision import (
     flag_inconsistent,
     init_supervision,
 )
-from .training import EpochRecord, TrainHistory, evaluate, train
+from .training import EpochRecord, evaluate, train
 
 __version__ = "0.1.0"

@@ -174,7 +174,7 @@ def cmd_train(args) -> int:
             report.correction = correction_report(state, ds)
     writes = [
         ("out_model", lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
-        ("out_history", history.write_jsonl),
+        ("out_history", lambda tmp: jsonio.dump_lines(history, tmp)),
         ("out_report", lambda tmp: jsonio.dump(report, tmp)),
     ]
     writes = [(settings[key], write) for key, write in writes if settings.get(key)]

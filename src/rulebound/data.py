@@ -142,7 +142,7 @@ def load_dataset(path) -> Dataset:
     """The dataset file at `path`. Files in the writer's layout are read by
     `_read_written_samples`, any others by `_read_samples_by_line`, to the
     same arrays; errors name the file, and the file line where there is one."""
-    lines = jsonio.read_text(path).splitlines()
+    lines = jsonio.split_lines(jsonio.read_text(path))
     try:
         if not lines or not lines[0].strip():
             raise DatasetError("missing label header")

@@ -54,7 +54,7 @@ def float_list(values) -> Raw:
 
 def read_text(path) -> str:
     """The contents of a UTF-8 file, its newlines left as they are: its readers
-    split lines with `str.splitlines` or parse JSON, which take \\r, \\r\\n and
+    split lines with `split_lines` or parse JSON, which take \\r, \\r\\n and
     \\n alike. A file that is not UTF-8 raises ValueError naming it and the line."""
     with open(path, "rb") as fh:
         data = fh.read()
@@ -65,6 +65,17 @@ def read_text(path) -> str:
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of `text`, each ended by LF, CRLF or CR, or by the end of the
+    text. Unlike `str.splitlines`, no other character ends a line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:  # the empty rest after a final line break
+        lines.pop()
+    return lines
+
+
 def dumps(obj) -> str:
     """Serialize to a JSON string with a fixed, reproducible layout."""
     parts: list[str] = []
@@ -72,11 +83,16 @@ def dumps(obj) -> str:
     return "".join(parts)
 
 
+def dump_lines(rows, path) -> None:
+    """Write `dumps(row)` to `path` for each row, one per line (JSONL)."""
+    with atomic_write(path) as fh:
+        for row in rows:
+            fh.write(dumps(row) + "\n")
+
+
 def dump(obj, path) -> None:
     """Write `dumps(obj)` to `path` with a trailing newline."""
-    with atomic_write(path) as fh:
-        fh.write(dumps(obj))
-        fh.write("\n")
+    dump_lines([obj], path)
 
 
 @contextmanager
@@ -86,17 +102,28 @@ def atomic_write(path):
         yield fh
 
 
+def _landing(path: str) -> str:
+    """Where writing `path` lands: its directory with every symlink resolved,
+    plus its name. A name that is itself a symlink stays unresolved, because
+    `os.replace` replaces the link and not the file it points to."""
+    head, name = os.path.split(path)
+    return os.path.join(os.path.realpath(head), name)
+
+
 def check_targets(*paths, inputs=()) -> None:
-    """Raise ValueError for a target that is one of `inputs` or is named twice
-    (both after `os.path.abspath`), and IsADirectoryError for a target that is
-    a directory. A path that is None or empty is an option left unset and is
-    skipped. It writes nothing, so a command can call it before doing any work."""
+    """Raise ValueError for a target that lands (see `_landing`) where one of
+    `inputs` lands or on the file it resolves to, or where another target
+    lands, and IsADirectoryError for a target that is a directory. A path that
+    is None or empty is an option left unset and is skipped. It writes
+    nothing, so a command can call it before doing any work."""
     paths = [os.fspath(path) for path in paths if path]
-    sources = {os.path.abspath(path) for path in inputs if path}
+    inputs = [os.fspath(path) for path in inputs if path]
+    sources = {*map(_landing, inputs), *map(os.path.realpath, inputs)}
+    landings = [_landing(path) for path in paths]
     for k, path in enumerate(paths):
-        if os.path.abspath(path) in sources:
+        if landings[k] in sources:
             raise ValueError(f"{path} is named as both an input and an output")
-        if os.path.abspath(path) in map(os.path.abspath, paths[:k]):
+        if landings[k] in landings[:k]:
             raise ValueError(f"{path} is named as more than one output")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)

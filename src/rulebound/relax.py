@@ -55,6 +55,17 @@ def _check_batch(P, width: int) -> np.ndarray:
     return arr
 
 
+def _normalizer(rs: RuleSet, rows: int) -> np.float64:
+    """The rule weights' total times `rows`, which a penalty over `rows` rows
+    is divided by. ValueError where it passes the float range: dividing by
+    infinity would zero the penalty."""
+    with np.errstate(over="ignore"):
+        norm = np.cumsum(rs.weights)[-1] * rows
+    if not np.isfinite(norm):
+        raise ValueError(f"rule weights too large: their total times {rows} rows passes the float range")
+    return norm
+
+
 def _degrees(P: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The factors of a factor index at every row of P (`factor_values`) and
     their prefix products, (factors + 1) x rules x rows: prefix[j] multiplies
@@ -109,12 +120,13 @@ def domain_loss(rs: RuleSet, P) -> float:
     arr = _check_batch(P, len(rs.vocabulary))
     if not rs.rules:
         return 0.0
+    norm = _normalizer(rs, 1)  # the mean divides by the row count
     total = np.empty(arr.shape[0])
     rows = max(1, _BLOCK_ENTRIES // rs.factor_index.size)
     for start in range(0, arr.shape[0], rows):
         _, prefix = _degrees(arr[start : start + rows], rs.factor_index)
         total[start : start + rows] = np.cumsum(prefix[-1] * rs.weights[:, None], axis=0)[-1]
-    return float(np.mean(total / np.cumsum(rs.weights)[-1]))
+    return float(np.mean(total / norm))
 
 
 def domain_loss_grad(rs: RuleSet, P) -> np.ndarray:
@@ -122,7 +134,8 @@ def domain_loss_grad(rs: RuleSet, P) -> np.ndarray:
     arr = _check_batch(P, len(rs.vocabulary))
     if not rs.rules:
         return np.zeros_like(arr)
+    norm = _normalizer(rs, arr.shape[0])
     factors, prefix = _degrees(arr, rs.factor_index)
     grad = _penalty_grad(factors, prefix, rs.signed_weights, rs.factor_labels, arr.shape[1])
-    grad /= np.cumsum(rs.weights)[-1] * arr.shape[0]
+    grad /= norm
     return grad

@@ -12,7 +12,8 @@ literals or the keyword FALSE for an empty one. `!` negates a literal.
 `MUTEX(a1, ..., ak)` expands to the k(k-1)/2 rules `ai => !aj` for i < j.
 A trailing `@ w` attaches a positive weight (default 1.0); MUTEX rules
 inherit it. `MUTEX` and `FALSE` are reserved words and cannot name labels.
-Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8 with LF or CRLF.
+Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8, and a line ends
+only at LF, CRLF or CR.
 Rules compile once, in `compile_factors`, and the crisp checks here, the relaxed
 penalty and the supervision flags read their factors through one gather,
 `factor_values`.
@@ -26,6 +27,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from . import jsonio
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _RESERVED = ("MUTEX", "FALSE")
@@ -368,7 +371,7 @@ def parse_rules(text: str, vocab: LabelVocabulary | None = None) -> RuleSet:
 
     rules: list[Rule] = []
     seen_clauses: dict[tuple, int] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(jsonio.split_lines(text), start=1):
         body = raw.split("#", 1)[0]  # strip comments, keep columns
         if not body.strip():
             continue

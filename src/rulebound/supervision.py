@@ -40,9 +40,6 @@ class SupervisionState:
         if not ((self.targets == 0) | (self.targets == 1)).all():
             raise ValueError("targets must be 0 or 1")
 
-    def copy(self) -> "SupervisionState":
-        return SupervisionState(self.targets.copy(), self.origin.copy())
-
     @property
     def mask(self) -> np.ndarray:
         """uint8 loss mask, 1 wherever the origin is not ORIGIN_MASKED. Built
@@ -100,8 +97,6 @@ def correct_labels(state: SupervisionState, P, tau: float) -> tuple[SupervisionS
     n_corrected = int(hit.sum())
     if n_corrected == 0:
         return state, 0
-    out = state.copy()
-    out.targets[up] = 1.0
-    out.targets[down] = 0.0
-    out.origin[hit] = ORIGIN_SELF_CORRECTED
-    return out, n_corrected
+    # a corrected target is 1.0 where it went up and 0.0 where it went down
+    targets = np.where(hit, up, state.targets)
+    return SupervisionState(targets, np.where(hit, ORIGIN_SELF_CORRECTED, state.origin)), n_corrected

@@ -9,11 +9,10 @@ under single-threaded execution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import jsonio
 from .data import Dataset
 from .metrics import MetricsReport, cvr, exact_match, f1_scores
 from .model import (
@@ -48,20 +47,6 @@ class EpochRecord:
     n_corrected_cumulative: int
 
 
-@dataclass
-class TrainHistory:
-    records: list[EpochRecord] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def write_jsonl(self, path) -> None:
-        """One JSON object per epoch."""
-        with jsonio.atomic_write(path) as fh:
-            for record in self.records:
-                fh.write(jsonio.dumps(record) + "\n")
-
-
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     # the shuffle stream is keyed by (seed, epoch), not carried across epochs
     return np.random.default_rng([seed, epoch]).permutation(n)
@@ -69,8 +54,8 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
 
 def train(
     data: Dataset, rs: RuleSet, cfg: TrainConfig
-) -> tuple[ModelParams, TrainHistory, SupervisionState]:
-    """Run the schedule; returns final parameters, history, and supervision state.
+) -> tuple[ModelParams, list[EpochRecord], SupervisionState]:
+    """Run the schedule; returns final parameters, epoch records, and supervision state.
 
     In relabel mode a correction pass runs on full-dataset predictions at the
     end of every epoch e >= warmup_epochs. The epoch's history record is
@@ -84,7 +69,7 @@ def train(
     state = init_supervision(data.Y, flags, cfg.correction_mode)
     if not state.mask.any():  # corrections only unmask entries, so later epochs keep some supervision
         raise ValueError(NO_SUPERVISION)
-    history = TrainHistory()
+    history: list[EpochRecord] = []
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(cfg.seed, epoch, n)
         mask = state.mask  # the state changes only at epoch ends
@@ -95,7 +80,7 @@ def train(
         probs, _ = forward(params, data.X)
         epoch_bce = bce_masked(probs, state.targets, mask)
         epoch_domain = domain_loss(rs, probs)
-        history.records.append(
+        history.append(
             EpochRecord(
                 epoch,
                 epoch_bce,

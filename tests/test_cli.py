@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, config precedence, pipeline wiring."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -486,6 +487,22 @@ def test_output_named_twice_fails_before_any_write(tmp_path, rules_file, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.filterwarnings("error")  # an overflow warning would exit 3
+@pytest.mark.parametrize("rules", ["A => B @ 1e307\n", "A => B @ 1e308\nC => D @ 1e308\n"])
+def test_weights_past_the_float_range_exit_two(tmp_path, capsys, rules):
+    rule_file = tmp_path / "heavy.txt"
+    rule_file.write_text(rules)
+    data = str(tmp_path / "data.jsonl")
+    assert run(["synth", "--rules", str(rule_file), "--out", data, "--n", "40", "--dims", "3",
+                "--patterns", "3", "--seed", "5"]) == 0
+    history = tmp_path / "history.jsonl"
+    assert run(["train", "--rules", str(rule_file), "--data", data, "--batch", "32", "--epochs", "2",
+                "--warmup", "0", "--out-history", str(history)]) == 2
+    assert capsys.readouterr() == ("", "error: rule weights too large: their total times 32 rows "
+                                       "passes the float range\n")
+    assert not history.exists()
+
+
 def test_eval_names_the_label_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):
     model = tmp_path / "m.json"
     assert run(["train", "--rules", rules_file, "--data", _synth(tmp_path, rules_file),
@@ -549,6 +566,52 @@ def test_output_that_names_an_input_fails_before_any_read(chain_dir, capsys, arg
     assert run(argv) == 2
     assert capsys.readouterr() == ("", f"error: {target} is named as both an input and an output\n")
     assert {path.name: path.read_bytes() for path in chain_dir.iterdir()} == before
+
+
+def _tree(directory):
+    """Each file's bytes, and each symlink's target, by name."""
+    return {p.name: os.readlink(p) if p.is_symlink() else p.read_bytes() for p in directory.iterdir()}
+
+
+@pytest.fixture
+def linked_dir(chain_dir):
+    """chain_dir plus `d`, a symlink to chain_dir itself, and `s.jsonl`, one to noisy.jsonl."""
+    (chain_dir / "d").symlink_to(".")
+    (chain_dir / "s.jsonl").symlink_to("noisy.jsonl")
+    return chain_dir
+
+
+_TRAIN = ["train", "--rules", "rules.txt", "--epochs", "1", "--warmup", "0"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_TRAIN + ["--data", "noisy.jsonl", "--out-model", "d/noisy.jsonl"],
+     "d/noisy.jsonl is named as both an input and an output"),
+    (_TRAIN + ["--data", "d/noisy.jsonl", "--out-model", "noisy.jsonl"],
+     "noisy.jsonl is named as both an input and an output"),
+    (_TRAIN + ["--data", "s.jsonl", "--out-model", "noisy.jsonl"],
+     "noisy.jsonl is named as both an input and an output"),
+    (_TRAIN + ["--data", "noisy.jsonl", "--out-model", "m.json", "--out-report", "d/m.json"],
+     "d/m.json is named as more than one output"),
+    (["synth", "--rules", "rules.txt", "--out", "d/rules.txt", *_SYNTH],
+     "d/rules.txt is named as both an input and an output"),
+], ids=["target-through-link", "input-through-link", "input-is-link", "twice-through-link", "synth"])
+def test_targets_are_compared_where_they_land_through_symlinks(linked_dir, capsys, argv, message):
+    before = _tree(linked_dir)
+    assert run(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert _tree(linked_dir) == before
+
+
+def test_target_that_is_a_symlink_to_an_input_replaces_the_link(linked_dir, capsys):
+    before = _tree(linked_dir)
+    assert run(_TRAIN + ["--data", "noisy.jsonl", "--out-model", "s.jsonl"]) == 0
+    assert capsys.readouterr() == ("", "")
+    after = _tree(linked_dir)
+    assert not (linked_dir / "s.jsonl").is_symlink()
+    load_model(linked_dir / "s.jsonl")
+    del before["s.jsonl"], after["s.jsonl"]
+    assert after == before
 
 
 @pytest.mark.parametrize("argv", [

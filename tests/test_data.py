@@ -301,6 +301,33 @@ def test_loader_keeps_the_sign_of_negative_zero_features(tmp_path):
     assert ds.Y.tolist() == [[0, 1], [1, 0]]
 
 
+# every character but LF and CR that str.splitlines ends a line at
+_ODD_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@pytest.mark.parametrize("last", ['{"x": [0.5, 1.0], "y": [2, 0]}', _OK[1]], ids=["bad-label", "valid"])
+def test_loader_ends_lines_only_at_lf_crlf_or_cr(tmp_path, capsys, last):
+    # the character stays inside line 2, where JSON rejects it; the lines after keep their numbers
+    path = tmp_path / "odd.jsonl"
+    rules = tmp_path / "rules.txt"
+    rules.write_text("a => b\n")
+    for char in _ODD_BREAKS:
+        path.write_text("\n".join([_HEADER, _OK[0] + char, last]) + "\n")
+        assert run(["audit", "--rules", str(rules), "--data", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: line 2: invalid JSON: Extra data\n")
+
+
+def test_loader_reads_cr_only_line_ends(tmp_path):
+    for with_clean in (False, True):
+        ds = _random_ds(3, 40, 3, 4, with_clean)
+        path = tmp_path / "data.jsonl"
+        save_dataset(ds, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r"))
+        got = load_dataset(path)
+        assert got.X.tobytes() == ds.X.tobytes() and got.Y.tobytes() == ds.Y.tobytes()
+        assert got.clean_Y is None if not with_clean else got.clean_Y.tobytes() == ds.clean_Y.tobytes()
+
+
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?")
 _TOKENS = ["true", "false", "null", "-0", "-0.0", "0", "1", "2", "-1", "1.0", "0.5", "1e400", "NaN",
            "Infinity", "-Infinity", '"1"', "[]", "[0]", "{}", "18446744073709551616", "1e-400"]

@@ -7,7 +7,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 import pytest
 
-from rulebound import Dataset, EpochRecord, LabelVocabulary, TrainHistory, save_dataset
+from rulebound import Dataset, EpochRecord, LabelVocabulary, save_dataset
 from rulebound import data, jsonio
 
 EDGE_FLOATS = [-0.0, 5e-324, 2.2250738585072014e-308, 1e308, 0.1, 1e16, 3.0, -2.0**53, 1 / 3]
@@ -53,9 +53,9 @@ def test_atomic_write_failure_leaves_no_new_file(tmp_path):
 def test_history_write_failing_midway_keeps_old_file(tmp_path):
     path = tmp_path / "history.jsonl"
     path.write_bytes(b"previous run\n")
-    history = TrainHistory([EpochRecord(0, 0.5, 0.1, 0.6, 0, 0), EpochRecord(1, float("nan"), 0.1, 0.6, 0, 0)])
+    history = [EpochRecord(0, 0.5, 0.1, 0.6, 0, 0), EpochRecord(1, float("nan"), 0.1, 0.6, 0, 0)]
     with pytest.raises(ValueError, match="non-finite"):
-        history.write_jsonl(path)
+        jsonio.dump_lines(history, path)
     assert path.read_bytes() == b"previous run\n"
     assert os.listdir(tmp_path) == ["history.jsonl"]
 

@@ -244,3 +244,19 @@ def test_domain_loss_validation():
             domain_loss(rs, np.array([[0.5, bad]]))
         with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
             domain_loss_grad(rs, np.array([[bad, 0.5]]))
+
+
+@pytest.mark.filterwarnings("error")  # no overflow warning either
+def test_penalty_normalizer_past_the_float_range_is_an_error():
+    P = np.full((32, 4), 0.5)
+    heavy = parse_rules("A => B @ 1e307")
+    # the loss divides by the weight total, the gradient by the total times the rows
+    assert domain_loss(heavy, P[:, :2]) == pytest.approx(0.25)
+    assert domain_loss_grad(heavy, P[:1, :2]).tolist() == [[0.5, -0.5]]
+    with pytest.raises(ValueError, match=r"^rule weights too large: their total times 32 rows passes"):
+        domain_loss_grad(heavy, P[:, :2])
+    heavier = parse_rules("A => B @ 1e308\nC => D @ 1e308")
+    with pytest.raises(ValueError, match=r"^rule weights too large: their total times 1 rows passes"):
+        domain_loss(heavier, P)
+    with pytest.raises(ValueError, match=r"^rule weights too large: their total times 1 rows passes"):
+        domain_loss_grad(heavier, P[:1])

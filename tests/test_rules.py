@@ -68,6 +68,16 @@ def test_comments_blank_lines_crlf():
     assert rs.rules[1].line == 5
 
 
+def test_lines_end_only_at_lf_crlf_or_cr():
+    rs = parse_rules("# header comment\r\ra => b\r!b => FALSE")
+    assert [rule.line for rule in rs.rules] == [3, 4]
+    # any other character str.splitlines breaks at is whitespace inside its line
+    for char in "\v\f\x1c\x1d\x1e\x85\u2028\u2029":
+        with pytest.raises(RuleSyntaxError, match=r"^line 1, column 13: unexpected input after the rule$"):
+            parse_rules(f"MUTEX(A, B){char}A => C")
+        assert len(parse_rules(f"A{char}=>{char}C\n").rules) == 1
+
+
 def test_vocab_first_appearance_order():
     rs = parse_rules("z => m\nMUTEX(b, a)\nm & q => z")
     assert rs.vocabulary.names == ("z", "m", "b", "a", "q")

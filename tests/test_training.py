@@ -25,6 +25,7 @@ from rulebound import (
     total_loss_and_grads,
     train,
 )
+from rulebound import jsonio
 
 
 def _toy_dataset(seed=0, n=24, rules="a => b\nMUTEX(b, c)"):
@@ -171,11 +172,11 @@ def test_history_length_and_monotone_columns():
     cfg = TrainConfig(epochs=8, warmup_epochs=2, batch_size=8, seed=1)
     _, history, _ = train(noisy, rs, cfg)
     assert len(history) == 8
-    epochs = [r.epoch for r in history.records]
+    epochs = [r.epoch for r in history]
     assert epochs == list(range(1, 9))
-    masked = [r.n_masked for r in history.records]
+    masked = [r.n_masked for r in history]
     assert all(b <= a for a, b in zip(masked, masked[1:]))
-    corrected = [r.n_corrected_cumulative for r in history.records]
+    corrected = [r.n_corrected_cumulative for r in history]
     assert all(b >= a for a, b in zip(corrected, corrected[1:]))
 
 
@@ -193,7 +194,7 @@ def test_train_deterministic():
     p2, h2, s2 = train(noisy, rs, cfg)
     for a, b in zip(p1.as_tuple(), p2.as_tuple()):
         assert np.array_equal(a, b)
-    assert h1.records == h2.records
+    assert h1 == h2
     assert np.array_equal(s1.targets, s2.targets)
 
 
@@ -277,9 +278,9 @@ def test_mask_only_never_edits_targets():
     _, history, state = train(noisy, rs, cfg)
     assert np.array_equal(state.targets, noisy.Y.astype(np.float64))
     assert not (state.origin == ORIGIN_SELF_CORRECTED).any()
-    assert all(r.n_corrected_cumulative == 0 for r in history.records)
+    assert all(r.n_corrected_cumulative == 0 for r in history)
     # masked entries stay masked for the whole run
-    masked = [r.n_masked for r in history.records]
+    masked = [r.n_masked for r in history]
     assert masked[0] == masked[-1] == state.n_masked
 
 
@@ -294,7 +295,7 @@ def test_warmup_equal_to_epochs_only_corrects_after_last_record():
     # parameters never saw a corrected target, so the runs agree bitwise
     for a, b in zip(p_rel.as_tuple(), p_mask.as_tuple()):
         assert np.array_equal(a, b)
-    assert all(r.n_corrected_cumulative == 0 for r in h_rel.records)
+    assert all(r.n_corrected_cumulative == 0 for r in h_rel)
     # the one correction pass at the final boundary shows up in the state
     probs, _ = forward(p_rel, noisy.X)
     expect, n = correct_labels(s_mask, probs, 0.8)
@@ -325,7 +326,7 @@ def test_relabel_run_actually_corrects(monkeypatch):
     # epoch from warmup_epochs on
     assert len(counts) == 17 and sum(counts) > 0
     passes_before = [max(0, epoch - 4) for epoch in range(1, 21)]
-    assert [r.n_corrected_cumulative for r in history.records] == [sum(counts[:k]) for k in passes_before]
+    assert [r.n_corrected_cumulative for r in history] == [sum(counts[:k]) for k in passes_before]
 
 
 def test_train_rejects_foreign_vocabulary():
@@ -399,7 +400,7 @@ def test_history_jsonl_layout(tmp_path):
     cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=8)
     _, history, _ = train(ds, rs, cfg)
     path = tmp_path / "history.jsonl"
-    history.write_jsonl(path)
+    jsonio.dump_lines(history, path)
     lines = path.read_text().splitlines()
     assert len(lines) == 3
     import json
