@@ -146,12 +146,10 @@ def init_params(seed: int, n_features: int, n_hidden: int, n_labels: int) -> Mod
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    expz = np.exp(z[~pos])
-    out[~pos] = expz / (1.0 + expz)
-    return out
+    # exp(-|z|) never overflows: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) elsewhere
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def forward(params: ModelParams, X) -> tuple[np.ndarray, np.ndarray]:
@@ -202,7 +200,7 @@ def loss_grads(params: ModelParams, X, T, M, rs: RuleSet, lambda_: float) -> Mod
     in every parameter, without computing the loss value: one training step.
     A batch whose entries are all masked adds no BCE gradient; its rule
     penalty gradient still applies."""
-    if lambda_ < 0:
+    if not (lambda_ >= 0 and math.isfinite(lambda_)):
         raise ValueError("lambda must be nonnegative")
     X = np.asarray(X, dtype=np.float64)
     probs, hidden = forward(params, X)
@@ -235,7 +233,7 @@ def total_loss_and_grads(
 
 def sgd_step(params: ModelParams, grads: ModelParams, learning_rate: float) -> ModelParams:
     """One plain gradient step; returns new parameters, inputs untouched."""
-    if learning_rate <= 0:
+    if not (learning_rate > 0 and math.isfinite(learning_rate)):
         raise ValueError("learning rate must be positive")
     lr = float(learning_rate)
     return ModelParams(

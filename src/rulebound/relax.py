@@ -13,22 +13,28 @@ the gather the crisp checks use too, factor-major, as
 multiplies whole (rules x rows) slabs: forward for the prefix products, whose
 last holds the degrees, and backward for the suffix products. A factor's
 partial is its prefix times its suffix, so a factor that is exactly 0 needs
-no division. The partials, times each factor's signed weight, are scattered
-onto the labels by one `np.bincount`, which adds in input order: each
-gradient entry sums its terms rule by rule, factor by factor, as an ordered
-(row, rule, factor) scatter would. Factors multiply left to right and rules
-add in stored order, so results are bitwise reproducible. `domain_loss` runs
-over blocks of rows that each hold a fixed number of factor entries, so a
-full-data pass holds one bounded block at a time, whatever the rule count.
+no division. Only the live factors' partials, those the rule set's
+`ScatterPlan` lists, times each one's signed weight, are scattered onto the
+labels by one `np.bincount`, which adds in input order: each gradient entry
+sums its terms rule by rule, factor by factor, as an ordered
+(row, rule, factor) scatter would. A padding factor's partial would add
++-0.0 to label 0, and leaving it out changes no bit: a bin's sum starts at
++0.0, adding +-0.0 to a nonzero sum or to +0.0 leaves it as it was, and a sum
+of nonzero terms that cancels to zero is +0.0, so no bin ever holds -0.0.
+Factors multiply left to right and rules add in stored order, so results
+are bitwise reproducible. `domain_loss` runs over blocks of rows that each
+hold a fixed number of factor entries, so a full-data pass holds one bounded
+block at a time, whatever the rule count.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Rule, RuleSet, compile_factors, factor_values
+from .rules import Rule, RuleSet, ScatterPlan, compile_factors, factor_values, scatter_plan
 
 # factor entries (factors x rules x rows) per block of a `domain_loss` pass, so
 # that a pass holds about as much memory however many rules the set has
@@ -55,13 +61,12 @@ def _check_batch(P, width: int) -> np.ndarray:
     return arr
 
 
-def _normalizer(rs: RuleSet, rows: int) -> np.float64:
+def _normalizer(rs: RuleSet, rows: int) -> float:
     """The rule weights' total times `rows`, which a penalty over `rows` rows
     is divided by. ValueError where it passes the float range: dividing by
     infinity would zero the penalty."""
-    with np.errstate(over="ignore"):
-        norm = np.cumsum(rs.weights)[-1] * rows
-    if not np.isfinite(norm):
+    norm = rs.plan.weight_total * rows  # a float, which overflows to inf without a warning
+    if not math.isfinite(norm):
         raise ValueError(f"rule weights too large: their total times {rows} rows passes the float range")
     return norm
 
@@ -78,23 +83,22 @@ def _degrees(P: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return factors, prefix
 
 
-def _penalty_grad(
-    factors: np.ndarray, prefix: np.ndarray, signed_weights: np.ndarray, labels: np.ndarray, width: int
-) -> np.ndarray:
+def _penalty_grad(factors: np.ndarray, prefix: np.ndarray, plan: ScatterPlan, width: int) -> np.ndarray:
     """Gradient in P (rows x width) of the sum of the degrees that `_degrees`
-    returned, each factor's partial entering label `labels[r, j]` times
-    `signed_weights[r, j]` (see `RuleSet`)."""
+    returned, each live slot's partial entering its label times its signed
+    weight (see `ScatterPlan`)."""
     k, rules, n = factors.shape
-    partials = np.empty((rules, k, n))
-    suffix = np.ones((rules, n))  # multiplies factors k - 1 down to j + 1
-    for j in range(k - 1, -1, -1):
-        np.multiply(prefix[j], suffix, out=partials[:, j])
-        suffix *= factors[j]
-    partials *= signed_weights[:, :, None]
+    suffix = np.empty_like(factors)  # suffix[j] multiplies factors k - 1 down to j + 1
+    suffix[-1] = 1.0
+    for j in range(k - 2, -1, -1):
+        np.multiply(suffix[j + 1], factors[j + 1], out=suffix[j])
+    live = prefix[:k].reshape(k * rules, n)[plan.slots]
+    live *= suffix.reshape(k * rules, n)[plan.slots]
+    live *= plan.signed_weights[:, None]
     # in (rule, factor, row) order each gradient entry adds its terms rule by
-    # rule, factor by factor; padding adds a zero partial to label 0
-    bins = labels[:, :, None] + np.arange(0, n * width, width)
-    grad = np.bincount(bins.ravel(), partials.ravel(), n * width)
+    # rule, factor by factor
+    bins = plan.labels[:, None] + np.arange(0, n * width, width)
+    grad = np.bincount(bins.ravel(), live.ravel(), n * width)
     return grad.reshape(n, width)
 
 
@@ -107,8 +111,8 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
     arr = _check_batch(arr, arr.shape[1])
     index, signs, labels = compile_factors((rule,), arr.shape[1])
     factors, prefix = _degrees(arr, index)
-    # one rule of unit weight: its signed weights are the signs
-    grads = _penalty_grad(factors, prefix, signs, labels, arr.shape[1])
+    # the degree of one rule, unweighted
+    grads = _penalty_grad(factors, prefix, scatter_plan(signs, labels, np.ones(1)), arr.shape[1])
     return BatchPenaltyResult(prefix[-1, 0], grads)
 
 
@@ -136,6 +140,6 @@ def domain_loss_grad(rs: RuleSet, P) -> np.ndarray:
         return np.zeros_like(arr)
     norm = _normalizer(rs, arr.shape[0])
     factors, prefix = _degrees(arr, rs.factor_index)
-    grad = _penalty_grad(factors, prefix, rs.signed_weights, rs.factor_labels, arr.shape[1])
+    grad = _penalty_grad(factors, prefix, rs.plan, arr.shape[1])
     grad /= norm
     return grad

@@ -25,6 +25,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,18 +147,16 @@ class Rule:
 class RuleSet:
     """A vocabulary plus rules whose literals index into it.
 
-    The rules are compiled once, by `compile_factors`, into `factor_index`.
-    A factor's partial derivative enters the gradient of label
-    `factor_labels[r, j]` times `signed_weights[r, j]`, its sign times the
-    rule weight. `weights` holds the rule weights in order.
+    The rules are compiled once, by `compile_factors`, into `factor_index`
+    and the penalty's `plan` (see `ScatterPlan`). `weights` holds the rule
+    weights in order.
     """
 
     vocabulary: LabelVocabulary
     rules: tuple[Rule, ...] = ()
     factor_index: np.ndarray = field(init=False, repr=False, compare=False)
     weights: np.ndarray = field(init=False, repr=False, compare=False)
-    signed_weights: np.ndarray = field(init=False, repr=False, compare=False)
-    factor_labels: np.ndarray = field(init=False, repr=False, compare=False)
+    plan: ScatterPlan = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
@@ -165,8 +164,7 @@ class RuleSet:
         weights = np.array([rule.weight for rule in self.rules], dtype=np.float64)
         object.__setattr__(self, "factor_index", index)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "signed_weights", signs * weights[:, None])
-        object.__setattr__(self, "factor_labels", labels)
+        object.__setattr__(self, "plan", scatter_plan(signs, labels, weights))
 
 
 def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,6 +189,31 @@ def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np
     pad = [2 * width] * k  # the constant column
     index = np.array([row + pad[len(row) :] for row in rows], dtype=np.intp).reshape(len(rows), k)
     return index, _BLOCK_SIGNS[index // width], index % width
+
+
+class ScatterPlan(NamedTuple):
+    """Where a penalty's factor partials go. `slots` lists the live (not
+    padding) factors rule by rule, each rule's in order, by their flat
+    position j * rules + r in the factor-major (factors x rules) layout of
+    `factor_values`. Slot s's partial enters the gradient of label `labels[s]`
+    times `signed_weights[s]`, its sign times its rule's weight.
+    `weight_total` is the rule weights' sum, added in order; it is infinite
+    where that sum passes the float range."""
+
+    slots: np.ndarray
+    labels: np.ndarray
+    signed_weights: np.ndarray
+    weight_total: float
+
+
+def scatter_plan(signs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> ScatterPlan:
+    """The plan of the factors that `compile_factors` returned `signs` and
+    `labels` for, rule r weighing `weights[r]`."""
+    rule, factor = np.nonzero(signs)  # rule-major
+    with np.errstate(over="ignore"):
+        total = float(np.cumsum(weights)[-1]) if len(weights) else 0.0
+    signed = signs[rule, factor] * weights[rule]
+    return ScatterPlan(factor * len(signs) + rule, labels[rule, factor], signed, total)
 
 
 def factor_values(index: np.ndarray, V: np.ndarray) -> np.ndarray:

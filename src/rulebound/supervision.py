@@ -57,10 +57,9 @@ def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
     """Flag matrix: entry (i, j) is 1 when label j appears (either polarity)
     in at least one rule violated by row i."""
     violations = violation_matrix(rs, Y)
-    # (rules x labels), 1 where a label is among a rule's factors; padding has no weight
+    # (rules x labels), 1 where a label is among a rule's live factor slots
     mentions = np.zeros((len(rs.rules), len(rs.vocabulary)))
-    factors = rs.signed_weights != 0
-    mentions[np.nonzero(factors)[0], rs.factor_labels[factors]] = 1.0
+    mentions[rs.plan.slots % len(rs.rules), rs.plan.labels] = 1.0
     return (violations.astype(np.float64) @ mentions > 0).astype(np.uint8)
 
 

@@ -73,9 +73,11 @@ def train(
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(cfg.seed, epoch, n)
         mask = state.mask  # the state changes only at epoch ends
+        # the epoch's rows gathered once, in shuffled order; each step takes a slice
+        X, T, M = data.X[order], state.targets[order], mask[order].astype(np.float64)
         for start in range(0, n, cfg.batch_size):
-            rows = order[start : start + cfg.batch_size]
-            grads = loss_grads(params, data.X[rows], state.targets[rows], mask[rows], rs, cfg.lambda_)
+            stop = start + cfg.batch_size
+            grads = loss_grads(params, X[start:stop], T[start:stop], M[start:stop], rs, cfg.lambda_)
             params = sgd_step(params, grads, cfg.learning_rate)
         probs, _ = forward(params, data.X)
         epoch_bce = bce_masked(probs, state.targets, mask)

@@ -189,6 +189,18 @@ def penalty_grad_reference(rs: RuleSet, P) -> np.ndarray:
     return grad
 
 
+def sigmoid_reference(z) -> np.ndarray:
+    """The logistic function by two branches chosen per entry, so that no exp
+    overflows: 1 / (1 + exp(-z)) where z >= 0, exp(z) / (1 + exp(z)) where z < 0."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    expz = np.exp(z[~pos])
+    out[~pos] = expz / (1.0 + expz)
+    return out
+
+
 def dataset_jsonl(ds) -> str:
     """Reference dataset file: the label header, then every row as a generic
     `jsonio.dumps` of its {"x": [float...], "y": [int...]} object, plus

@@ -145,7 +145,10 @@ def test_compile_factors_index_signs_and_labels():
     assert signs.tolist() == [[1.0, -1.0, -1.0], [1.0, 0.0, 0.0]]
     assert labels.tolist() == [[0, 1, 2], [1, 0, 0]]
     rs = RuleSet(vocab, rules)
-    assert np.array_equal(rs.factor_index, index) and np.array_equal(rs.factor_labels, labels)
+    assert np.array_equal(rs.factor_index, index)
+    # the live plan drops padding: rule 0's three slots, then rule 1's first, at
+    # their factor-major positions j * 2 + r
+    assert rs.plan.slots.tolist() == [0, 2, 4, 1] and rs.plan.labels.tolist() == [0, 1, 2, 1]
     assert compile_factors((), 3)[0].shape == (0, 0)
     with pytest.raises(RuleError, match="label index 3 outside 3 labels"):
         compile_factors((Rule((Literal(3),)),), 3)

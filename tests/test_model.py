@@ -86,6 +86,28 @@ def test_forward_probs_strictly_inside_unit_interval():
     assert np.all(probs > 0) and np.all(probs < 1)
 
 
+@pytest.mark.filterwarnings("error")
+def test_forward_probabilities_match_two_branch_sigmoid_bitwise():
+    from rulebound.model import _sigmoid
+
+    edges = np.array([0.0, 1e-300, 5e-324, 36.8, 709.8, 745.2, 800.0])
+    edges = np.concatenate([edges, -edges])  # -0.0 too, which forward's matmul does not return here
+    assert _sigmoid(edges).tobytes() == oracles.sigmoid_reference(edges).tobytes()
+    # one hidden unit saturated at exactly 1 and -1 makes W2's column the logits
+    params = ModelParams(np.ones((1, 1)), np.zeros(1), edges[:, None], np.zeros(len(edges)))
+    probs, _ = forward(params, np.array([[20.0], [-20.0]]))
+    assert probs.tobytes() == oracles.sigmoid_reference(np.array([edges, -edges])).tobytes()
+    rng = np.random.default_rng(17)
+    for scale in (0.1, 3.0, 200.0):
+        init = init_params(5, 4, 6, 3)
+        params = ModelParams(init.W1 * scale, init.b1, init.W2 * scale, rng.normal(size=3) * scale)
+        X = rng.normal(size=(50, 4)) * scale
+        probs, hidden = forward(params, X)
+        logits = hidden @ params.W2.T + params.b2
+        assert probs.tobytes() == oracles.sigmoid_reference(logits).tobytes()
+    assert np.abs(logits).max() > 100  # the largest scale saturates
+
+
 def test_forward_shape_validation():
     params = init_params(0, 4, 3, 2)
     with pytest.raises(ValueError):
@@ -235,6 +257,14 @@ def test_negative_lambda_rejected():
         )
 
 
+@pytest.mark.parametrize("lambda_", [math.nan, math.inf])
+def test_loss_grads_rejects_non_finite_lambda(lambda_):
+    params = init_params(0, 2, 3, 2)
+    rs = parse_rules("a => b")
+    with pytest.raises(ValueError, match="lambda must be nonnegative"):
+        loss_grads(params, np.ones((4, 2)), np.ones((4, 2)), np.ones((4, 2)), rs, lambda_)
+
+
 # ---- SGD ----
 
 
@@ -260,6 +290,13 @@ def test_sgd_rejects_bad_learning_rate():
     params = init_params(0, 2, 2, 2)
     with pytest.raises(ValueError):
         sgd_step(params, params, 0.0)
+
+
+@pytest.mark.parametrize("learning_rate", [math.nan, math.inf])
+def test_sgd_rejects_non_finite_learning_rate(learning_rate):
+    params = init_params(0, 2, 2, 2)
+    with pytest.raises(ValueError, match="learning rate must be positive"):
+        sgd_step(params, params, learning_rate)
 
 
 # ---- checkpoints ----

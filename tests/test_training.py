@@ -19,6 +19,7 @@ from rulebound import (
     forward,
     init_params,
     init_supervision,
+    loss_grads,
     parse_rules,
     sgd_step,
     synthesize,
@@ -221,6 +222,39 @@ def test_train_off_mode_matches_reference_loop():
         assert np.array_equal(a, b)
     assert state.mask.all()
     assert (state.origin == ORIGIN_GIVEN).all()
+
+
+def test_train_relabel_with_penalty_matches_reference_loop():
+    # rule 0 has four factors and the MUTEX rules two, so the compiled index
+    # pads; 26 rows in batches of 8 leave a last batch of 2
+    rs = parse_rules("a & !b => c | d @ 2.5\nMUTEX(b, c)")
+    ds = _with_noise(synthesize(4, 26, 3, rs, k_patterns=3), rs, rho=0.5)
+    cfg = TrainConfig(
+        epochs=4, warmup_epochs=1, batch_size=8, learning_rate=0.3, lambda_=0.7,
+        tau=0.55, hidden_units=5, seed=6, correction_mode="relabel",
+    )
+    params, _, state = train(ds, rs, cfg)
+
+    # the relabel schedule written out longhand
+    ref = init_params(6, ds.X.shape[1], 5, len(ds.names))
+    ref_state = init_supervision(ds.Y, flag_inconsistent(rs, ds.Y), "relabel")
+    assert ref_state.n_masked > 0
+    n_corrected = 0
+    for epoch in range(1, 5):
+        order = np.random.default_rng([6, epoch]).permutation(ds.n_samples)
+        M = ref_state.mask
+        for start in range(0, ds.n_samples, 8):
+            rows = order[start : start + 8]
+            grads = loss_grads(ref, ds.X[rows], ref_state.targets[rows], M[rows], rs, 0.7)
+            ref = sgd_step(ref, grads, 0.3)
+        probs, _ = forward(ref, ds.X)
+        ref_state, corrected = correct_labels(ref_state, probs, 0.55)
+        n_corrected += corrected
+    assert n_corrected > 0
+    for a, b in zip(params.as_tuple(), ref.as_tuple()):
+        assert a.tobytes() == b.tobytes()
+    assert np.array_equal(state.targets, ref_state.targets)
+    assert np.array_equal(state.origin, ref_state.origin)
 
 
 def test_training_steps_compute_no_loss_value(monkeypatch):
