@@ -360,7 +360,8 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
 
     Label patterns are drawn by rejection sampling until k_patterns distinct
     rule-consistent vectors are found (duplicates count as rejections; error
-    after 10000 * k_patterns rejections). Randomness is keyed so a sample
+    after 10000 * k_patterns rejections, or before the first draw when
+    k_patterns passes the 2 ** n_labels vectors there are). Randomness is keyed so a sample
     depends only on (seed, sample index): patterns and centroids come from
     the stream SeedSequence([seed, 0]) and sample i from
     SeedSequence([seed, 1, i]), which makes parallel generation equal to the
@@ -384,6 +385,10 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     n_labels = len(rs.vocabulary)
     if n_labels > 20:
         raise ValueError("synthesis supports at most 20 labels")
+    if k_patterns > 2**n_labels:
+        raise SynthesisBudgetError(
+            f"no {k_patterns} distinct label vectors exist over {n_labels} labels, only {2**n_labels}"
+        )
     stream = np.random.default_rng([seed, 0])
     accepted: dict[tuple[int, ...], None] = {}  # insertion-ordered, and the seen-set
     budget = 10_000 * k_patterns

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Rule, RuleSet, ScatterPlan, compile_factors, factor_values, scatter_plan
+from .rules import Rule, RuleSet, ScatterPlan, compile_factors, factor_values
 
 # factor entries (factors x rules x rows) per block of a `domain_loss` pass, so
 # that a pass holds about as much memory however many rules the set has
@@ -109,10 +109,9 @@ def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
     if arr.ndim != 2:
         raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
     arr = _check_batch(arr, arr.shape[1])
-    index, signs, labels = compile_factors((rule,), arr.shape[1])
+    index, plan = compile_factors((rule,), arr.shape[1], np.ones(1))  # the degree, unweighted
     factors, prefix = _degrees(arr, index)
-    # the degree of one rule, unweighted
-    grads = _penalty_grad(factors, prefix, scatter_plan(signs, labels, np.ones(1)), arr.shape[1])
+    grads = _penalty_grad(factors, prefix, plan, arr.shape[1])
     return BatchPenaltyResult(prefix[-1, 0], grads)
 
 

@@ -14,9 +14,10 @@ A trailing `@ w` attaches a positive weight (default 1.0); MUTEX rules
 inherit it. `MUTEX` and `FALSE` are reserved words and cannot name labels.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8, and a line ends
 only at LF, CRLF or CR.
-Rules compile once, in `compile_factors`, and the crisp checks here, the relaxed
-penalty and the supervision flags read their factors through one gather,
-`factor_values`.
+Rules compile once, in `compile_factors`, to a factor index and the
+penalty's scatter plan. The crisp checks here, the flip table, the relaxed
+penalty and the supervision flags all read that index over one column table,
+`column_table`.
 """
 
 from __future__ import annotations
@@ -31,9 +32,8 @@ import numpy as np
 
 from . import jsonio
 
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
 _RESERVED = ("MUTEX", "FALSE")
-_BLOCK_SIGNS = np.array((1.0, -1.0, 0.0))  # a factor's sign by its block of [y, 1 - y, 1]
 
 
 # ---- errors ----
@@ -89,7 +89,7 @@ class LabelVocabulary:
             raise ValueError("vocabulary needs at least one label")
         seen: set[str] = set()
         for name in names:
-            if not isinstance(name, str) or not _IDENT_RE.match(name):
+            if not isinstance(name, str) or not re.fullmatch(_IDENT, name):
                 raise ValueError(f"invalid label identifier: {name!r}")
             if name in _RESERVED:
                 raise ValueError(f"{name} is a reserved word and cannot name a label")
@@ -160,23 +160,23 @@ class RuleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
-        index, signs, labels = compile_factors(self.rules, len(self.vocabulary))
         weights = np.array([rule.weight for rule in self.rules], dtype=np.float64)
+        index, plan = compile_factors(self.rules, len(self.vocabulary), weights)
         object.__setattr__(self, "factor_index", index)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "plan", scatter_plan(signs, labels, weights))
+        object.__setattr__(self, "plan", plan)
 
 
-def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rules over `width` labels compiled to (factor index, signs, labels),
-    each rules x max factors. Row r of the index holds rule r's factors, its
-    antecedent then its consequent literals in stored order, as columns of
-    [y, 1 - y, 1] (see `factor_values`), padded with the constant column
-    2 * width. A negated antecedent literal or a plain consequent literal reads
-    1 - y, column label + width; any other literal reads y, column label. A
-    crisp vector violates a rule exactly when every factor reads 1. A sign is
-    1 for a y column, -1 for a 1 - y column and 0 for padding, whose label
-    reads 0."""
+def compile_factors(rules: tuple[Rule, ...], width: int, weights: np.ndarray) -> tuple[np.ndarray, ScatterPlan]:
+    """The rules over `width` labels, rule r weighing `weights[r]`, compiled to
+    (factor index, scatter plan). The index is rules x max factors: row r holds
+    rule r's factors, its antecedent then its consequent literals in stored
+    order, as columns of [y, 1 - y, 1] (see `column_table`), padded with the
+    constant column 2 * width. A negated antecedent literal or a plain
+    consequent literal reads 1 - y, column label + width; any other literal
+    reads y, column label. A crisp vector violates a rule exactly when every
+    factor reads 1. The plan lists the live (not padding) factors, signed 1 on
+    a y column and -1 on a 1 - y column."""
     top = max((lit.label for rule in rules for lit in rule.antecedent + rule.consequent), default=0)
     if top >= width:
         raise RuleError(f"rule mentions label index {top} outside {width} labels")
@@ -188,7 +188,12 @@ def compile_factors(rules: tuple[Rule, ...], width: int) -> tuple[np.ndarray, np
     k = max(map(len, rows), default=0)
     pad = [2 * width] * k  # the constant column
     index = np.array([row + pad[len(row) :] for row in rows], dtype=np.intp).reshape(len(rows), k)
-    return index, _BLOCK_SIGNS[index // width], index % width
+    rule, factor = np.nonzero(index != 2 * width)  # rule-major
+    live = index[rule, factor]
+    with np.errstate(over="ignore"):
+        total = float(np.cumsum(weights)[-1]) if len(weights) else 0.0
+    signed = np.where(live < width, 1.0, -1.0) * weights[rule]
+    return index, ScatterPlan(factor * len(index) + rule, live % width, signed, total)
 
 
 class ScatterPlan(NamedTuple):
@@ -206,25 +211,22 @@ class ScatterPlan(NamedTuple):
     weight_total: float
 
 
-def scatter_plan(signs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> ScatterPlan:
-    """The plan of the factors that `compile_factors` returned `signs` and
-    `labels` for, rule r weighing `weights[r]`."""
-    rule, factor = np.nonzero(signs)  # rule-major
-    with np.errstate(over="ignore"):
-        total = float(np.cumsum(weights)[-1]) if len(weights) else 0.0
-    signed = signs[rule, factor] * weights[rule]
-    return ScatterPlan(factor * len(signs) + rule, labels[rule, factor], signed, total)
+def column_table(V: np.ndarray) -> np.ndarray:
+    """The columns of [V, 1 - V, 1] for the (rows x width) matrix V, as the
+    rows of a (2 * width + 1) x rows matrix in V's dtype: a factor index's
+    entries name its rows."""
+    n, width = V.shape
+    columns = np.ones((2 * width + 1, n), dtype=V.dtype)
+    columns[:width] = V.T
+    np.subtract(1, V.T, out=columns[width : 2 * width])
+    return columns
 
 
 def factor_values(index: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The factors of the rules in a factor index at every row of the (rows x
-    width) matrix V, as (factors x rules x rows), in V's dtype: the columns of
-    [V, 1 - V, 1] the index names. The crisp checks and the penalty read it."""
-    n, width = V.shape
-    columns = np.ones((2 * width + 1, n), dtype=V.dtype)  # one row per column
-    columns[:width] = V.T
-    np.subtract(1, V.T, out=columns[width : 2 * width])
-    return columns[index.T]
+    """The factors of the rules in a factor index at every row of V, as
+    (factors x rules x rows), in V's dtype. The crisp checks and the penalty
+    read it."""
+    return column_table(V)[index.T]
 
 
 # ---- lexer ----
@@ -232,7 +234,7 @@ def factor_values(index: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 _TOKEN_RE = re.compile(
     r"(?P<space>\s+)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{_IDENT})"
     r"|(?P<number>[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)"
     r"|(?P<arrow>=>)"
     r"|(?P<sym>[!&|(),@])"
@@ -457,35 +459,25 @@ def breaking_flips(rs: RuleSet, Y) -> np.ndarray:
     """Boolean matrix (samples x labels), True where flipping that one label of
     a sample breaks a rule the sample keeps.
 
-    Flipping label j breaks a kept rule exactly when every factor off j is 1
-    and every factor on j is 0. A rule's factors read columns of [y, 1 - y, 1];
-    take each column once. A rule with both the y and the 1 - y column of one
-    label is violated by no vector, so no flip breaks it. In every other rule
-    each label has at most one column, so a flip breaks the rule exactly when
-    one of its columns reads 0, and it is the flip of that column's label.
+    Flipping label j swaps its y and 1 - y rows in the `column_table`, and
+    changes exactly the rules that read one of them. Such a rule violated
+    after the flip was kept before it, since its factors on j read 0 then; so
+    the flip breaks a kept rule exactly when some rule that reads j has every
+    factor at 1 in the swapped table.
     """
     arr = _label_matrix(rs, Y)
     n, width = arr.shape
-    columns = []
-    for row in rs.factor_index.tolist():
-        read = sorted(set(row) - {2 * width})
-        if len({c % width for c in read}) == len(read):
-            columns.append(read)
+    index = rs.factor_index
+    # the factors, transposed, of the rules that read each label
+    readers = [index[((index == j) | (index == j + width)).any(axis=1)].T for j in range(width)]
     table = np.zeros((n, width), dtype=bool)
-    if not columns:
-        return table
-    k = max(map(len, columns))
-    index = np.array([c + [2 * width] * (k - len(c)) for c in columns], dtype=np.intp)
-    labels = (index % width).astype(np.min_scalar_type(width))
     for start in range(0, n, _FLIP_BLOCK_ROWS):
-        F = factor_values(index, arr[start : start + _FLIP_BLOCK_ROWS])
-        # the (rule, row) pairs, flattened, where one factor reads 0; padding reads 1
-        hits = np.flatnonzero(F.sum(axis=0, dtype=np.min_scalar_type(k)) == k - 1)
-        # at those pairs the sum is the label of the one factor that reads 0; it
-        # may wrap at pairs with more zeros, and those are never read
-        zero_label = sum((F[p] == 0) * labels[:, p, None] for p in range(k))
-        rows = start + hits % F.shape[2]
-        table.ravel()[rows * width + zero_label.ravel()[hits]] = True
+        columns = column_table(arr[start : start + _FLIP_BLOCK_ROWS])
+        for j, factors in enumerate(readers):
+            pair = columns[j : 2 * width : width]  # the y and 1 - y rows of j
+            pair[:] = pair[::-1]
+            table[start : start + _FLIP_BLOCK_ROWS, j] = columns[factors].all(axis=0).any(axis=0)
+            pair[:] = pair[::-1]
     return table
 
 

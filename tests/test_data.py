@@ -533,6 +533,16 @@ def test_synthesize_budget_error_when_too_few_patterns_exist():
         synthesize(0, 10, 2, rs, k_patterns=3)  # only two vectors exist over one label
 
 
+def test_synthesize_budget_error_names_the_label_count_before_any_draw(monkeypatch):
+    def no_draws(rs, Y):
+        raise AssertionError("drew candidate label vectors")
+
+    monkeypatch.setattr(data, "violation_matrix", no_draws)
+    rs = parse_rules("a => b\nc => FALSE")
+    with pytest.raises(SynthesisBudgetError, match=r"^no 9 distinct label vectors exist over 3 labels, only 8$"):
+        synthesize(0, 10, 2, rs, k_patterns=9)
+
+
 def test_synthesize_validation():
     rs = parse_rules("a => b")
     with pytest.raises(ValueError):
@@ -640,10 +650,48 @@ def test_violating_noise_skips_rows_with_no_harmful_flip():
 
 # Rules that repeat a label, on one side or across both, in one polarity or both;
 # "a & !a => b" itself is rejected by the parser, as every label repeated on one side is.
-@pytest.mark.parametrize("rules", [
+_HAND_WRITTEN_RULES = [
     "a => a", "a => !a", "!a => a", "a & b => !a | c", "!a & b => a | c", "a & !b => b | d",
     "a & b => FALSE", "MUTEX(a, b, c)", "", "a => b\nb => !a\nc & d => FALSE\nMUTEX(b, c, d)",
-])
+]
+
+
+def _flip_table_reference(rs, Y):
+    """Where flipping label j of row i makes the row violate a rule it did not:
+    the crisp oracle's violated sets before and after each single flip."""
+    table = np.zeros(Y.shape, dtype=bool)
+    for i, y in enumerate(Y.tolist()):
+        before = {r for r, rule in enumerate(rs.rules) if not oracles.crisp_satisfied(rule, y)}
+        for j in range(len(y)):
+            flipped = y[:j] + [1 - y[j]] + y[j + 1 :]
+            after = {r for r, rule in enumerate(rs.rules) if not oracles.crisp_satisfied(rule, flipped)}
+            table[i, j] = bool(after - before)
+    return table
+
+
+@pytest.mark.parametrize("rules", _HAND_WRITTEN_RULES)
+def test_breaking_flips_equals_the_flip_by_flip_reference_on_hand_written_rules(monkeypatch, rules):
+    monkeypatch.setattr(rules_module, "_FLIP_BLOCK_ROWS", 5)  # 16 rows in uneven blocks
+    vocab = LabelVocabulary(("a", "b", "c", "d"))
+    rs = parse_rules(rules, vocab) if rules else RuleSet(vocab, ())
+    Y = np.array(list(itertools.product((0, 1), repeat=4)))  # every vertex
+    table = rules_module.breaking_flips(rs, Y)
+    assert table.dtype == bool and np.array_equal(table, _flip_table_reference(rs, Y))
+
+
+def test_breaking_flips_equals_the_flip_by_flip_reference_on_random_rules(monkeypatch):
+    monkeypatch.setattr(rules_module, "_FLIP_BLOCK_ROWS", 6)
+    rng = random.Random(20)
+    npr = np.random.default_rng(20)
+    for n_labels in (1, 2, 3, 5, 7):
+        vocab = LabelVocabulary(tuple(f"l{i}" for i in range(n_labels)))
+        for _ in range(12):
+            rs = oracles.random_ruleset(rng, vocab, rng.randint(0, 8), max_ant=4, max_cons=4)
+            Y = npr.integers(0, 2, size=(rng.randint(1, 20), n_labels)).astype(np.uint8)
+            assert np.array_equal(rules_module.breaking_flips(rs, Y), _flip_table_reference(rs, Y))
+
+
+@pytest.mark.parametrize("rules", _HAND_WRITTEN_RULES)
 @pytest.mark.parametrize("names", [("a", "b", "c", "d"), ("d", "b", "a", "c")], ids=["rule-order", "other-order"])
 @pytest.mark.parametrize("rho", [0.5, 1.0])
 def test_violating_noise_equals_the_per_row_reference_on_hand_written_rules(monkeypatch, rules, names, rho):
