@@ -40,12 +40,7 @@ from .model import (
     sgd_step,
     total_loss_and_grads,
 )
-from .relax import (
-    BatchPenaltyResult,
-    domain_loss,
-    domain_loss_grad,
-    rule_penalty_batch,
-)
+from .relax import domain_loss, domain_loss_grad
 from .rules import (
     DuplicateLiteralError,
     EmptyAntecedentError,

@@ -6,10 +6,13 @@ consequent literal values. The degree lives in [0, 1], is polynomial in the
 probabilities, and agrees with crisp evaluation at 0/1 vectors (1 exactly on
 violating assignments, 0 on satisfied ones).
 
-Every penalty here runs on one kernel over a rule set's compiled
-`RuleSet.factor_index`. It gathers the factors through `rules.factor_values`,
-the gather the crisp checks use too, factor-major, as
-(factors x rules x rows), so that a loop over the few factor positions
+The entry points are `domain_loss`, a rule set's weight-normalized mean
+degree, and `domain_loss_grad`, its gradient; over a one-rule, unit-weight set
+at one row they are that rule's degree and gradient, exactly, since the
+normalizer is 1 x 1. Both run one kernel over the set's compiled
+`RuleSet.factor_index`, `_degrees` forward and `_penalty_grad` backward. It
+gathers the factors through `rules.factor_values`, the gather the crisp
+checks use too, factor-major, as (factors x rules x rows), so that a loop over the few factor positions
 multiplies whole (rules x rows) slabs: forward for the prefix products, whose
 last holds the degrees, and backward for the suffix products. A factor's
 partial is its prefix times its suffix, so a factor that is exactly 0 needs
@@ -30,23 +33,14 @@ block at a time, whatever the rule count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .rules import Rule, RuleSet, ScatterPlan, compile_factors, factor_values
+from .rules import RuleSet, ScatterPlan, factor_values
 
 # factor entries (factors x rules x rows) per block of a `domain_loss` pass, so
 # that a pass holds about as much memory however many rules the set has
 _BLOCK_ENTRIES = 1 << 15
-
-
-@dataclass(frozen=True)
-class BatchPenaltyResult:
-    """Per-sample violation degrees of one rule, with per-sample gradient rows."""
-
-    values: np.ndarray  # (n,)
-    grads: np.ndarray  # (n, n_labels)
 
 
 def _check_batch(P, width: int) -> np.ndarray:
@@ -100,19 +94,6 @@ def _penalty_grad(factors: np.ndarray, prefix: np.ndarray, plan: ScatterPlan, wi
     bins = plan.labels[:, None] + np.arange(0, n * width, width)
     grad = np.bincount(bins.ravel(), live.ravel(), n * width)
     return grad.reshape(n, width)
-
-
-def rule_penalty_batch(rule: Rule, P) -> BatchPenaltyResult:
-    """Violation degree of one rule at each row of P, with its exact gradient in
-    each probability of that row; a one-row batch gives one vector's."""
-    arr = np.asarray(P, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"probability matrix must be 2-D, got shape {arr.shape}")
-    arr = _check_batch(arr, arr.shape[1])
-    index, plan = compile_factors((rule,), arr.shape[1], np.ones(1))  # the degree, unweighted
-    factors, prefix = _degrees(arr, index)
-    grads = _penalty_grad(factors, prefix, plan, arr.shape[1])
-    return BatchPenaltyResult(prefix[-1, 0], grads)
 
 
 def domain_loss(rs: RuleSet, P) -> float:

@@ -27,7 +27,6 @@ from rulebound import (
     init_params,
     inject_noise,
     parse_rules,
-    rule_penalty_batch,
     save_model,
     sgd_step,
     synthesize,
@@ -36,6 +35,7 @@ from rulebound import (
     violation_matrix,
 )
 from rulebound.cli import run as cli_run
+from rulebound.relax import _degrees
 from rulebound.rules import (
     DuplicateLiteralError,
     EmptyAntecedentError,
@@ -122,18 +122,17 @@ def test_criterion_2_penalty_agrees_with_hard_semantics_everywhere():
         assert len(antecedents) == 64 and len(consequents) == 65
         vertices = list(itertools.product((0, 1), repeat=4))
         P = np.array(vertices, dtype=np.float64)
+        vocab = LabelVocabulary(("a", "b", "c", "d"))
+        rs = RuleSet(vocab, tuple(Rule(ant, cons) for ant in antecedents for cons in consequents))
+        # the compiled forward pass of domain_loss and domain_loss_grad: rules x vertices
+        relaxed = _degrees(P, rs.factor_index)[1][-1]
         checked = 0
-        for ant in antecedents:
-            for cons in consequents:
-                rule = Rule(ant, cons)
-                relaxed = rule_penalty_batch(rule, P).values
-                hard = np.array(
-                    [0.0 if oracles.crisp_satisfied(rule, y) else 1.0 for y in vertices]
-                )
-                assert np.array_equal(relaxed, hard), format_rule(
-                    rule, LabelVocabulary(("a", "b", "c", "d"))
-                )
-                checked += len(vertices)
+        for rule, degrees in zip(rs.rules, relaxed):
+            hard = np.array(
+                [0.0 if oracles.crisp_satisfied(rule, y) else 1.0 for y in vertices]
+            )
+            assert np.array_equal(degrees, hard), format_rule(rule, vocab)
+            checked += len(vertices)
         assert checked == 64 * 65 * 16
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0, f"crisp consistency sweep took {elapsed:.2f} s"

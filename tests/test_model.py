@@ -23,6 +23,7 @@ from rulebound import (
     sgd_step,
     total_loss_and_grads,
 )
+from rulebound.model import _bce_grad_probs
 
 import oracles
 
@@ -170,6 +171,16 @@ def test_bce_clamps_extreme_probabilities():
     M = np.array([[1.0]])
     assert bce_masked(P, T, M) == pytest.approx(-math.log(BCE_CLAMP), rel=1e-12)
     assert math.isfinite(bce_masked(np.array([[1.0]]), np.array([[0.0]]), M))
+
+
+def test_bce_gradient_clamp_window_is_closed():
+    # the window is [BCE_CLAMP, 1 - BCE_CLAMP], both edges in: 0 only just outside
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
+    P = np.array([[lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, 1.0)]])
+    T = np.array([[1.0, 0.0, 1.0, 0.0]])
+    grad = _bce_grad_probs(P, T, np.ones_like(P), 4.0)
+    assert grad[0, :2].tolist() == [(lo - 1.0) / (lo * (1.0 - lo)) / 4.0, hi / (hi * (1.0 - hi)) / 4.0]
+    assert grad[0, 2:].tolist() == [0.0, 0.0]
 
 
 def test_bce_shape_validation():

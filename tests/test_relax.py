@@ -14,15 +14,17 @@ from rulebound import (
     domain_loss,
     domain_loss_grad,
     parse_rules,
-    rule_penalty_batch,
 )
+from rulebound.relax import _degrees
 
 import oracles
 
 
-def _rule(text):
-    rs = parse_rules(text)
-    return rs.rules[0], rs
+def _one(rule, width):
+    """A one-rule, unit-weight set over `width` labels: at one row its
+    `domain_loss` is the rule's degree and its `domain_loss_grad` the rule's
+    gradient, exactly, since the normalizer is 1 x 1."""
+    return RuleSet(LabelVocabulary(tuple(f"l{j}" for j in range(width))), (rule,))
 
 
 # ---- literal values: one-literal rules ----
@@ -31,43 +33,43 @@ def _rule(text):
 def test_one_literal_rule_degrees():
     # a => FALSE has degree p_a, and !a => FALSE has degree 1 - p_a
     P = np.array([[0.7, 0.2]])
-    assert rule_penalty_batch(Rule((Literal(0),)), P).values[0] == 0.7
-    assert rule_penalty_batch(Rule((Literal(0, negated=True),)), P).values[0] == pytest.approx(0.3)
-    assert rule_penalty_batch(Rule((Literal(1, negated=True),)), P).values[0] == 0.8
+    assert domain_loss(_one(Rule((Literal(0),)), 2), P) == 0.7
+    assert domain_loss(_one(Rule((Literal(0, negated=True),)), 2), P) == pytest.approx(0.3)
+    assert domain_loss(_one(Rule((Literal(1, negated=True),)), 2), P) == 0.8
 
 
 # ---- single-rule penalty: frozen hand values ----
 
 
 def test_penalty_implication_at_vertex():
-    rule, _ = _rule("a => b")
-    res = rule_penalty_batch(rule, np.array([[1.0, 0.0]]))
-    assert res.values[0] == 1.0
-    assert res.grads[0].tolist() == [1.0, -1.0]
+    rs = parse_rules("a => b")
+    P = np.array([[1.0, 0.0]])
+    assert domain_loss(rs, P) == 1.0
+    assert domain_loss_grad(rs, P)[0].tolist() == [1.0, -1.0]
 
 
 def test_penalty_mutex_pair_at_half():
     # a => !b at p = (0.5, 0.5): value 0.5 * 0.5, gradient (0.5, 0.5)
-    rule, _ = _rule("a => !b")
-    res = rule_penalty_batch(rule, np.array([[0.5, 0.5]]))
-    assert res.values[0] == 0.25
-    assert res.grads[0].tolist() == [0.5, 0.5]
+    rs = parse_rules("a => !b")
+    P = np.array([[0.5, 0.5]])
+    assert domain_loss(rs, P) == 0.25
+    assert domain_loss_grad(rs, P)[0].tolist() == [0.5, 0.5]
 
 
 def test_penalty_forbidden_conjunction():
     # a & b => FALSE: value p_a * p_b
-    rule, _ = _rule("a & b => FALSE")
-    res = rule_penalty_batch(rule, np.array([[0.5, 0.25]]))
-    assert res.values[0] == 0.125
-    assert res.grads[0].tolist() == [0.25, 0.5]
+    rs = parse_rules("a & b => FALSE")
+    P = np.array([[0.5, 0.25]])
+    assert domain_loss(rs, P) == 0.125
+    assert domain_loss_grad(rs, P)[0].tolist() == [0.25, 0.5]
 
 
 def test_penalty_implication_interior_point():
     # a => b: value p_a * (1 - p_b); grad ((1 - p_b), -p_a)
-    rule, _ = _rule("a => b")
-    res = rule_penalty_batch(rule, np.array([[0.6, 0.3]]))
-    assert res.values[0] == pytest.approx(0.42, rel=1e-15)
-    assert res.grads[0] == pytest.approx(np.array([0.7, -0.6]), rel=1e-15)
+    rs = parse_rules("a => b")
+    P = np.array([[0.6, 0.3]])
+    assert domain_loss(rs, P) == pytest.approx(0.42, rel=1e-15)
+    assert domain_loss_grad(rs, P)[0] == pytest.approx(np.array([0.7, -0.6]), rel=1e-15)
 
 
 def test_penalty_matches_crisp_at_vertices():
@@ -75,38 +77,38 @@ def test_penalty_matches_crisp_at_vertices():
     n_labels = 4
     for _ in range(200):
         rule = oracles.random_rule(rng, n_labels)
+        one = _one(rule, n_labels)
         for y in itertools.product((0, 1), repeat=n_labels):
-            res = rule_penalty_batch(rule, np.array([y], dtype=np.float64))
             expected = 0.0 if oracles.crisp_satisfied(rule, y) else 1.0
-            assert res.values[0] == expected, (rule, y)
+            assert domain_loss(one, np.array([y], dtype=np.float64)) == expected, (rule, y)
 
 
 def test_penalty_value_in_unit_interval():
     rng = random.Random(55)
     npr = np.random.default_rng(55)
     for _ in range(100):
-        rule = oracles.random_rule(rng, 5)
+        one = _one(oracles.random_rule(rng, 5), 5)
         p = npr.random(5)
-        v = rule_penalty_batch(rule, p[None]).values[0]
+        v = domain_loss(one, p[None])
         assert 0.0 <= v <= 1.0
 
 
 def test_penalty_zero_iff_some_factor_zero():
-    rule, _ = _rule("a & !b => c")
+    rs = parse_rules("a & !b => c")
     interior = np.array([0.4, 0.6, 0.7])
-    assert rule_penalty_batch(rule, interior[None]).values[0] > 0.0
+    assert domain_loss(rs, interior[None]) > 0.0
     for idx, val in [(0, 0.0), (1, 1.0), (2, 1.0)]:
         p = interior.copy()
         p[idx] = val
-        assert rule_penalty_batch(rule, p[None]).values[0] == 0.0, idx
+        assert domain_loss(rs, p[None]) == 0.0, idx
 
 
 def test_penalty_monotone_in_antecedent_and_consequent():
-    rule, _ = _rule("a => b")
+    rs = parse_rules("a => b")
     grid = np.linspace(0.0, 1.0, 11)
-    vals_up = [rule_penalty_batch(rule, np.array([[pa, 0.3]])).values[0] for pa in grid]
+    vals_up = [domain_loss(rs, np.array([[pa, 0.3]])) for pa in grid]
     assert all(b > a for a, b in zip(vals_up, vals_up[1:]))
-    vals_down = [rule_penalty_batch(rule, np.array([[0.8, pb]])).values[0] for pb in grid]
+    vals_down = [domain_loss(rs, np.array([[0.8, pb]])) for pb in grid]
     assert all(b < a for a, b in zip(vals_down, vals_down[1:]))
 
 
@@ -114,56 +116,59 @@ def test_penalty_gradient_matches_finite_differences():
     rng = random.Random(777)
     npr = np.random.default_rng(777)
     for _ in range(200):
-        rule = oracles.random_rule(rng, 5)
+        one = _one(oracles.random_rule(rng, 5), 5)
         p = 0.05 + 0.9 * npr.random(5)
-        analytic = rule_penalty_batch(rule, p[None]).grads[0]
-        numeric = oracles.fd_grad(lambda q: rule_penalty_batch(rule, q[None]).values[0], p)
+        analytic = domain_loss_grad(one, p[None])[0]
+        numeric = oracles.fd_grad(lambda q: domain_loss(one, q[None]), p)
         assert oracles.max_rel_err(analytic, numeric, floor=1e-4) < 1e-6
 
 
 def test_penalty_repeated_label_across_sides():
     # a => a: value p * (1 - p), grad 1 - 2p; the same index accumulates both factors
-    rule = Rule((Literal(0),), (Literal(0),))
-    res = rule_penalty_batch(rule, np.array([[0.25]]))
-    assert res.values[0] == pytest.approx(0.1875, rel=1e-15)
-    assert res.grads[0, 0] == pytest.approx(0.5, rel=1e-15)
+    one = _one(Rule((Literal(0),), (Literal(0),)), 1)
+    P = np.array([[0.25]])
+    assert domain_loss(one, P) == pytest.approx(0.1875, rel=1e-15)
+    assert domain_loss_grad(one, P)[0, 0] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_penalty_batch_rows_are_independent():
     rng = random.Random(321)
     npr = np.random.default_rng(321)
     for _ in range(20):
-        rule = oracles.random_rule(rng, 4)
+        one = _one(oracles.random_rule(rng, 4), 4)
         P = npr.random((7, 4))
-        batch = rule_penalty_batch(rule, P)
-        assert batch.values.shape == (7,) and batch.grads.shape == (7, 4)
+        degrees = _degrees(P, one.factor_index)[1][-1, 0]
+        grads = domain_loss_grad(one, P)
+        assert degrees.shape == (7,) and grads.shape == (7, 4)
         for i in range(7):
-            single = rule_penalty_batch(rule, P[i : i + 1])
-            assert batch.values[i] == single.values[0]
-            assert np.array_equal(batch.grads[i], single.grads[0])
+            row = P[i : i + 1]
+            assert degrees[i] == domain_loss(one, row)
+            # the kernel divides once, by 1.0 * the row count
+            assert np.array_equal(grads[i], domain_loss_grad(one, row)[0] / len(P))
 
 
 def test_penalty_batch_validation():
-    rule, _ = _rule("a => b")
-    with pytest.raises(ValueError, match="empty batch"):
-        rule_penalty_batch(rule, np.zeros((0, 2)))
-    with pytest.raises(ValueError):
-        rule_penalty_batch(rule, np.array([0.5, 0.5]))
-    for bad in (1.2, np.nan, np.inf, -np.inf):
-        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
-            rule_penalty_batch(rule, np.array([[0.5, bad]]))
+    rs = parse_rules("a => b")
+    for penalty in (domain_loss, domain_loss_grad):
+        with pytest.raises(ValueError, match="empty batch"):
+            penalty(rs, np.zeros((0, 2)))
+        with pytest.raises(ValueError):
+            penalty(rs, np.array([0.5, 0.5]))
+        for bad in (1.2, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+                penalty(rs, np.array([[0.5, bad]]))
+    # a label outside the set's width fails when the set is built, a negative one
+    # when its literal is
     for label in (2, -1):
         with pytest.raises(ValueError, match="label index"):
-            rule_penalty_batch(Rule((Literal(label),)), np.full((1, 2), 0.5))
+            _one(Rule((Literal(label),)), 2)
 
 
 def test_penalty_deterministic_bitwise():
-    rule, _ = _rule("a & b => c | !d")
+    rs = parse_rules("a & b => c | !d")
     p = np.random.default_rng(3).random(4)
-    r1 = rule_penalty_batch(rule, p[None])
-    r2 = rule_penalty_batch(rule, p[None])
-    assert r1.values[0] == r2.values[0]
-    assert np.array_equal(r1.grads[0], r2.grads[0])
+    assert domain_loss(rs, p[None]) == domain_loss(rs, p[None])
+    assert np.array_equal(domain_loss_grad(rs, p[None]), domain_loss_grad(rs, p[None]))
 
 
 # ---- batch domain loss ----
