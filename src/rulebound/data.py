@@ -225,12 +225,12 @@ def _finite(x: list) -> bool:
 
 
 def _read_samples_by_line(lines: list[str], width: int):
-    """(X, Y, clean Y or None) from the sample lines, checked one at a time;
-    errors name the file line, the header being line 1."""
+    """(X, Y, clean Y or None) from the sample lines, each checked in full
+    before the next is read, so an error names the first faulty file line,
+    the header being line 1."""
     xs: list[list] = []
     ys: list[list] = []
     cleans: list[list] = []
-    line_nos: list[int] = []
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -241,6 +241,8 @@ def _read_samples_by_line(lines: list[str], width: int):
         if not isinstance(row, dict) or "x" not in row or "y" not in row:
             raise DatasetError(f"line {line_no}: sample objects need 'x' and 'y'")
         x = _parse_number_list(row["x"], line_no, "x", binary=False)
+        if not _finite(x):
+            raise DatasetError(f"line {line_no}: features must be finite")
         if _NEGATIVE_ZERO.search(line):
             x = json.loads(line, parse_int=_int_keeping_negative_zero)["x"]
         y = _parse_number_list(row["y"], line_no, "y", binary=True)
@@ -260,18 +262,10 @@ def _read_samples_by_line(lines: list[str], width: int):
             cleans.append(y_clean)
         xs.append(x)
         ys.append(y)
-        line_nos.append(line_no)
     if not xs:
         raise DatasetError("dataset has no samples")
-    try:
-        X = np.asarray(xs, dtype=np.float64)
-    except OverflowError:
-        X = None
-    if X is None or not np.isfinite(X).all():
-        bad = next(line_no for line_no, x in zip(line_nos, xs) if not _finite(x))
-        raise DatasetError(f"line {bad}: features must be finite")
     clean = np.asarray(cleans, dtype=np.int64) if cleans else None
-    return X, np.asarray(ys, dtype=np.int64), clean
+    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64), clean
 
 
 # ---- synthesis ----
@@ -279,6 +273,9 @@ def _read_samples_by_line(lines: list[str], width: int):
 # Candidate label blocks grow to at most this many rows, so memory stays flat
 # in the rejection budget.
 _SEARCH_ROWS = 1 << 14
+
+# The pattern search raises after this many rejections per pattern asked for.
+_REJECTIONS_PER_PATTERN = 10_000
 
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx) and PCG64's
 # 128-bit multiplier (numpy/random/src/pcg64/pcg64.h).
@@ -391,13 +388,11 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
         )
     stream = np.random.default_rng([seed, 0])
     accepted: dict[tuple[int, ...], None] = {}  # insertion-ordered, and the seen-set
-    budget = 10_000 * k_patterns
+    budget = _REJECTIONS_PER_PATTERN * k_patterns
     rejections = 0
     rows = k_patterns
     while len(accepted) < k_patterns:
-        # no block holds more than _SEARCH_ROWS rows, nor more draws than could
-        # be examined before the search ends
-        rows = min(rows, _SEARCH_ROWS, budget - rejections + k_patterns - len(accepted))
+        rows = min(rows, _SEARCH_ROWS)
         before = stream.bit_generator.state
         block = stream.integers(0, 2, size=(rows, n_labels))
         draws = zip(map(tuple, block.tolist()), violation_matrix(rs, block).any(axis=1))

@@ -113,7 +113,8 @@ def _landing(path: str) -> str:
 def check_targets(*paths, inputs=()) -> None:
     """Raise ValueError for a target that lands (see `_landing`) where one of
     `inputs` lands or on the file it resolves to, or where another target
-    lands, and IsADirectoryError for a target that is a directory. A path that
+    lands, IsADirectoryError for a target that is a directory, and
+    FileNotFoundError for a target whose directory does not exist. A path that
     is None or empty is an option left unset and is skipped. It writes
     nothing, so a command can call it before doing any work."""
     paths = [os.fspath(path) for path in paths if path]
@@ -127,6 +128,8 @@ def check_targets(*paths, inputs=()) -> None:
             raise ValueError(f"{path} is named as more than one output")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.exists(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 @contextmanager

@@ -49,17 +49,20 @@ def brute_force_counts(rules, Y, n_labels: int) -> list[int]:
     return counts
 
 
-def synthesize_per_row(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patterns: int) -> Dataset:
+def synthesize_per_row(
+    seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patterns: int, budget: int | None = None
+) -> Dataset:
     """Reference synthesis, one candidate label vector at a time.
 
     The stream SeedSequence([seed, 0]) draws n_labels bits per candidate. A
     candidate that breaks a rule or repeats an accepted one is a rejection,
-    and 10000 * k_patterns rejections raise. The same stream then draws the
-    k_patterns centroids; sample i comes from SeedSequence([seed, 1, i])."""
+    and `budget` rejections, by default 10000 * k_patterns, raise. The same
+    stream then draws the k_patterns centroids; sample i comes from
+    SeedSequence([seed, 1, i])."""
     n_labels = len(rs.vocabulary)
     stream = np.random.default_rng([seed, 0])
     patterns: list[tuple[int, ...]] = []
-    budget = 10_000 * k_patterns
+    budget = 10_000 * k_patterns if budget is None else budget
     rejections = 0
     while len(patterns) < k_patterns:
         if rejections >= budget:

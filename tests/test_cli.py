@@ -2,11 +2,12 @@
 
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from rulebound import load_dataset, load_model
+from rulebound import cli, load_dataset, load_model
 from rulebound.cli import run
 
 
@@ -352,6 +353,23 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_main_exits_with_the_code_that_run_returns(tmp_path, rules_file, capsys, monkeypatch):
+    missing = str(tmp_path / "missing.jsonl")
+    config = tmp_path / "exp.json"
+    config.write_text(json.dumps({"rules": rules_file, "data": missing, "epochs": "6"}))
+    for argv, code, err in [
+        (["--help"], 0, ""),
+        (["frobnicate"], 1, "invalid choice: 'frobnicate'"),
+        (["train", "--config", str(config)], 2, "error: epochs must be a number, got '6'\n"),
+        (["audit", "--rules", rules_file, "--data", missing], 3, f"No such file or directory: '{missing}'\n"),
+    ]:
+        monkeypatch.setattr(sys, "argv", ["rulebound", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == code
+        assert err in capsys.readouterr().err
+
+
 def test_validation_errors_exit_two(tmp_path, rules_file, capsys):
     bad_rules = tmp_path / "bad.rules"
     bad_rules.write_text("a & => b\n")
@@ -431,7 +449,7 @@ def test_train_into_missing_directory_writes_nothing(tmp_path, rules_file, capsy
     missing = tmp_path / "missing"
     code = run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
                 "--out-model", str(missing / "model.json"), "--out-history", str(tmp_path / "h.jsonl")])
-    assert code == 3  # training finished, then the first output could not be opened
+    assert code == 3  # the model's directory is missing, which the target check finds before training
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing / 'model.json'}'\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["data.jsonl", "rules.txt"]
 
@@ -624,6 +642,26 @@ def test_every_command_checks_its_output_target_before_any_read(chain_dir, capsy
     assert run(argv) == 3  # a missing input would exit 3 too, naming itself
     assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: 'adir'\n")
     assert not list((chain_dir / "adir").iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--rules", "rules.txt", "--data", "noisy.jsonl", "--epochs", "200", "--out-model", "m.json",
+     "--out-history", "nodir/out.json"],
+    ["synth", "--rules", "rules.txt", "--out", "nodir/out.json", *_SYNTH],
+    ["noise", "--in", "clean.jsonl", "--out", "nodir/out.json", "--mode", "uniform", *_NOISE],
+    ["eval", "--rules", "rules.txt", "--data", "noisy.jsonl", "--model", "m.json", "--out-report",
+     "nodir/out.json"],
+], ids=["train", "synth", "noise", "eval"])
+def test_target_in_a_missing_directory_fails_before_any_work(chain_dir, capsys, monkeypatch, argv):
+    def work(*args):
+        pytest.fail("a command read its input before checking its targets")
+
+    for name in ("load_dataset", "load_model", "synthesize"):
+        monkeypatch.setattr(f"rulebound.cli.{name}", work)
+    before = _tree(chain_dir)
+    assert run(argv) == 3
+    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: 'nodir/out.json'\n")
+    assert _tree(chain_dir) == before
 
 
 def test_eval_names_the_feature_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):

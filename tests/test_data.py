@@ -266,6 +266,9 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
         (["  ", _OK[0], "", '{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'], "line 5: features must be finite"),
         (_OK + ['{"x": [NaN, 1.0], "y": [1, 0]}', '{"x": [0.5, 1' + "0" * 400 + '], "y": [1, 0]}'],
          "line 4: features must be finite"),
+        # each line is checked in full before the next is read
+        ([_OK[0], '{"x": [NaN, 1.0], "y": [1, 0]}', '{"x": [0.5, 1.0], "y": [2, 0]}'],
+         "line 3: features must be finite"),
         # the writer's prefix and label suffix around an x list split in two
         (['{"x": [0.5], [1.0], "y": [1, 0]}'], "line 2: invalid JSON: Expecting property name enclosed in double quotes"),
     ],

@@ -81,7 +81,24 @@ def test_budget_runs_out_inside_a_grown_block(monkeypatch, rules, k, n_consisten
     examined = 10_000 * k + n_consistent + 1
     assert len(blocks) > 2 and blocks[-1] > k
     assert sum(blocks[:-1]) < examined < sum(blocks)
+    # the budget is checked per draw, and never sizes a block
+    assert blocks == sorted(blocks)
 
+
+@pytest.mark.parametrize("seed", [16, 28, 56, 89])
+def test_budget_runs_out_on_the_draw_that_would_find_the_last_pattern(monkeypatch, seed):
+    # 3 rejections per pattern make a budget of 6; each seed draws its 2nd consistent
+    # pattern right after its 6th rejection, so a search that examined that draw would pass
+    rs = parse_rules("a => b\nb => c")
+    oracles.synthesize_per_row(seed, 10, 2, rs, 2, budget=7)
+    with pytest.raises(SynthesisBudgetError) as per_row:
+        oracles.synthesize_per_row(seed, 10, 2, rs, 2, budget=6)
+    monkeypatch.setattr(data, "_REJECTIONS_PER_PATTERN", 3)
+    with pytest.raises(SynthesisBudgetError) as grown:
+        synthesize(seed, 10, 2, rs, 2)
+    assert str(grown.value) == str(per_row.value) == (
+        "no 2 distinct rule-consistent label vectors within 6 rejections"
+    )
 
 
 def test_blocks_stay_within_the_row_cap_when_patterns_exceed_it(monkeypatch):
