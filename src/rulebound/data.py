@@ -89,6 +89,11 @@ class Dataset:
 # Rows are formatted this many at a time, so memory stays flat in the row count.
 _BLOCK_ROWS = 1024
 
+# Sample lines are read in blocks of about this many features, so memory stays
+# flat in the file size: the reader's temporaries come to a few hundred bytes
+# per feature.
+_BLOCK_FEATURES = 1 << 14
+
 
 def _sample_layout(n_features: int, width: int, with_clean: bool) -> tuple[str, np.ndarray, np.ndarray]:
     """A sample line as `jsonio.dumps` lays it out, cut where the x list ends:
@@ -179,13 +184,20 @@ def _read_written_samples(lines: list[str], width: int):
 
     Every line must be the x prefix, then its features, then the label suffix
     byte for byte but for label digits that are 0 or 1. The labels come off
-    those bytes as one uint8 matrix. The features of all lines are parsed in
-    one `json.loads`, each line's as one list, and must come out as one flat
-    list of finite numbers per line. A bracket among a line's features would
-    add a list or nest one, so then each line's list is the x list that the
-    line reader reads. Integer tokens parse as that reader parses them, so -0
-    keeps its sign. The letters of true, false and null, which numpy would
-    read as numbers, send the file on, and so do those of Infinity.
+    those bytes as one uint8 matrix. The features are read in blocks of lines,
+    `_BLOCK_FEATURES` features a block or one line if it holds more.
+    `_read_decimal_rows` converts a line itself when each of its features is a
+    plain decimal such as -0.25, and every other line of the block goes to one
+    `json.loads`, each line's features as one list, which must come out as one
+    flat list of finite numbers per line. A bracket among a line's features
+    would add a list or nest one, so then each line's list is the x list that
+    the line reader reads. Integer tokens parse as that reader parses them, so
+    -0 keeps its sign. The letters of true, false and null, which numpy would
+    read as numbers, send the file on, and so do those of Infinity. Every line
+    must hold as many features as the first, and one `np.array` of all lines'
+    numbers would have to be of a float or int dtype: integers alone, none
+    negative and some in [2**63, 2**64), which it would read as uint64, send
+    the file on too.
     """
     if not lines:
         return None
@@ -204,17 +216,125 @@ def _read_written_samples(lines: list[str], width: int):
     allowed[digits] = 1
     if (codes > allowed).any():
         return None
-    body = "[[" + "],[".join([line[h:-w] for line in lines]) + "]]"
-    if "t" in body or "f" in body or "n" in body:
-        return None
-    try:
-        X = np.array(json.loads(body, parse_int=_int_keeping_negative_zero))
-    except (ValueError, RecursionError):
-        return None
-    if X.shape[:1] != (n,) or X.ndim != 2 or X.dtype.kind not in "fi" or not np.isfinite(X).all():
+    features = [line[h:-w] for line in lines]
+    # JSON reads a blank list as empty. A first line that is not a flat list of
+    # numbers sends the file on at its own json.loads below, so its commas can
+    # set the count
+    d = features[0].count(",") + 1 if features[0].strip(" \t") else 0
+    X = np.empty((n, d))
+    dtypes = []  # each block's, whose promotion is the dtype one np.array of all lines would have
+    rows = max(1, _BLOCK_FEATURES // max(d, 1))
+    for start in range(0, n, rows):
+        block, part = features[start : start + rows], X[start : start + rows]
+        values, direct = _read_decimal_rows(block, d)
+        part[direct] = values
+        if direct.any():
+            dtypes.append(values.dtype)
+        rest = [text for text, done in zip(block, direct.tolist()) if not done]
+        if not rest:
+            continue
+        body = "[[" + "],[".join(rest) + "]]"
+        if "t" in body or "f" in body or "n" in body:
+            return None
+        try:
+            parsed = np.array(json.loads(body, parse_int=_int_keeping_negative_zero))
+        except (ValueError, RecursionError):
+            return None
+        if parsed.shape != (len(rest), d) or parsed.dtype.kind not in "fiu" or not np.isfinite(parsed).all():
+            return None
+        part[~direct] = parsed
+        dtypes.append(parsed.dtype)
+    if np.result_type(*dtypes).kind not in "fi":
         return None
     Y = codes[:, digits].astype(np.int64)
-    return X.astype(np.float64), Y[:, :width], Y[:, width:] if with_clean else None
+    return X, Y[:, :width], Y[:, width:] if with_clean else None
+
+
+# 5**k for k <= 22, all exact in float64 (5**22 < 2**53).
+_POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
+
+
+def _read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, direct) for the x-list texts of a block of lines: `direct`
+    marks each line that holds d features, all of the form
+    -?(0|[1-9][0-9]*)\\.[0-9]+ with at most 18 significant and at most 22
+    fraction digits, separated by ", ", whose values `_decimals_to_doubles`
+    settles; `values` holds those lines' features, rounded as json.loads
+    rounds them, as a (direct.sum(), d) array."""
+    # every token lies between two commas, each followed by a space when the token is read
+    text = ", " + ", ".join(texts) + ", "
+    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    others = np.flatnonzero((codes - ord("0")) > 9)  # uint8 wraps below "0": every byte but a digit
+    kinds = codes[others]
+    at = np.flatnonzero(kinds == ord(","))  # the commas' places in `others`
+    commas, before = others[at], at[1:] - 1
+    starts, ends = commas[:-1] + 2, commas[1:]
+    # a read token's last byte but a digit is its point, and the bytes but digits
+    # from its comma to the next are the space, the sign if any, the point and that comma
+    point = others[before]
+    negative = codes[starts] == ord("-")
+    lead = starts + negative
+    fraction = ends - point - 1
+    ok = (
+        (codes[commas[:-1] + 1] == ord(" "))
+        & (np.diff(at) == 3 + negative)
+        & (kinds[before] == ord("."))
+        & (point > lead)
+        & (fraction >= 1)
+        & (fraction <= 22)
+        & ((codes[lead] != ord("0")) | (point == lead + 1))
+    )
+    # each line's tokens run up to the comma that follows its text
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    last = np.searchsorted(commas, np.cumsum(lengths + 2))
+    counts = np.diff(last, prepend=0)
+    direct = (counts == d) & np.logical_and.reduceat(ok, last - counts)
+    if not direct.any():
+        return np.empty((0, d)), direct
+    tokens = np.repeat(direct, counts)
+    good = ", ".join([t for t, keep in zip(texts, direct.tolist()) if keep]).encode("ascii")
+    mantissas = np.fromstring(good.replace(b".", b""), dtype=np.int64, sep=",")
+    # more than 18 significant digits read as 10**18 or more: numpy's int64 text
+    # parser clamps a value past the int64 range to its end
+    fits = (mantissas > -(10**18)) & (mantissas < 10**18)
+    values, settled = _decimals_to_doubles(np.abs(mantissas), fraction[tokens])
+    values = np.where(negative[tokens], -values, values).reshape(-1, d)
+    settled = (settled & fits).reshape(-1, d).all(axis=1)
+    direct[direct] = settled
+    return values[settled], direct
+
+
+def _decimals_to_doubles(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, settled): a * 10**-k rounded to the nearest double, for int64
+    mantissas 0 <= a < 10**18 and 0 <= k <= 22; settled is False where this
+    could not show that rounding, and the value there is not to be used."""
+    five = _POW5[k]
+    # Let q = a / 5**k in float64, Q its 53-bit significand and q = Q * 2**-s.
+    # The wanted value a * 10**-k is T * 2**-(s + k) for the exact
+    # T = a * 2**s / 5**k, and the two roundings in q (a may need more than 53
+    # bits) put Q within about 2 of T. For s >= 0, R = 2 * (a * 2**s - Q * 5**k)
+    # = 2 * 5**k * (T - Q) is an even integer with |R| <= 4.1 * 5**22 < 2**54, so
+    # a * 2**s and Q * 5**k taken modulo 2**64 (in wrapping uint64, where a * 2**s
+    # is 0 once s >= 64) differ by exactly R / 2. Q moves once, by the integer
+    # nearest R / (2 * 5**k) in float64; then |R| < 5**k holds exactly when Q is
+    # the integer nearest T. A tie |R| = 5**k cannot occur, R being even and 5**k
+    # odd: exact midpoints between doubles all have s < 0. Scaled by 2**-(s + k),
+    # Q is the nearest double when T lies in [2**52, 2**53 + 1/2), where doubles
+    # are 2**-(s + k) apart below 2**53 and twice that above: Q in (2**52, 2**53],
+    # or Q = 2**52 with R >= 0. A token is left unsettled, and its line sent on,
+    # when s < 0 (q >= 2**53), when the step missed (T - Q that near a
+    # half-integer), or when Q leaves that window.
+    m, e = np.frexp(a / five)
+    Q = (m * 2.0**53).astype(np.int64)
+    s = 53 - e.astype(np.int64)
+    scaled = np.where(s < 64, a.astype(np.uint64) << np.clip(s, 0, 63).astype(np.uint64), np.uint64(0))
+    R = 2 * (scaled - Q.astype(np.uint64) * five.astype(np.uint64)).view(np.int64)
+    c = np.rint(R / (2.0 * five)).astype(np.int64)
+    Q += c
+    R -= 2 * c * five
+    window = (Q <= 2**53) & ((Q > 2**52) | ((Q == 2**52) & (R >= 0)))
+    settled = ((np.abs(R) < five) & window & (s >= 0)) | (a == 0)
+    return np.ldexp(Q.astype(np.float64), -(s + k)), settled
 
 
 def _finite(x: list) -> bool:

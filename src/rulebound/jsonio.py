@@ -16,6 +16,7 @@ import json as _json
 import math
 import os
 import secrets
+import stat
 from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
 
@@ -113,10 +114,12 @@ def _landing(path: str) -> str:
 def check_targets(*paths, inputs=()) -> None:
     """Raise ValueError for a target that lands (see `_landing`) where one of
     `inputs` lands or on the file it resolves to, or where another target
-    lands, IsADirectoryError for a target that is a directory, and
-    FileNotFoundError for a target whose directory does not exist. A path that
-    is None or empty is an option left unset and is skipped. It writes
-    nothing, so a command can call it before doing any work."""
+    lands, IsADirectoryError for a target that is a directory, and, for a
+    target whose directory is missing or not a directory, the error a write
+    there would raise: FileNotFoundError, or NotADirectoryError when that
+    directory or one above it is a file. A path that is None or empty is an
+    option left unset and is skipped. It writes nothing, so a command can call
+    it before doing any work."""
     paths = [os.fspath(path) for path in paths if path]
     inputs = [os.fspath(path) for path in inputs if path]
     sources = {*map(_landing, inputs), *map(os.path.realpath, inputs)}
@@ -128,8 +131,12 @@ def check_targets(*paths, inputs=()) -> None:
             raise ValueError(f"{path} is named as more than one output")
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.exists(os.path.dirname(path) or "."):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        try:
+            directory = os.stat(os.path.dirname(path) or ".")
+        except OSError as err:  # name the target, as a failed write would
+            raise type(err)(err.errno, err.strerror, path) from None
+        if not stat.S_ISDIR(directory.st_mode):
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), path)
 
 
 @contextmanager

@@ -644,15 +644,18 @@ def test_every_command_checks_its_output_target_before_any_read(chain_dir, capsy
     assert not list((chain_dir / "adir").iterdir())
 
 
-@pytest.mark.parametrize("argv", [
+# each command with its one target under the directory put in for {}
+_TARGET_UNDER = [
     ["train", "--rules", "rules.txt", "--data", "noisy.jsonl", "--epochs", "200", "--out-model", "m.json",
-     "--out-history", "nodir/out.json"],
-    ["synth", "--rules", "rules.txt", "--out", "nodir/out.json", *_SYNTH],
-    ["noise", "--in", "clean.jsonl", "--out", "nodir/out.json", "--mode", "uniform", *_NOISE],
+     "--out-history", "{}/out.json"],
+    ["synth", "--rules", "rules.txt", "--out", "{}/out.json", *_SYNTH],
+    ["noise", "--in", "clean.jsonl", "--out", "{}/out.json", "--mode", "uniform", *_NOISE],
     ["eval", "--rules", "rules.txt", "--data", "noisy.jsonl", "--model", "m.json", "--out-report",
-     "nodir/out.json"],
-], ids=["train", "synth", "noise", "eval"])
-def test_target_in_a_missing_directory_fails_before_any_work(chain_dir, capsys, monkeypatch, argv):
+     "{}/out.json"],
+]
+
+
+def _fails_before_any_work(chain_dir, capsys, monkeypatch, argv, message):
     def work(*args):
         pytest.fail("a command read its input before checking its targets")
 
@@ -660,8 +663,24 @@ def test_target_in_a_missing_directory_fails_before_any_work(chain_dir, capsys, 
         monkeypatch.setattr(f"rulebound.cli.{name}", work)
     before = _tree(chain_dir)
     assert run(argv) == 3
-    assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: 'nodir/out.json'\n")
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert _tree(chain_dir) == before
+
+
+@pytest.mark.parametrize("argv", _TARGET_UNDER, ids=["train", "synth", "noise", "eval"])
+def test_target_in_a_missing_directory_fails_before_any_work(chain_dir, capsys, monkeypatch, argv):
+    argv = [arg.format("nodir") for arg in argv]
+    message = "[Errno 2] No such file or directory: 'nodir/out.json'"
+    _fails_before_any_work(chain_dir, capsys, monkeypatch, argv, message)
+
+
+# a target under the rule file, or under a directory below it, which a write would find at its end
+@pytest.mark.parametrize("parent", ["rules.txt", "rules.txt/sub"])
+@pytest.mark.parametrize("argv", _TARGET_UNDER, ids=["train", "synth", "noise", "eval"])
+def test_target_under_a_regular_file_fails_before_any_work(chain_dir, capsys, monkeypatch, argv, parent):
+    argv = [arg.format(parent) for arg in argv]
+    message = f"[Errno 20] Not a directory: '{parent}/out.json'"
+    _fails_before_any_work(chain_dir, capsys, monkeypatch, argv, message)
 
 
 def test_eval_names_the_feature_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):

@@ -1,6 +1,7 @@
 """Dataset files, synthesis, noise injection, and the audit command's core."""
 
 import dataclasses
+import decimal
 import hashlib
 import itertools
 import json
@@ -224,6 +225,11 @@ _OK = ['{"x": [0.5, 1.0], "y": [1, 0]}', '{"x": [1.5, -2.0], "y": [0, 1]}']
 _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
 
 
+def _row(k: int) -> str:
+    """A sample line in the writer's layout with k features, each a plain decimal."""
+    return '{"x": [' + ", ".join(f"{j}.25" for j in range(k)) + '], "y": [1, 0]}'
+
+
 # Messages of the line reader, after the file's path; the writer-layout reader
 # must leave every one of these files to it.
 @pytest.mark.parametrize(
@@ -246,6 +252,8 @@ _OK_CLEAN = [row[:-1] + ', "y_clean": [1, 0]}' for row in _OK]
         (_OK + ['{"x": [0.5, Infinity], "y": [1, 0]}'], "line 4: features must be finite"),
         (_OK + ['{"x": [0.5, -Infinity], "y": [1, 0]}'], "line 4: features must be finite"),
         (_OK + _OK + ['{"x": [0.5, 1.0, 2.0], "y": [1, 0]}'], "line 6: expected 2 features, got 3"),
+        # an x entry moved from line 3 to line 4 keeps the file's total of 3 x 16 entries
+        ([_row(16), _row(15), _row(17)], "line 3: expected 16 features, got 15"),
         # the feature count is the first kept sample's, after blank lines
         (["", "  ", _OK[0], '{"x": [0.5], "y": [1, 0]}'], "line 5: expected 2 features, got 1"),
         ([_OK[0], _OK_CLEAN[1]], "line 3: y_clean must appear on every sample or on none"),
@@ -338,15 +346,16 @@ _TOKENS = ["true", "false", "null", "-0", "-0.0", "0", "1", "2", "-1", "1.0", "0
 
 # Kinds 0 and 1, another token in place of a number, come up most often: on an
 # x token they keep the writer's layout, so edited files get read, not deferred.
-_MUTATION_KINDS = [0, 1] * 12 + list(range(2, 12))
+_MUTATION_KINDS = [0, 1] * 12 + list(range(2, 13))
+_X_LIST = re.compile(r'"x": \[([^\]]*)\]')
 
 
 def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
     """One random edit of a sample file's lines. Some edits keep the file legal
     (another number, other spacing, an escaped key, keys reordered); others
     break it (another token, a key dropped or added, a blank line, a truncated
-    last line, a list entry dropped or repeated, a line split in two, two lines
-    joined, an indent)."""
+    last line, a list entry dropped or repeated, an x entry moved to another
+    line, a line split in two, two lines joined, an indent)."""
     lines = list(lines)
     if not lines:
         return lines
@@ -384,6 +393,16 @@ def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
             m = rng.choice(entries)
             edit = "" if rng.random() < 0.5 else m.group(1) + ", " + m.group(1)
             lines[i] = lines[i][: m.start(1)] + edit + lines[i][m.end(1) :]
+    elif kind == 12 and len(lines) > 1:  # the file keeps its count of x entries
+        j = rng.choice([k for k in range(len(lines)) if k != i])
+        source, target = _X_LIST.search(lines[i]), _X_LIST.search(lines[j])
+        if source and target and source.group(1):
+            entries = source.group(1).split(", ")
+            moved = entries.pop(rng.randrange(len(entries)))
+            into = target.group(1).split(", ") if target.group(1) else []
+            into.insert(rng.randrange(len(into) + 1), moved)
+            lines[i] = lines[i][: source.start(1)] + ", ".join(entries) + lines[i][source.end(1) :]
+            lines[j] = lines[j][: target.start(1)] + ", ".join(into) + lines[j][target.end(1) :]
     elif kind == 10 and ", " in lines[i]:
         cut = rng.choice([m.start() for m in re.finditer(", ", lines[i])])
         lines[i : i + 1] = [lines[i][:cut], lines[i][cut + 2 :]]
@@ -474,7 +493,70 @@ def test_loader_written_layout_returns_only_what_the_line_reader_returns(mutate,
     assert all(counts[key] > floor for key, floor in floors.items()), counts
 
 
-def test_loader_label_bytes_read_the_writers_files(tmp_path):
+def _decimal_tokens(rng) -> list[str]:
+    """Number tokens as writers print doubles, and the edge cases of the decimal reader."""
+    doubles = (rng.normal(size=10_000) * 10.0 ** rng.integers(-5, 17, size=10_000)).tolist()
+    tokens = [fmt % v for fmt in ("%.17g", "%.15g", "%.18g") for v in doubles] + list(map(repr, doubles))
+    # 18 significant digits, with the point among them or after up to 5 leading zeros (22 fraction
+    # digits fit), and 21, past int64
+    for number in map(str, rng.integers(10**17, 10**18, size=2000).tolist()):
+        cut = int(rng.integers(1, 18))
+        tokens += [number[:cut] + "." + number[cut:], "0." + "0" * int(rng.integers(0, 6)) + number,
+                   number[:cut] + "." + number[cut:] + "765"]
+    # the 18-digit decimals on each side of the midpoint between a double and the next: the nearest
+    # double to each is the one on its side, which an inexact quotient can miss
+    context = decimal.Context(prec=18)
+    near = [(decimal.Decimal(v) + decimal.Decimal(float(np.nextafter(v, np.inf)))) / 2 for v in map(abs, doubles[:3000])]
+    # and the 18-digit decimals next to a power of two and to the points a fraction of an ulp
+    # (2**-52 of it) away: the nearest double to those below may lie in the binade below, with
+    # half the spacing
+    near += [decimal.Decimal(2) ** p * (1 + decimal.Decimal(j) / 2**55)
+             for p in range(-13, 54) for j in range(-5, 6)]
+    for number in near:
+        for text in map(format, [context.next_minus(number), context.next_plus(number)], "ff"):
+            tokens.append(text if "." in text else text + ".0")
+    # exact midpoints, which json.loads rounds to even, and zeros
+    return tokens + ["9007199254740993.0", "9007199254740995.0", "0.0", "-0.0", "-0", "0", "-0.000"]
+
+
+def test_decimal_reader_rounds_every_token_as_json_loads():
+    tokens = _decimal_tokens(np.random.default_rng(20261019))
+    expected = np.array([json.loads(t, parse_int=data._int_keeping_negative_zero) for t in tokens])
+    values, direct = data._read_decimal_rows(tokens, 1)
+    assert values.tobytes() == expected[direct].tobytes()  # bitwise, so -0.0 keeps its sign
+    assert direct.sum() > 40_000, (direct.sum(), len(tokens))  # of 53481
+    # the tokens it leaves (integers, exponents, more digits, exact midpoints) take json.loads
+    X, _, _ = data._read_written_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
+    assert X.tobytes() == expected.tobytes()
+
+
+def test_loader_written_layout_reads_integers_as_one_np_array_of_the_file_would(monkeypatch):
+    monkeypatch.setattr(data, "_BLOCK_FEATURES", 2)  # a block per line
+    lines = ['{"x": [%d, %d], "y": [1, 0]}' % (2**63, 2**63 + 1), '{"x": [%d, 3], "y": [0, 1]}' % 2**64]
+    assert data._read_written_samples(lines[:1], 2) is None  # uint64, which the line reader reads
+    X, Y, _ = data._read_written_samples(lines[:1] + ['{"x": [-1, 0.5], "y": [0, 1]}'], 2)  # float64
+    assert X.tolist() == [[2.0**63, 2.0**63], [-1.0, 0.5]] and Y.tolist() == [[1, 0], [0, 1]]
+    assert data._read_written_samples(lines + ['{"x": [-1, 0.5], "y": [0, 1]}'], 2) is None  # 2**64: object
+
+
+# Two-feature x texts that the decimal reader must leave to json.loads: JSON that is not the
+# writer's ", " list of plain decimals, and text that is not JSON at all.
+_NOT_DECIMAL = ["0.5,-2.25", "0.5 , -2.25", "0.5,  -2.25", " 0.5, -2.25", "0.5, -2.25 ", "0.5, -2.25, ",
+                "01.5, 2.5", "-01.5, 2.5", "00.5, 2.5", ".5, 2.5", "-.5, 2.5", "1., 2.5", "+1.5, 2.5",
+                "1.5-, 2.5", "--1.5, 2.5", "1.5.5, 2.5", "1..5, 2.5", "1e5, 2.5", "1.5e0, 2.5", "1, 2.5",
+                "-0, 2.5", "1.5, 2", "1.5, 2.5, 3.5", "1.5", "1.5, [2.5]", '1.5, "2.5"', "1.5, 2.5\t",
+                "1.5, NaN", "1.5, -Infinity", "1.5, 2\u00b75", "1.5, 2.5\u0661"]
+
+
+def test_decimal_reader_takes_only_the_writers_plain_decimals():
+    texts = ["0.25, -0.75"] + _NOT_DECIMAL + ["-0.0, 12.5"]
+    values, direct = data._read_decimal_rows(texts, 2)
+    assert direct.tolist() == [True] + [False] * len(_NOT_DECIMAL) + [True]
+    assert values.tolist() == [[0.25, -0.75], [-0.0, 12.5]] and np.signbit(values[1, 0])
+
+
+def test_loader_label_bytes_read_the_writers_files(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_BLOCK_FEATURES", 1000)  # blocks of 333 lines, the last one short
     for with_clean in (False, True):
         ds = _random_ds(8, 1500, 3, 5, with_clean)
         path = tmp_path / "data.jsonl"
