@@ -47,7 +47,7 @@ def number(text: str) -> int | float:
 
 def _load_config(path) -> dict:
     try:
-        doc = json.loads(jsonio.read_text(path))
+        doc = jsonio.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     if not isinstance(doc, dict):

@@ -152,7 +152,7 @@ def load_dataset(path) -> Dataset:
         if not lines or not lines[0].strip():
             raise DatasetError("missing label header")
         try:
-            header = json.loads(lines[0])
+            header = jsonio.loads(lines[0])
         except json.JSONDecodeError as err:
             raise DatasetError(f"line 1: invalid JSON: {err.msg}") from None
         if not isinstance(header, dict) or not isinstance(header.get("labels"), list):
@@ -179,25 +179,23 @@ def _int_keeping_negative_zero(token: str):
 
 def _read_written_samples(lines: list[str], width: int):
     """(X, Y, clean Y or None) from sample lines in the writer's layout, which
-    `_sample_layout` states; None for any other lines, which the line reader
-    then reads or rejects.
+    `_sample_layout` states, or None. What it returns is bitwise what
+    `_read_samples_by_line` returns for the same lines; None leaves the lines
+    to that reader, which reads them or names the faulty line.
 
     Every line must be the x prefix, then its features, then the label suffix
-    byte for byte but for label digits that are 0 or 1. The labels come off
+    byte for byte but for label digits that are 0 or 1; the labels come off
     those bytes as one uint8 matrix. The features are read in blocks of lines,
     `_BLOCK_FEATURES` features a block or one line if it holds more.
     `_read_decimal_rows` converts a line itself when each of its features is a
     plain decimal such as -0.25, and every other line of the block goes to one
-    `json.loads`, each line's features as one list, which must come out as one
-    flat list of finite numbers per line. A bracket among a line's features
-    would add a list or nest one, so then each line's list is the x list that
-    the line reader reads. Integer tokens parse as that reader parses them, so
-    -0 keeps its sign. The letters of true, false and null, which numpy would
-    read as numbers, send the file on, and so do those of Infinity. Every line
-    must hold as many features as the first, and one `np.array` of all lines'
-    numbers would have to be of a float or int dtype: integers alone, none
-    negative and some in [2**63, 2**64), which it would read as uint64, send
-    the file on too.
+    `json.loads`, each line's features as one list, where integer tokens parse
+    as the line reader parses them, so -0 keeps its sign. The lines are left to
+    the line reader when a block holds the letters t or f (numpy would read
+    true and false as 1 and 0), when that `json.loads` fails, or when its
+    lists do not make one (lines, features) array of finite numbers, every
+    line as long as the first: a bracket among the features, a string, null,
+    NaN, Infinity or an integer outside the int64 and uint64 ranges fail that.
     """
     if not lines:
         return None
@@ -206,10 +204,8 @@ def _read_written_samples(lines: list[str], width: int):
     n, h, w = len(lines), len(head), suffix.size
     if min(map(len, lines)) < h + w or "".join([line[:h] for line in lines]) != head * n:
         return None
-    try:
-        tails = "".join([line[-w:] for line in lines]).encode("ascii")
-    except UnicodeEncodeError:
-        return None
+    # a character past ASCII becomes "?", which no suffix holds
+    tails = "".join([line[-w:] for line in lines]).encode("ascii", "replace")
     # 0 where a byte matches the suffix; a digit reads 0 or 1 only for "0" or "1"
     codes = np.frombuffer(tails, dtype=np.uint8).reshape(n, w) ^ suffix
     allowed = np.zeros(w, dtype=np.uint8)
@@ -222,19 +218,16 @@ def _read_written_samples(lines: list[str], width: int):
     # set the count
     d = features[0].count(",") + 1 if features[0].strip(" \t") else 0
     X = np.empty((n, d))
-    dtypes = []  # each block's, whose promotion is the dtype one np.array of all lines would have
     rows = max(1, _BLOCK_FEATURES // max(d, 1))
     for start in range(0, n, rows):
         block, part = features[start : start + rows], X[start : start + rows]
         values, direct = _read_decimal_rows(block, d)
         part[direct] = values
-        if direct.any():
-            dtypes.append(values.dtype)
         rest = [text for text, done in zip(block, direct.tolist()) if not done]
         if not rest:
             continue
         body = "[[" + "],[".join(rest) + "]]"
-        if "t" in body or "f" in body or "n" in body:
+        if "t" in body or "f" in body:
             return None
         try:
             parsed = np.array(json.loads(body, parse_int=_int_keeping_negative_zero))
@@ -243,9 +236,6 @@ def _read_written_samples(lines: list[str], width: int):
         if parsed.shape != (len(rest), d) or parsed.dtype.kind not in "fiu" or not np.isfinite(parsed).all():
             return None
         part[~direct] = parsed
-        dtypes.append(parsed.dtype)
-    if np.result_type(*dtypes).kind not in "fi":
-        return None
     Y = codes[:, digits].astype(np.int64)
     return X, Y[:, :width], Y[:, width:] if with_clean else None
 
@@ -355,7 +345,7 @@ def _read_samples_by_line(lines: list[str], width: int):
         if not line.strip():
             continue
         try:
-            row = json.loads(line)
+            row = jsonio.loads(line)
         except json.JSONDecodeError as err:
             raise DatasetError(f"line {line_no}: invalid JSON: {err.msg}") from None
         if not isinstance(row, dict) or "x" not in row or "y" not in row:
@@ -364,7 +354,7 @@ def _read_samples_by_line(lines: list[str], width: int):
         if not _finite(x):
             raise DatasetError(f"line {line_no}: features must be finite")
         if _NEGATIVE_ZERO.search(line):
-            x = json.loads(line, parse_int=_int_keeping_negative_zero)["x"]
+            x = jsonio.loads(line, parse_int=_int_keeping_negative_zero)["x"]
         y = _parse_number_list(row["y"], line_no, "y", binary=True)
         # the first kept sample sets the feature count and whether y_clean appears
         if xs and len(x) != len(xs[0]):

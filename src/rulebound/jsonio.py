@@ -6,7 +6,8 @@ failed write leaves no half-written file behind.
 
 A dataclass instance is written as an object of its fields in declaration
 order, so a record's field order is its file layout. Input files are read
-through `read_text`, so one that is not UTF-8 names itself.
+through `read_text`, so one that is not UTF-8 names itself, and their JSON
+is parsed by `loads`.
 """
 
 from __future__ import annotations
@@ -64,6 +65,30 @@ def read_text(path) -> str:
     except UnicodeDecodeError as err:
         line = data[: err.start].count(b"\n") + 1
         raise ValueError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def loads(text: str, parse_int=None):
+    """`json.loads(text, parse_int=parse_int)`, also for valid JSON that it
+    cannot read: nesting deeper than the parser's recursion limit raises
+    `json.JSONDecodeError`, as invalid JSON does, and an integer token longer
+    than `int` takes (CPython's digit limit) reads as +-inf, the value that
+    every reader of the package gives an integer past the float range."""
+    try:
+        try:
+            return _json.loads(text, parse_int=parse_int)
+        except _json.JSONDecodeError:
+            raise
+        except ValueError:  # such a token: the text is read again, each integer through the fallback
+            return _json.loads(text, parse_int=lambda token: _long_integer(token, parse_int))
+    except RecursionError:
+        raise _json.JSONDecodeError("Nesting too deep", text, 0) from None
+
+
+def _long_integer(token: str, parse_int):
+    try:
+        return (parse_int or int)(token)
+    except ValueError:  # thousands of digits, far past the float range
+        return -math.inf if token[0] == "-" else math.inf
 
 
 def split_lines(text: str) -> list[str]:

@@ -280,7 +280,7 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
     is, and a config echo must hold exactly the keys `TrainConfig.as_dict`
     writes, with values `TrainConfig` accepts."""
     try:
-        doc = json.loads(jsonio.read_text(path))
+        doc = jsonio.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     try:

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, config precedence, pipeline wiring."""
 
+import errno
 import json
 import os
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from rulebound import cli, load_dataset, load_model
+from rulebound import cli, jsonio, load_dataset, load_model
 from rulebound.cli import run
 
 
@@ -472,6 +473,29 @@ def test_train_failing_output_writes_none_of_them(tmp_path, rules_file, capsys):
     capsys.readouterr()
 
 
+def test_train_that_cannot_create_a_temporary_file_writes_none_of_them(tmp_path, rules_file, capsys, monkeypatch):
+    data = _synth(tmp_path, rules_file)
+    targets = [tmp_path / name for name in ("m.json", "h.jsonl", "r.json")]
+    for target in targets:
+        target.write_bytes(f"old {target.name}\n".encode())
+    before, created = _tree(tmp_path), []
+
+    def refuse_the_second(path, mode="r", *args, **kwargs):
+        if mode == "x":  # a target's temporary file; the second one cannot be created
+            created.append(path)
+            if len(created) == 2:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return open(path, mode, *args, **kwargs)
+
+    monkeypatch.setattr(jsonio, "open", refuse_the_second, raising=False)
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                *(arg for flag, target in zip(["--out-model", "--out-history", "--out-report"], targets)
+                  for arg in (flag, str(target)))]) == 3
+    assert capsys.readouterr() == ("", f"error: [Errno 13] Permission denied: '{targets[1]}'\n")
+    assert len(created) == 2 and created[1].endswith(".tmp")
+    assert _tree(tmp_path) == before  # the first temporary file is gone, and every target keeps its bytes
+
+
 def test_output_that_is_a_directory_fails_before_any_write(tmp_path, rules_file, capsys):
     data = _synth(tmp_path, rules_file)
     model, adir = tmp_path / "m.json", tmp_path / "adir"
@@ -807,3 +831,65 @@ def test_config_and_checkpoint_that_are_not_utf8_name_themselves(tmp_path, rules
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {bad}: line 3: not UTF-8 text\n"
+
+
+# ---- JSON the standard parser cannot read ----
+
+# a token nested past the parser's recursion limit, and integers of 400 and 5001 digits: both lie
+# past the float range, and the second past CPython's limit for int() (4300 digits, from 3.10.7)
+_DEEP = "[" * 100_000 + "]" * 100_000
+_LONG = ["1" + "0" * 399, "1" + "0" * 5000]
+
+
+def _input_holding(tmp_path, rules_file, kind, token):
+    """(argv, path, line) of a command whose input `path` holds `token` at file
+    line `line` (None for a file that is one JSON document): a dataset in the
+    writer's layout (as a feature), one in another layout, a dataset header (as
+    an extra key), a train config (as learning_rate) or a checkpoint (as a weight)."""
+    if kind == "checkpoint":
+        data, path = _synth(tmp_path, rules_file), tmp_path / "m.json"
+        assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                    "--out-model", str(path)]) == 0
+        text = path.read_text()
+        path.write_text(text.replace('"W1": [' + text.split('"W1": [')[1].split(",")[0], '"W1": [' + token, 1))
+        return ["eval", "--rules", rules_file, "--data", data, "--model", str(path)], path, None
+    if kind == "config":
+        path = tmp_path / "exp.json"
+        path.write_text(f'{{"rules": "{rules_file}", "data": "unread.jsonl", "learning_rate": {token}}}')
+        return ["train", "--config", str(path)], path, None
+    path = tmp_path / f"{kind}.jsonl"
+    lines = open(_synth(tmp_path, rules_file, n=5)).read().splitlines()
+    if kind == "header":
+        lines[0] = lines[0][:-1] + f', "n": {token}}}'
+    else:
+        lines[2] = lines[2].replace(lines[2].split("[")[1].split(",")[0], token, 1)
+    if kind == "by-line":
+        lines = [line.replace(", ", ",") for line in lines]  # out of the writer's layout
+    path.write_text("\n".join(lines) + "\n")
+    return ["audit", "--rules", rules_file, "--data", str(path)], path, 1 if kind == "header" else 3
+
+
+_INPUT_KINDS = ["written", "by-line", "header", "config", "checkpoint"]
+
+
+@pytest.mark.parametrize("kind", _INPUT_KINDS)
+def test_json_nested_past_the_parser_depth_is_invalid_json(tmp_path, rules_file, capsys, kind):
+    argv, path, line = _input_holding(tmp_path, rules_file, kind, _DEEP)
+    capsys.readouterr()
+    assert run(argv) == 2
+    where = f"{path}: line {line}" if line else str(path)
+    assert capsys.readouterr() == ("", f"error: {where}: invalid JSON: Nesting too deep\n")
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("kind, code", zip(_INPUT_KINDS, [2, 2, 0, 2, 2]))
+def test_integer_past_the_digit_limit_reads_as_one_past_the_float_range(
+    tmp_path, rules_file, capsys, kind, code, sign
+):
+    results = []
+    for token in _LONG:
+        argv, _, _ = _input_holding(tmp_path, rules_file, kind, sign + token)
+        capsys.readouterr()
+        results.append((run(argv), *capsys.readouterr()))
+    assert results[0][0] == code
+    assert results[1] == results[0]

@@ -532,11 +532,15 @@ def test_decimal_reader_rounds_every_token_as_json_loads():
 
 def test_loader_written_layout_reads_integers_as_one_np_array_of_the_file_would(monkeypatch):
     monkeypatch.setattr(data, "_BLOCK_FEATURES", 2)  # a block per line
-    lines = ['{"x": [%d, %d], "y": [1, 0]}' % (2**63, 2**63 + 1), '{"x": [%d, 3], "y": [0, 1]}' % 2**64]
-    assert data._read_written_samples(lines[:1], 2) is None  # uint64, which the line reader reads
-    X, Y, _ = data._read_written_samples(lines[:1] + ['{"x": [-1, 0.5], "y": [0, 1]}'], 2)  # float64
-    assert X.tolist() == [[2.0**63, 2.0**63], [-1.0, 0.5]] and Y.tolist() == [[1, 0], [0, 1]]
-    assert data._read_written_samples(lines + ['{"x": [-1, 0.5], "y": [0, 1]}'], 2) is None  # 2**64: object
+    big = [2**63, 2**63 + 1, 2**63 + 2**10, 2**63 + 2**10 + 1, 2**64 - 2**11, 2**64 - 2**11 + 1, 2**64 - 1]
+    # uint64 blocks alone (round-to-even ties among them), then with an int64 and a float block
+    uint64 = ['{"x": [%d, %d], "y": [1, 0]}' % pair for pair in zip(big, big[1:])]
+    for lines in (uint64, uint64 + ['{"x": [-1, 3], "y": [0, 1]}', '{"x": [-1, 0.5], "y": [0, 1]}']):
+        X, Y, clean = data._read_written_samples(lines, 2)
+        x, y, _ = data._read_samples_by_line(lines, 2)
+        assert X.tobytes() == x.tobytes() and Y.tobytes() == y.tobytes() and clean is None
+    # 2**64 makes an object array, which is left to the line reader
+    assert data._read_written_samples(uint64 + ['{"x": [%d, 3], "y": [0, 1]}' % 2**64], 2) is None
 
 
 # Two-feature x texts that the decimal reader must leave to json.loads: JSON that is not the
@@ -634,6 +638,11 @@ def test_synthesize_validation():
         synthesize(0, 10, 2, rs, k_patterns=1)
     with pytest.raises(ValueError):
         synthesize(0, 0, 2, rs, k_patterns=2)
+
+
+def test_synthesize_rejects_rows_without_features():
+    with pytest.raises(ValueError, match=r"^n_samples and n_features must be at least 1$"):
+        synthesize(0, 10, 0, parse_rules("a => b"), k_patterns=2)
 
 
 @pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, "3"])
@@ -820,6 +829,12 @@ def test_noise_validation():
     noisy = inject_noise(ds, 0.5, 11, "uniform")
     with pytest.raises(DatasetError, match="already carries noise"):
         inject_noise(noisy, 0.1, 0, "uniform")
+
+
+def test_noise_mode_names_are_matched_exactly():
+    message = r"^noise mode must be one of \('uniform', 'violating'\), got 'Violating'$"
+    with pytest.raises(ValueError, match=message):  # not run as the violating mode it resembles
+        inject_noise(_small_ds(), 0.5, 1, "Violating", parse_rules("a => b"))
 
 
 # ---- audit ----

@@ -115,6 +115,12 @@ def test_forward_shape_validation():
         forward(params, np.zeros((5, 3)))
 
 
+def test_forward_rejects_a_single_row():
+    params = init_params(0, 4, 3, 2)
+    with pytest.raises(ValueError, match=r"^feature matrix has shape \(4,\), expected \(n, 4\)$"):
+        forward(params, np.zeros(4))  # which would give one row's probabilities, unbatched
+
+
 # ---- masked binary cross entropy ----
 
 
@@ -378,6 +384,7 @@ def test_train_config_defaults_round_trip():
         {"learning_rate": 0.0},
         {"learning_rate": -1.0},
         {"epochs": 0},
+        {"epochs": 0, "warmup_epochs": 0},
         {"batch_size": 0},
         {"lambda_": -0.5},
         {"warmup_epochs": -1},

@@ -330,6 +330,11 @@ def test_violated_rules_validation():
         violated_rules(rs, (1, 2))
 
 
+def test_violated_rules_takes_one_label_vector():
+    with pytest.raises(ValueError, match=r"^label vector has shape \(1, 2\), expected \(2,\)$"):
+        violated_rules(parse_rules("a => b"), [[1, 0]])
+
+
 def test_violation_matrix_matches_per_row_calls():
     rng = random.Random(7)
     vocab = LabelVocabulary(tuple(f"l{i}" for i in range(5)))
