@@ -86,49 +86,49 @@ class Dataset:
 # ---- file io ----
 
 
-# Rows are formatted this many at a time, so memory stays flat in the row count.
-_BLOCK_ROWS = 1024
-
-# Sample lines are read in blocks of about this many features, so memory stays
-# flat in the file size: the reader's temporaries come to a few hundred bytes
-# per feature.
+# Sample lines are written and read in blocks of about this many features, so
+# memory stays flat in the file size: the writer's and the reader's temporaries
+# come to a few hundred bytes per feature.
 _BLOCK_FEATURES = 1 << 14
 
 
-def _sample_layout(n_features: int, width: int, with_clean: bool) -> tuple[str, np.ndarray, np.ndarray]:
-    """A sample line as `jsonio.dumps` lays it out, cut where the x list ends:
-    the %-format head that takes the features, then the label suffix as uint8
-    text with every label 0, and the offsets of the label digits in that
-    suffix, y's then y_clean's. With no features the head is the x prefix."""
-    x = [jsonio.Raw(jsonio.FLOAT_FORMAT)] * n_features
+def _sample_layout(width: int, with_clean: bool) -> tuple[str, np.ndarray, np.ndarray]:
+    """A sample line as `jsonio.dumps` lays it out, cut around the x list's
+    items: the x prefix, then the label suffix as uint8 text with every label
+    0, and the offsets of the label digits in that suffix, y's then y_clean's."""
     zeros = [0] * width
-    row = {"x": x, "y": zeros, "y_clean": zeros} if with_clean else {"x": x, "y": zeros}
+    row = {"x": [], "y": zeros, "y_clean": zeros} if with_clean else {"x": [], "y": zeros}
     line = jsonio.dumps(row)
-    cut = line.index("]")  # the x list's end: no key or feature format holds "]"
+    cut = line.index("]")  # the x list's end
     suffix = np.frombuffer(line[cut:].encode("ascii"), dtype=np.uint8)
     return line[:cut], suffix, np.flatnonzero(suffix == ord("0"))
 
 
 def save_dataset(ds: Dataset, path) -> None:
-    """Write the JSONL form; output bytes depend only on the dataset's values."""
+    """Write the JSONL form; output bytes depend only on the dataset's values.
+    Each block of lines is laid out as one uint8 matrix, the x prefix, the
+    items of `jsonio.float_rows` and the label suffix with its digits set, and
+    written once its NUL bytes are dropped."""
     jsonio.check_finite(ds.X)
     labels = [ds.Y] if ds.clean_Y is None else [ds.Y, ds.clean_Y]
-    head, suffix, digits = _sample_layout(ds.X.shape[1], ds.Y.shape[1], ds.clean_Y is not None)
-    template, w = head + "%s\n", suffix.size
+    head, suffix, digits = _sample_layout(ds.Y.shape[1], ds.clean_Y is not None)
+    prefix = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    suffix = np.append(suffix, np.uint8(ord("\n")))
+    rows = max(1, _BLOCK_FEATURES // max(ds.X.shape[1], 1))
     with jsonio.atomic_write(path) as fh:
         fh.write(jsonio.dumps({"labels": list(ds.names.names)}) + "\n")
-        for start in range(0, ds.n_samples, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            X = ds.X[rows].tolist()  # Python floats, which %-format like float(v)
-            values = np.concatenate([Y[rows] for Y in labels], axis=1) + ord("0")
+        for start in range(0, ds.n_samples, rows):
+            block = slice(start, start + rows)
+            values = np.concatenate([Y[block] for Y in labels], axis=1) + ord("0")
             # labels set after the Dataset checked them would wrap in uint8 and could read back as 0 or 1
             if not ((values == ord("0")) | (values == ord("1"))).all():
                 raise DatasetError("labels must be 0 or 1")
-            codes = np.tile(suffix, (len(X), 1))
-            codes[:, digits] = values
-            text = codes.tobytes().decode("ascii")
-            suffixes = [text[k : k + w] for k in range(0, len(text), w)]
-            fh.write("".join([template % (*x, t) for x, t in zip(X, suffixes)]))
+            n = len(values)
+            tails = np.tile(suffix, (n, 1))
+            tails[:, digits] = values
+            heads = np.broadcast_to(prefix, (n, prefix.size))
+            lines = np.concatenate([heads, jsonio.float_rows(ds.X[block]), tails], axis=1)
+            fh.write(lines[lines != 0].tobytes().decode("ascii"))
 
 
 def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
@@ -200,7 +200,7 @@ def _read_written_samples(lines: list[str], width: int):
     if not lines:
         return None
     with_clean = '"y_clean": [' in lines[0]
-    head, suffix, digits = _sample_layout(0, width, with_clean)
+    head, suffix, digits = _sample_layout(width, with_clean)
     n, h, w = len(lines), len(head), suffix.size
     if min(map(len, lines)) < h + w or "".join([line[:h] for line in lines]) != head * n:
         return None

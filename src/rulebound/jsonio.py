@@ -48,10 +48,131 @@ def check_finite(values: np.ndarray) -> None:
 
 
 def float_list(values) -> Raw:
-    """A float array as one flat JSON list, formatted in a single pass."""
-    values = np.asarray(values, dtype=np.float64).ravel()
+    """A float array as one flat JSON list, formatted by `float_rows`."""
+    values = np.asarray(values, dtype=np.float64).reshape(1, -1)
     check_finite(values)
-    return Raw("[" + ", ".join([FLOAT_FORMAT] * values.size) % tuple(values.tolist()) + "]")
+    items = float_rows(values)
+    return Raw("[" + items[items != 0].tobytes().decode("ascii") + "]")
+
+
+# The bytes of a token slot: "-2.2250738585072014e-308", the longest
+# FLOAT_FORMAT output, fills them.
+_TOKEN_BYTES = 24
+
+# 10**q in float64 and 5**q in uint64, both exact, for the scales q <= 22 that
+# `_seventeen_digits` multiplies by.
+_POW10 = 10.0 ** np.arange(23)
+_POW5 = np.array([5**q for q in range(23)], dtype=np.uint64)
+# The 4 ASCII digits of each i < 10**4 as one uint32.
+_DIGITS4 = np.arange(10**4)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGITS4 = _DIGITS4.astype(np.uint8).view(np.uint32).ravel()
+# Bytes 0 to 7 of `_fixed_point_bytes`'s row as one uint64, at P * 10 + the first
+# digit: three NULs, the leading "0" bytes that %g writes at X = P - 4 (one per
+# column j < 4 with j >= P), and the digit.
+_HEADS = np.array(
+    [[0, 0, 0, *[ord("0") * (j >= P) for j in range(4)], ord("0") + d] for P in range(20) for d in range(10)],
+    dtype=np.uint8,
+).view(np.uint64).ravel()
+
+
+def float_rows(rows: np.ndarray) -> np.ndarray:
+    """The items of each row of a 2-D array of finite doubles as `dumps` writes
+    a list of them, `FLOAT_FORMAT % v` for each v and ", " between them: an
+    (n, d * (_TOKEN_BYTES + 2) - 2) uint8 matrix whose rows hold these bytes in
+    order, with NUL bytes among them that the caller drops.
+
+    A token with 1e-4 <= |v| < 1e16 is made from the 17 digits that
+    `_seventeen_digits` rounds |v| to: the sign, the integer digits or "0." and
+    the leading zeros, the point, and the fraction digits up to the last one that
+    is not 0, which is the %g layout of that range (no point when no such digit
+    is left). Every other token is formatted by `FLOAT_FORMAT %` into its slot:
+    0, -0, and a value below 1e-4 or from 1e16 up, the ones %g writes with an
+    exponent among them."""
+    n, d = rows.shape
+    values = rows.ravel()
+    a = np.abs(values)
+    window = (a >= 1e-4) & (a < 1e16)
+    # 1 stands in for every other token, whose slot is overwritten below
+    N, X = _seventeen_digits(np.where(window, a, 1.0))
+    slots = np.zeros((n * d, _TOKEN_BYTES + 2), dtype=np.uint8)
+    slots[:, 0] = (values < 0) * ord("-")
+    slots[:, 1:23] = _fixed_point_bytes(N, X)
+    slots[:, _TOKEN_BYTES:] = np.frombuffer(b", ", dtype=np.uint8)
+    rest = np.flatnonzero(~window)
+    tokens = "".join([(FLOAT_FORMAT % v).ljust(_TOKEN_BYTES, "\0") for v in values[rest].tolist()])
+    slots[rest, :_TOKEN_BYTES] = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8).reshape(-1, _TOKEN_BYTES)
+    return slots.reshape(n, -1)[:, : max(d * (_TOKEN_BYTES + 2) - 2, 0)]
+
+
+def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, X) for doubles 1e-4 <= a < 1e16: N is a rounded to 17 significant
+    digits, ties to even, as an int64 in [10**16, 10**17), and X in [-4, 15] the
+    decimal exponent %g reads, so that a ~ N * 10**(X - 16). X comes from log10
+    and is fixed once where N leaves [10**16, 10**17), as it does where log10 is
+    one off near a power of ten. No double in that range rounds up to a power of
+    ten it lies below (17 digits tell every double apart, and the double nearest
+    each such power is not below it), so X needs no other fix."""
+    X = np.floor(np.log10(a)).astype(np.int64)
+    N = _round_scaled(a, 16 - X)
+    moved = (N >= 10**17).astype(np.int64) - (N < 10**16)
+    X += moved
+    redo = np.flatnonzero(moved)
+    N[redo] = _round_scaled(a[redo], 16 - X[redo])
+    return N, X
+
+
+def _round_scaled(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """a * 10**q rounded to the nearest integer, as int64, for doubles a > 0 and
+    integers 0 <= q <= 22 with 2**53 <= a * 10**q < 10**17; ties go to the even
+    one. Another a * 10**q below 2**62 rounds to a nearest integer."""
+    # a = M * 2**(e - 53) for frexp's 53-bit M, so a * 10**q = M * 5**q * 2**s with
+    # s = e - 53 + q. The float product puts its rounded value N within about
+    # 2**-53 * a * 10**q of a * 10**q, and with k = max(-s, 0) the integer
+    # D = (a * 10**q - N) * 2**k = M * 5**q * 2**max(s, 0) - N * 2**k is then below
+    # 2**51 in size (k <= 47 for a >= 1e-4 at q = 20), so wrapping uint64
+    # arithmetic, which is modulo 2**64, gives it exactly, and so does its float.
+    # N moves by rint(D / 2**k), the integer nearest a * 10**q - N. From 2**53 up,
+    # N is an even integer, as every double there is, and rint takes a half to
+    # the even side, so a tie lands on the even neighbour.
+    N = np.rint(a * _POW10[q]).astype(np.int64)
+    m, e = np.frexp(a)
+    s = e.astype(np.int64) - 53 + q
+    k = np.clip(-s, 0, 63)
+    M = (m * 2.0**53).astype(np.uint64)
+    D = (M * _POW5[q] << np.clip(s, 0, 63).astype(np.uint64)) - (N.view(np.uint64) << k.astype(np.uint64))
+    return N + np.rint(np.ldexp(D.view(np.int64).astype(np.float64), -k)).astype(np.int64)
+
+
+def _fixed_point_bytes(N: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The %g text of N * 10**(X - 16), unsigned, for 17-digit N and -4 <= X <= 15,
+    as a (len(N), 22) uint8 matrix with NULs in place of the bytes %g drops.
+
+    A row is built as four "0" columns, those %g writes kept, and then the 17
+    digits; column P = X + 4 is the units digit, so that at X < 0 "0." and the
+    -X - 1 leading zeros come from the four. Every column past P takes the byte
+    before it, which frees column P + 1 for the point. The text ends at the last
+    digit that is not 0, or at column P when no fraction digit but 0 is left."""
+    P = X + 4
+    # bytes 3 to 6 hold the leading zeros, 7 the first digit and 8 to 23 the others
+    row = np.zeros((len(N), 32), dtype=np.uint8)
+    high = N // 10**8  # the first 9 digits; uint32 holds them and the last 8
+    low = (N - high * 10**8).astype(np.uint32)
+    high = high.astype(np.uint32)
+    row.view(np.uint64)[:, 0] = _HEADS[P * 10 + high // 10**8]
+    high %= 10**8
+    words = row.view(np.uint32)
+    for k, part in enumerate([high // 10**4, high % 10**4, low // 10**4, low % 10**4]):
+        words[:, 2 + k] = _DIGITS4[part]
+    c = np.arange(22, dtype=np.uint8)
+    here, before = row[:, 3:25], row[:, 2:24]
+    text = here + (c > P.astype(np.uint8)[:, None]) * (before - here)  # uint8 wraps: `before` past P
+    text.reshape(-1)[np.arange(len(N)) * 22 + P + 1] = ord(".")
+    # the trailing zeros, searched only where the last digit is 0
+    zero = np.flatnonzero(row[:, 23] == ord("0"))
+    last = 16 - np.argmax(row[zero, 7:24][:, ::-1] != ord("0"), axis=1)
+    end = np.where(last > X[zero], last + 5, P[zero])
+    text[zero] *= c <= end[:, None]
+    return text
 
 
 def read_text(path) -> str:

@@ -276,17 +276,20 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
     """Read a checkpoint back; returns (params, seed, config echo or None).
 
     Each dim must be a non-negative integer and each weight array a flat list
-    of numbers. The seed must be an integer in [0, 2**64), as `TrainConfig.seed`
-    is, and a config echo must hold exactly the keys `TrainConfig.as_dict`
-    writes, with values `TrainConfig` accepts."""
+    of numbers; W1 and W2 must hold as many as their dims give. The seed must
+    be an integer in [0, 2**64), as `TrainConfig.seed` is, and a config echo
+    must hold exactly the keys `TrainConfig.as_dict` writes, with values
+    `TrainConfig` accepts."""
     try:
         doc = jsonio.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     try:
-        d, h, l = (_checkpoint_dim(doc["dims"], key) for key in ("n_features", "n_hidden", "n_labels"))
+        dims = {key: _checkpoint_dim(doc["dims"], key) for key in ("n_features", "n_hidden", "n_labels")}
         W1, b1, W2, b2 = (_weight_array(doc, name) for name in ("W1", "b1", "W2", "b2"))
-        params = ModelParams(W1.reshape(h, d), b1, W2.reshape(l, h), b2)
+        W1 = _layer_weights(W1, "W1", "n_hidden", "n_features", dims)
+        W2 = _layer_weights(W2, "W2", "n_labels", "n_hidden", dims)
+        params = ModelParams(W1, b1, W2, b2)
         _check_finite(params)  # JSON readers take NaN and Infinity, which save_model never writes
         seed = doc["seed"]
         if type(seed) is not int or not 0 <= seed < 2**64:
@@ -318,6 +321,16 @@ def _weight_array(doc, name: str) -> np.ndarray:
         return np.array(values, dtype=np.float64)
     except OverflowError:
         return np.array([_inf_past_float_range(value) for value in values], dtype=np.float64)
+
+
+def _layer_weights(values: np.ndarray, name: str, rows: str, cols: str, dims: dict) -> np.ndarray:
+    """A layer's flat weights shaped (dims[rows], dims[cols]). Its length is
+    checked against that product in Python ints first, so that a wrong or huge
+    dim names its keys rather than failing in `reshape`."""
+    shape = (dims[rows], dims[cols])
+    if values.size != shape[0] * shape[1]:
+        raise ValueError(f"{name} holds {values.size} values, not {rows} x {cols} = {shape[0]} x {shape[1]}")
+    return values.reshape(shape)
 
 
 def _check_config_echo(config) -> None:

@@ -774,6 +774,26 @@ def test_eval_rejects_checkpoint_dims_that_are_not_integers(tmp_path, rules_file
     assert captured.err == f"error: {model}: malformed checkpoint: {message}\n"
 
 
+@pytest.mark.parametrize("n_hidden, message", [
+    ("1" + "0" * 399, f"W1 holds 4 values, not n_hidden x n_features = {10**399} x 2"),
+    ("1" + "0" * 5000, "dims key 'n_hidden' must be a non-negative integer, got Infinity"),
+    ("3", "W1 holds 4 values, not n_hidden x n_features = 3 x 2"),
+], ids=["400-digits", "5001-digits", "one-more"])
+def test_eval_rejects_checkpoint_dims_that_do_not_fit_the_weights(
+    tmp_path, rules_file, capsys, n_hidden, message
+):
+    data = _write_plain_dataset(tmp_path / "plain.jsonl")
+    model = tmp_path / "m.json"
+    assert run(["train", "--rules", rules_file, "--data", data, "--epochs", "1", "--warmup", "0",
+                "--hidden", "2", "--out-model", str(model)]) == 0
+    text = model.read_text()
+    assert text.count('"n_hidden": 2,') == 1
+    model.write_text(text.replace('"n_hidden": 2,', f'"n_hidden": {n_hidden},'))
+    capsys.readouterr()
+    assert run(["eval", "--rules", rules_file, "--data", data, "--model", str(model)]) == 2
+    assert capsys.readouterr() == ("", f"error: {model}: malformed checkpoint: {message}\n")
+
+
 def test_synth_and_noise_name_a_negative_seed(tmp_path, rules_file, capsys):
     out = tmp_path / "out.jsonl"
     assert run(["synth", "--rules", rules_file, "--out", str(out), "--n", "10", "--dims", "2",

@@ -20,6 +20,57 @@ def test_float_list_matches_generic_lists():
     assert jsonio.dumps({"w": jsonio.float_list([0.5, -0.0])}) == '{"w": [0.5, -0]}'
 
 
+def _tokens_to_format():
+    """Doubles for `float_rows`: random draws, the ulp neighbours of every power
+    of ten from 1e-4 to 1e17 (the notation switches and the values whose log10
+    floors one off among them), ties at the 17th digit, and edge values."""
+    rng = np.random.default_rng(25)
+    signs = rng.choice([-1.0, 1.0], 22_000)
+    powers = 10.0 ** np.arange(-4, 18)
+    neighbours = [powers]
+    for direction in (0.0, np.inf):
+        step = powers
+        for _ in range(3):
+            step = np.nextafter(step, direction)
+            neighbours.append(step)
+    # exact values of 18 significant digits that end in 5: integers with a
+    # fraction k / 2**j of j decimals, and odd m / 2**18 in [0.1, 1)
+    ties = [
+        rng.integers(10 ** (17 - j), 10 ** (18 - j), 2_000)
+        + (2 * rng.integers(0, 2 ** (j - 1), 2_000) + 1) / 2.0**j
+        for j in (3, 4, 5)
+    ]
+    ties.append((2 * rng.integers(13_108, 2**17, 2_000) + 1) / 2.0**18)
+    edges = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308, 123456789012345.125]
+    return np.concatenate(
+        [rng.normal(size=22_000), signs * 10 ** rng.uniform(-6, 18, 22_000), *neighbours, *ties, edges]
+    )
+
+
+def test_float_rows_match_float_format_bitwise(monkeypatch):
+    values = _tokens_to_format()
+    assert values.size >= 50_000
+    a = np.abs(values)
+    window = (a >= 1e-4) & (a < 1e16)
+    # log10 floors one off on some of them, which the exponent fix must catch
+    exponents = np.array([int(("%.16e" % v).split("e")[1]) for v in a[window]])
+    assert (np.floor(np.log10(a[window])) != exponents).sum() >= 40
+    formatted = []
+
+    class Counting(str):
+        def __mod__(self, value):
+            formatted.append(value)
+            return str.__mod__(self, value)
+
+    monkeypatch.setattr(jsonio, "FLOAT_FORMAT", Counting("%.17g"))
+    rows = jsonio.float_rows(values.reshape(1, -1))
+    text = rows[rows != 0].tobytes().decode("ascii")
+    assert text.split(", ") == ["%.17g" % v for v in values.tolist()]
+    # every token in the window is made from its digits, and only the others are formatted by %
+    assert window.mean() > 0.9
+    assert np.array(formatted, dtype=np.float64).tobytes() == values[~window].tobytes()
+
+
 def test_float_list_rejects_non_finite():
     with pytest.raises(ValueError, match=r"^cannot serialize non-finite number nan$"):
         jsonio.float_list([1.0, np.nan, np.inf])
@@ -61,7 +112,7 @@ def test_history_write_failing_midway_keeps_old_file(tmp_path):
 
 
 def test_dataset_write_failing_midway_keeps_old_file(tmp_path, monkeypatch):
-    monkeypatch.setattr(data, "_BLOCK_ROWS", 2)
+    monkeypatch.setattr(data, "_BLOCK_FEATURES", 4)  # blocks of two lines
     ds = Dataset(np.arange(10.0).reshape(5, 2), np.zeros((5, 1), dtype=int), LabelVocabulary(("a",)))
     path = tmp_path / "data.jsonl"
     save_dataset(ds, path)
