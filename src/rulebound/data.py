@@ -168,15 +168,6 @@ def load_dataset(path) -> Dataset:
     return Dataset(X, Y, vocab, clean)
 
 
-# The JSON integer token -0, which json reads as int 0 and so loses the sign
-# that "%.17g" writes for a feature of -0.0.
-_NEGATIVE_ZERO = re.compile(r"-0(?![\d.eE])")
-
-
-def _int_keeping_negative_zero(token: str):
-    return -0.0 if token == "-0" else int(token)
-
-
 def _read_written_samples(lines: list[str], width: int):
     """(X, Y, clean Y or None) from sample lines in the writer's layout, which
     `_sample_layout` states, or None. What it returns is bitwise what
@@ -187,15 +178,11 @@ def _read_written_samples(lines: list[str], width: int):
     byte for byte but for label digits that are 0 or 1; the labels come off
     those bytes as one uint8 matrix. The features are read in blocks of lines,
     `_BLOCK_FEATURES` features a block or one line if it holds more.
-    `_read_decimal_rows` converts a line itself when each of its features is a
-    plain decimal such as -0.25, and every other line of the block goes to one
-    `json.loads`, each line's features as one list, where integer tokens parse
-    as the line reader parses them, so -0 keeps its sign. The lines are left to
-    the line reader when a block holds the letters t or f (numpy would read
-    true and false as 1 and 0), when that `json.loads` fails, or when its
-    lists do not make one (lines, features) array of finite numbers, every
-    line as long as the first: a bracket among the features, a string, null,
-    NaN, Infinity or an integer outside the int64 and uint64 ranges fail that.
+    `jsonio.read_decimal_rows` converts a line itself when each of its features
+    is a plain decimal such as -0.25, and `_parse_sample` reads every other line
+    whole, as the line reader does. The lines are left to the line reader when
+    that parse fails, or gives another feature count than the first line's
+    commas or a y_clean that the layout has not.
     """
     if not lines:
         return None
@@ -213,118 +200,24 @@ def _read_written_samples(lines: list[str], width: int):
     if (codes > allowed).any():
         return None
     features = [line[h:-w] for line in lines]
-    # JSON reads a blank list as empty. A first line that is not a flat list of
-    # numbers sends the file on at its own json.loads below, so its commas can
-    # set the count
+    # JSON reads a blank list as empty. A line whose parse holds another count
+    # defers the file below, so the first line's commas can set it
     d = features[0].count(",") + 1 if features[0].strip(" \t") else 0
     X = np.empty((n, d))
     rows = max(1, _BLOCK_FEATURES // max(d, 1))
     for start in range(0, n, rows):
-        block, part = features[start : start + rows], X[start : start + rows]
-        values, direct = _read_decimal_rows(block, d)
-        part[direct] = values
-        rest = [text for text, done in zip(block, direct.tolist()) if not done]
-        if not rest:
-            continue
-        body = "[[" + "],[".join(rest) + "]]"
-        if "t" in body or "f" in body:
-            return None
-        try:
-            parsed = np.array(json.loads(body, parse_int=_int_keeping_negative_zero))
-        except (ValueError, RecursionError):
-            return None
-        if parsed.shape != (len(rest), d) or parsed.dtype.kind not in "fiu" or not np.isfinite(parsed).all():
-            return None
-        part[~direct] = parsed
+        values, direct = jsonio.read_decimal_rows(features[start : start + rows], d)
+        X[start : start + rows][direct] = values
+        for i in start + np.flatnonzero(~direct):
+            try:
+                x, _, y_clean = _parse_sample(lines[i], i + 2, width)
+            except DatasetError:
+                return None
+            if len(x) != d or (y_clean is None) == with_clean:
+                return None
+            X[i] = x
     Y = codes[:, digits].astype(np.int64)
     return X, Y[:, :width], Y[:, width:] if with_clean else None
-
-
-# 5**k for k <= 22, all exact in float64 (5**22 < 2**53).
-_POW5 = np.array([5**k for k in range(23)], dtype=np.int64)
-
-
-def _read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, direct) for the x-list texts of a block of lines: `direct`
-    marks each line that holds d features, all of the form
-    -?(0|[1-9][0-9]*)\\.[0-9]+ with at most 18 significant and at most 22
-    fraction digits, separated by ", ", whose values `_decimals_to_doubles`
-    settles; `values` holds those lines' features, rounded as json.loads
-    rounds them, as a (direct.sum(), d) array."""
-    # every token lies between two commas, each followed by a space when the token is read
-    text = ", " + ", ".join(texts) + ", "
-    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
-    others = np.flatnonzero((codes - ord("0")) > 9)  # uint8 wraps below "0": every byte but a digit
-    kinds = codes[others]
-    at = np.flatnonzero(kinds == ord(","))  # the commas' places in `others`
-    commas, before = others[at], at[1:] - 1
-    starts, ends = commas[:-1] + 2, commas[1:]
-    # a read token's last byte but a digit is its point, and the bytes but digits
-    # from its comma to the next are the space, the sign if any, the point and that comma
-    point = others[before]
-    negative = codes[starts] == ord("-")
-    lead = starts + negative
-    fraction = ends - point - 1
-    ok = (
-        (codes[commas[:-1] + 1] == ord(" "))
-        & (np.diff(at) == 3 + negative)
-        & (kinds[before] == ord("."))
-        & (point > lead)
-        & (fraction >= 1)
-        & (fraction <= 22)
-        & ((codes[lead] != ord("0")) | (point == lead + 1))
-    )
-    # each line's tokens run up to the comma that follows its text
-    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
-    last = np.searchsorted(commas, np.cumsum(lengths + 2))
-    counts = np.diff(last, prepend=0)
-    direct = (counts == d) & np.logical_and.reduceat(ok, last - counts)
-    if not direct.any():
-        return np.empty((0, d)), direct
-    tokens = np.repeat(direct, counts)
-    good = ", ".join([t for t, keep in zip(texts, direct.tolist()) if keep]).encode("ascii")
-    mantissas = np.fromstring(good.replace(b".", b""), dtype=np.int64, sep=",")
-    # more than 18 significant digits read as 10**18 or more: numpy's int64 text
-    # parser clamps a value past the int64 range to its end
-    fits = (mantissas > -(10**18)) & (mantissas < 10**18)
-    values, settled = _decimals_to_doubles(np.abs(mantissas), fraction[tokens])
-    values = np.where(negative[tokens], -values, values).reshape(-1, d)
-    settled = (settled & fits).reshape(-1, d).all(axis=1)
-    direct[direct] = settled
-    return values[settled], direct
-
-
-def _decimals_to_doubles(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, settled): a * 10**-k rounded to the nearest double, for int64
-    mantissas 0 <= a < 10**18 and 0 <= k <= 22; settled is False where this
-    could not show that rounding, and the value there is not to be used."""
-    five = _POW5[k]
-    # Let q = a / 5**k in float64, Q its 53-bit significand and q = Q * 2**-s.
-    # The wanted value a * 10**-k is T * 2**-(s + k) for the exact
-    # T = a * 2**s / 5**k, and the two roundings in q (a may need more than 53
-    # bits) put Q within about 2 of T. For s >= 0, R = 2 * (a * 2**s - Q * 5**k)
-    # = 2 * 5**k * (T - Q) is an even integer with |R| <= 4.1 * 5**22 < 2**54, so
-    # a * 2**s and Q * 5**k taken modulo 2**64 (in wrapping uint64, where a * 2**s
-    # is 0 once s >= 64) differ by exactly R / 2. Q moves once, by the integer
-    # nearest R / (2 * 5**k) in float64; then |R| < 5**k holds exactly when Q is
-    # the integer nearest T. A tie |R| = 5**k cannot occur, R being even and 5**k
-    # odd: exact midpoints between doubles all have s < 0. Scaled by 2**-(s + k),
-    # Q is the nearest double when T lies in [2**52, 2**53 + 1/2), where doubles
-    # are 2**-(s + k) apart below 2**53 and twice that above: Q in (2**52, 2**53],
-    # or Q = 2**52 with R >= 0. A token is left unsettled, and its line sent on,
-    # when s < 0 (q >= 2**53), when the step missed (T - Q that near a
-    # half-integer), or when Q leaves that window.
-    m, e = np.frexp(a / five)
-    Q = (m * 2.0**53).astype(np.int64)
-    s = 53 - e.astype(np.int64)
-    scaled = np.where(s < 64, a.astype(np.uint64) << np.clip(s, 0, 63).astype(np.uint64), np.uint64(0))
-    R = 2 * (scaled - Q.astype(np.uint64) * five.astype(np.uint64)).view(np.int64)
-    c = np.rint(R / (2.0 * five)).astype(np.int64)
-    Q += c
-    R -= 2 * c * five
-    window = (Q <= 2**53) & ((Q > 2**52) | ((Q == 2**52) & (R >= 0)))
-    settled = ((np.abs(R) < five) & window & (s >= 0)) | (a == 0)
-    return np.ldexp(Q.astype(np.float64), -(s + k)), settled
 
 
 def _finite(x: list) -> bool:
@@ -332,6 +225,40 @@ def _finite(x: list) -> bool:
         return all(map(math.isfinite, x))
     except OverflowError:  # an integer past the float range, which a float token there reads as inf
         return False
+
+
+# The JSON integer token -0, which json reads as int 0 and so loses the sign
+# that "%.17g" writes for a feature of -0.0.
+_NEGATIVE_ZERO = re.compile(r"-0(?![\d.eE])")
+
+
+def _int_keeping_negative_zero(token: str):
+    return -0.0 if token == "-0" else int(token)
+
+
+def _parse_sample(line: str, line_no: int, width: int) -> tuple[list, list, list | None]:
+    """(x, y, y_clean or None) of sample line `line_no`: x a list of finite
+    numbers, -0 read as -0.0, and y and y_clean `width` labels 0 or 1."""
+    try:
+        row = jsonio.loads(line)
+    except json.JSONDecodeError as err:
+        raise DatasetError(f"line {line_no}: invalid JSON: {err.msg}") from None
+    if not isinstance(row, dict) or "x" not in row or "y" not in row:
+        raise DatasetError(f"line {line_no}: sample objects need 'x' and 'y'")
+    x = _parse_number_list(row["x"], line_no, "x", binary=False)
+    if not _finite(x):
+        raise DatasetError(f"line {line_no}: features must be finite")
+    if _NEGATIVE_ZERO.search(line):
+        x = jsonio.loads(line, parse_int=_int_keeping_negative_zero)["x"]
+    y = _parse_number_list(row["y"], line_no, "y", binary=True)
+    if len(y) != width:
+        raise DatasetError(f"line {line_no}: expected {width} labels, got {len(y)}")
+    if "y_clean" not in row:
+        return x, y, None
+    y_clean = _parse_number_list(row["y_clean"], line_no, "y_clean", binary=True)
+    if len(y_clean) != width:
+        raise DatasetError(f"line {line_no}: expected {width} clean labels, got {len(y_clean)}")
+    return x, y, y_clean
 
 
 def _read_samples_by_line(lines: list[str], width: int):
@@ -344,31 +271,13 @@ def _read_samples_by_line(lines: list[str], width: int):
     for line_no, line in enumerate(lines, start=2):
         if not line.strip():
             continue
-        try:
-            row = jsonio.loads(line)
-        except json.JSONDecodeError as err:
-            raise DatasetError(f"line {line_no}: invalid JSON: {err.msg}") from None
-        if not isinstance(row, dict) or "x" not in row or "y" not in row:
-            raise DatasetError(f"line {line_no}: sample objects need 'x' and 'y'")
-        x = _parse_number_list(row["x"], line_no, "x", binary=False)
-        if not _finite(x):
-            raise DatasetError(f"line {line_no}: features must be finite")
-        if _NEGATIVE_ZERO.search(line):
-            x = jsonio.loads(line, parse_int=_int_keeping_negative_zero)["x"]
-        y = _parse_number_list(row["y"], line_no, "y", binary=True)
+        x, y, y_clean = _parse_sample(line, line_no, width)
         # the first kept sample sets the feature count and whether y_clean appears
         if xs and len(x) != len(xs[0]):
             raise DatasetError(f"line {line_no}: expected {len(xs[0])} features, got {len(x)}")
-        if len(y) != width:
-            raise DatasetError(f"line {line_no}: expected {width} labels, got {len(y)}")
-        if xs and ("y_clean" in row) != bool(cleans):
+        if xs and (y_clean is not None) != bool(cleans):
             raise DatasetError(f"line {line_no}: y_clean must appear on every sample or on none")
-        if "y_clean" in row:
-            y_clean = _parse_number_list(row["y_clean"], line_no, "y_clean", binary=True)
-            if len(y_clean) != width:
-                raise DatasetError(
-                    f"line {line_no}: expected {width} clean labels, got {len(y_clean)}"
-                )
+        if y_clean is not None:
             cleans.append(y_clean)
         xs.append(x)
         ys.append(y)

@@ -7,7 +7,8 @@ failed write leaves no half-written file behind.
 A dataclass instance is written as an object of its fields in declaration
 order, so a record's field order is its file layout. Input files are read
 through `read_text`, so one that is not UTF-8 names itself, and their JSON
-is parsed by `loads`.
+is parsed by `loads`. Doubles are turned into decimal text and back in numpy
+blocks: `float_rows` writes them, and `read_decimal_rows` reads plain decimals.
 """
 
 from __future__ import annotations
@@ -59,8 +60,11 @@ def float_list(values) -> Raw:
 # FLOAT_FORMAT output, fills them.
 _TOKEN_BYTES = 24
 
-# 10**q in float64 and 5**q in uint64, both exact, for the scales q <= 22 that
-# `_seventeen_digits` multiplies by.
+# 10**q in float64 and 5**q in uint64, both exact, for the scales q <= 22 of the
+# two decimal kernels, `_round_scaled` (writing) and `_decimals_to_doubles`
+# (reading). Each takes a float estimate of the rounded value and corrects it
+# once, by the integer nearest a residual that wrapping uint64 products, modulo
+# 2**64, give exactly; each states the bounds that keep its residual exact.
 _POW10 = 10.0 ** np.arange(23)
 _POW5 = np.array([5**q for q in range(23)], dtype=np.uint64)
 # The 4 ASCII digits of each i < 10**4 as one uint32.
@@ -127,10 +131,9 @@ def _round_scaled(a: np.ndarray, q: np.ndarray) -> np.ndarray:
     one. Another a * 10**q below 2**62 rounds to a nearest integer."""
     # a = M * 2**(e - 53) for frexp's 53-bit M, so a * 10**q = M * 5**q * 2**s with
     # s = e - 53 + q. The float product puts its rounded value N within about
-    # 2**-53 * a * 10**q of a * 10**q, and with k = max(-s, 0) the integer
+    # 2**-53 * a * 10**q of a * 10**q, and with k = max(-s, 0) the residual
     # D = (a * 10**q - N) * 2**k = M * 5**q * 2**max(s, 0) - N * 2**k is then below
-    # 2**51 in size (k <= 47 for a >= 1e-4 at q = 20), so wrapping uint64
-    # arithmetic, which is modulo 2**64, gives it exactly, and so does its float.
+    # 2**51 in size (k <= 47 for a >= 1e-4 at q = 20), so it and its float are exact.
     # N moves by rint(D / 2**k), the integer nearest a * 10**q - N. From 2**53 up,
     # N is an even integer, as every double there is, and rint takes a half to
     # the even side, so a tie lands on the even neighbour.
@@ -173,6 +176,92 @@ def _fixed_point_bytes(N: np.ndarray, X: np.ndarray) -> np.ndarray:
     end = np.where(last > X[zero], last + 5, P[zero])
     text[zero] *= c <= end[:, None]
     return text
+
+
+def read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values, direct) for the x-list texts of a block of lines: `direct`
+    marks each line that holds d features, all of the form
+    -?(0|[1-9][0-9]*)\\.[0-9]+ with at most 18 significant and at most 22
+    fraction digits, separated by ", ", whose values `_decimals_to_doubles`
+    settles; `values` holds those lines' features, rounded as json.loads
+    rounds them, as a (direct.sum(), d) array."""
+    # every token lies between two commas, each followed by a space when the token is read
+    text = ", " + ", ".join(texts) + ", "
+    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+    others = np.flatnonzero((codes - ord("0")) > 9)  # uint8 wraps below "0": every byte but a digit
+    kinds = codes[others]
+    at = np.flatnonzero(kinds == ord(","))  # the commas' places in `others`
+    commas, before = others[at], at[1:] - 1
+    starts, ends = commas[:-1] + 2, commas[1:]
+    # a read token's last byte but a digit is its point, and the bytes but digits
+    # from its comma to the next are the space, the sign if any, the point and that comma
+    point = others[before]
+    negative = codes[starts] == ord("-")
+    lead = starts + negative
+    fraction = ends - point - 1
+    ok = (
+        (codes[commas[:-1] + 1] == ord(" "))
+        & (np.diff(at) == 3 + negative)
+        & (kinds[before] == ord("."))
+        & (point > lead)
+        & (fraction >= 1)
+        & (fraction <= 22)
+        & ((codes[lead] != ord("0")) | (point == lead + 1))
+    )
+    # at most 18 significant digits, counted on the bytes, so that each mantissa parsed
+    # fits int64: a token of more digits needs as many leading zeros, "0." and the
+    # zeros after it, as it has digits past 18 (at most 5, as fraction <= 22). The
+    # byte before the token, a space or "-", ends the run of 5
+    long = np.flatnonzero(ends - lead > 19)
+    run = np.argmin(codes[lead[long, None] + [0, 2, 3, 4, 5, -1]] == ord("0"), axis=1)
+    ok[long] &= run >= ends[long] - lead[long] - 19
+    # each line's tokens run up to the comma that follows its text
+    lengths = np.fromiter(map(len, texts), dtype=np.intp, count=len(texts))
+    last = np.searchsorted(commas, np.cumsum(lengths + 2))
+    counts = np.diff(last, prepend=0)
+    direct = (counts == d) & np.logical_and.reduceat(ok, last - counts)
+    if not direct.any():
+        return np.empty((0, d)), direct
+    tokens = np.repeat(direct, counts)
+    good = ", ".join([t for t, keep in zip(texts, direct.tolist()) if keep]).encode("ascii")
+    mantissas = np.fromstring(good.replace(b".", b""), dtype=np.int64, sep=",")
+    values, settled = _decimals_to_doubles(np.abs(mantissas), fraction[tokens])
+    values = np.where(negative[tokens], -values, values).reshape(-1, d)
+    settled = settled.reshape(-1, d).all(axis=1)
+    direct[direct] = settled
+    return values[settled], direct
+
+
+def _decimals_to_doubles(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values, settled): a * 10**-k rounded to the nearest double, for int64
+    mantissas 0 <= a < 10**18 and 0 <= k <= 22; settled is False where this
+    could not show that rounding, and the value there is not to be used."""
+    five = _POW5[k].view(np.int64)
+    # Let q = a / 5**k in float64, Q its 53-bit significand and q = Q * 2**-s.
+    # The wanted value a * 10**-k is T * 2**-(s + k) for the exact
+    # T = a * 2**s / 5**k, and the two roundings in q (a may need more than 53
+    # bits) put Q within about 2 of T. For s >= 0 the residual
+    # R = 2 * (a * 2**s - Q * 5**k) = 2 * 5**k * (T - Q) is an even integer with
+    # |R| <= 4.1 * 5**22 < 2**54 (a * 2**s wraps to 0 once s >= 64). Q moves once,
+    # by the integer nearest R / (2 * 5**k); then |R| < 5**k holds exactly when Q
+    # is the integer nearest T, and no tie |R| = 5**k occurs, R being even and
+    # 5**k odd (exact midpoints between doubles all have s < 0). Scaled by
+    # 2**-(s + k), Q is the nearest double when T lies in [2**52, 2**53 + 1/2),
+    # where doubles are 2**-(s + k) apart below 2**53 and twice that above: Q in
+    # (2**52, 2**53], or Q = 2**52 with R >= 0. A token is left unsettled, and its
+    # line sent on, when s < 0 (q >= 2**53), when the step missed (T - Q that near
+    # a half-integer), or when Q leaves that window.
+    m, e = np.frexp(a / five)
+    Q = (m * 2.0**53).astype(np.int64)
+    s = 53 - e.astype(np.int64)
+    scaled = np.where(s < 64, a.astype(np.uint64) << np.clip(s, 0, 63).astype(np.uint64), np.uint64(0))
+    R = 2 * (scaled - Q.view(np.uint64) * five.view(np.uint64)).view(np.int64)
+    c = np.rint(R / (2.0 * five)).astype(np.int64)
+    Q += c
+    R -= 2 * c * five
+    window = (Q <= 2**53) & ((Q > 2**52) | ((Q == 2**52) & (R >= 0)))
+    settled = ((np.abs(R) < five) & window & (s >= 0)) | (a == 0)
+    return np.ldexp(Q.astype(np.float64), -(s + k)), settled
 
 
 def read_text(path) -> str:

@@ -1,7 +1,6 @@
 """Dataset files, synthesis, noise injection, and the audit command's core."""
 
 import dataclasses
-import decimal
 import hashlib
 import itertools
 import json
@@ -346,16 +345,17 @@ _TOKENS = ["true", "false", "null", "-0", "-0.0", "0", "1", "2", "-1", "1.0", "0
 
 # Kinds 0 and 1, another token in place of a number, come up most often: on an
 # x token they keep the writer's layout, so edited files get read, not deferred.
-_MUTATION_KINDS = [0, 1] * 12 + list(range(2, 13))
+_MUTATION_KINDS = [0, 1] * 12 + list(range(2, 14))
 _X_LIST = re.compile(r'"x": \[([^\]]*)\]')
 
 
 def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
     """One random edit of a sample file's lines. Some edits keep the file legal
-    (another number, other spacing, an escaped key, keys reordered); others
-    break it (another token, a key dropped or added, a blank line, a truncated
-    last line, a list entry dropped or repeated, an x entry moved to another
-    line, a line split in two, two lines joined, an indent)."""
+    (another number, other spacing, an escaped key, keys reordered, x text that
+    ends x and adds a key "z" or a second "x"); others break it (another token,
+    a key dropped or added, y_clean added in the x text, a blank line, a
+    truncated last line, a list entry dropped or repeated, an x entry moved to
+    another line, a line split in two, two lines joined, an indent)."""
     lines = list(lines)
     if not lines:
         return lines
@@ -403,6 +403,13 @@ def _mutate(rng: random.Random, lines: list[str]) -> list[str]:
             into.insert(rng.randrange(len(into) + 1), moved)
             lines[i] = lines[i][: source.start(1)] + ", ".join(entries) + lines[i][source.end(1) :]
             lines[j] = lines[j][: target.start(1)] + ", ".join(into) + lines[j][target.end(1) :]
+    elif kind == 13:  # x text that changes the line's keys; json keeps a repeated key's last value
+        source, labels = _X_LIST.search(lines[i]), _LABEL_LIST.search(lines[i])
+        if source and labels:
+            x = source.group(1)
+            text = rng.choice(['1.0], "z": [2.0', x + '], "z": [2.0', '1.0], "x": [' + x,
+                               x + '], "y_clean": [' + labels.group(2)])
+            lines[i] = lines[i][: source.start(1)] + text + lines[i][source.end(1) :]
     elif kind == 10 and ", " in lines[i]:
         cut = rng.choice([m.start() for m in re.finditer(", ", lines[i])])
         lines[i : i + 1] = [lines[i][:cut], lines[i][cut + 2 :]]
@@ -493,70 +500,18 @@ def test_loader_written_layout_returns_only_what_the_line_reader_returns(mutate,
     assert all(counts[key] > floor for key, floor in floors.items()), counts
 
 
-def _decimal_tokens(rng) -> list[str]:
-    """Number tokens as writers print doubles, and the edge cases of the decimal reader."""
-    doubles = (rng.normal(size=10_000) * 10.0 ** rng.integers(-5, 17, size=10_000)).tolist()
-    tokens = [fmt % v for fmt in ("%.17g", "%.15g", "%.18g") for v in doubles] + list(map(repr, doubles))
-    # 18 significant digits, with the point among them or after up to 5 leading zeros (22 fraction
-    # digits fit), and 21, past int64
-    for number in map(str, rng.integers(10**17, 10**18, size=2000).tolist()):
-        cut = int(rng.integers(1, 18))
-        tokens += [number[:cut] + "." + number[cut:], "0." + "0" * int(rng.integers(0, 6)) + number,
-                   number[:cut] + "." + number[cut:] + "765"]
-    # the 18-digit decimals on each side of the midpoint between a double and the next: the nearest
-    # double to each is the one on its side, which an inexact quotient can miss
-    context = decimal.Context(prec=18)
-    near = [(decimal.Decimal(v) + decimal.Decimal(float(np.nextafter(v, np.inf)))) / 2 for v in map(abs, doubles[:3000])]
-    # and the 18-digit decimals next to a power of two and to the points a fraction of an ulp
-    # (2**-52 of it) away: the nearest double to those below may lie in the binade below, with
-    # half the spacing
-    near += [decimal.Decimal(2) ** p * (1 + decimal.Decimal(j) / 2**55)
-             for p in range(-13, 54) for j in range(-5, 6)]
-    for number in near:
-        for text in map(format, [context.next_minus(number), context.next_plus(number)], "ff"):
-            tokens.append(text if "." in text else text + ".0")
-    # exact midpoints, which json.loads rounds to even, and zeros
-    return tokens + ["9007199254740993.0", "9007199254740995.0", "0.0", "-0.0", "-0", "0", "-0.000"]
-
-
-def test_decimal_reader_rounds_every_token_as_json_loads():
-    tokens = _decimal_tokens(np.random.default_rng(20261019))
-    expected = np.array([json.loads(t, parse_int=data._int_keeping_negative_zero) for t in tokens])
-    values, direct = data._read_decimal_rows(tokens, 1)
-    assert values.tobytes() == expected[direct].tobytes()  # bitwise, so -0.0 keeps its sign
-    assert direct.sum() > 40_000, (direct.sum(), len(tokens))  # of 53481
-    # the tokens it leaves (integers, exponents, more digits, exact midpoints) take json.loads
-    X, _, _ = data._read_written_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
-    assert X.tobytes() == expected.tobytes()
-
-
-def test_loader_written_layout_reads_integers_as_one_np_array_of_the_file_would(monkeypatch):
+def test_loader_written_layout_reads_integers_as_the_line_reader_does(monkeypatch):
     monkeypatch.setattr(data, "_BLOCK_FEATURES", 2)  # a block per line
     big = [2**63, 2**63 + 1, 2**63 + 2**10, 2**63 + 2**10 + 1, 2**64 - 2**11, 2**64 - 2**11 + 1, 2**64 - 1]
-    # uint64 blocks alone (round-to-even ties among them), then with an int64 and a float block
+    # uint64 lines alone (round-to-even ties among them), then with int64, float and 2**64 lines
     uint64 = ['{"x": [%d, %d], "y": [1, 0]}' % pair for pair in zip(big, big[1:])]
-    for lines in (uint64, uint64 + ['{"x": [-1, 3], "y": [0, 1]}', '{"x": [-1, 0.5], "y": [0, 1]}']):
+    mixed = ['{"x": [-1, 3], "y": [0, 1]}', '{"x": [-1, 0.5], "y": [0, 1]}', '{"x": [%d, -0], "y": [0, 1]}' % 2**64]
+    for lines in (uint64, uint64 + mixed):
         X, Y, clean = data._read_written_samples(lines, 2)
         x, y, _ = data._read_samples_by_line(lines, 2)
         assert X.tobytes() == x.tobytes() and Y.tobytes() == y.tobytes() and clean is None
-    # 2**64 makes an object array, which is left to the line reader
-    assert data._read_written_samples(uint64 + ['{"x": [%d, 3], "y": [0, 1]}' % 2**64], 2) is None
-
-
-# Two-feature x texts that the decimal reader must leave to json.loads: JSON that is not the
-# writer's ", " list of plain decimals, and text that is not JSON at all.
-_NOT_DECIMAL = ["0.5,-2.25", "0.5 , -2.25", "0.5,  -2.25", " 0.5, -2.25", "0.5, -2.25 ", "0.5, -2.25, ",
-                "01.5, 2.5", "-01.5, 2.5", "00.5, 2.5", ".5, 2.5", "-.5, 2.5", "1., 2.5", "+1.5, 2.5",
-                "1.5-, 2.5", "--1.5, 2.5", "1.5.5, 2.5", "1..5, 2.5", "1e5, 2.5", "1.5e0, 2.5", "1, 2.5",
-                "-0, 2.5", "1.5, 2", "1.5, 2.5, 3.5", "1.5", "1.5, [2.5]", '1.5, "2.5"', "1.5, 2.5\t",
-                "1.5, NaN", "1.5, -Infinity", "1.5, 2\u00b75", "1.5, 2.5\u0661"]
-
-
-def test_decimal_reader_takes_only_the_writers_plain_decimals():
-    texts = ["0.25, -0.75"] + _NOT_DECIMAL + ["-0.0, 12.5"]
-    values, direct = data._read_decimal_rows(texts, 2)
-    assert direct.tolist() == [True] + [False] * len(_NOT_DECIMAL) + [True]
-    assert values.tolist() == [[0.25, -0.75], [-0.0, 12.5]] and np.signbit(values[1, 0])
+    assert X[-1].tolist() == [2.0**64, -0.0] and np.signbit(X[-1, 1])
+    assert X[:6, 0].tolist() == [float(v) for v in big[:6]]
 
 
 def test_loader_label_bytes_read_the_writers_files(tmp_path, monkeypatch):

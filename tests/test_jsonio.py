@@ -1,5 +1,6 @@
-"""The serializer's array formatting and the atomic replacement of output files."""
+"""The serializer's array formatting, the decimal reader, and the atomic replacement of output files."""
 
+import decimal
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -69,6 +70,86 @@ def test_float_rows_match_float_format_bitwise(monkeypatch):
     # every token in the window is made from its digits, and only the others are formatted by %
     assert window.mean() > 0.9
     assert np.array(formatted, dtype=np.float64).tobytes() == values[~window].tobytes()
+
+
+def _decimal_tokens(rng) -> list[str]:
+    """Number tokens as writers print doubles, and the edge cases of the decimal reader."""
+    doubles = (rng.normal(size=10_000) * 10.0 ** rng.integers(-5, 17, size=10_000)).tolist()
+    tokens = [fmt % v for fmt in ("%.17g", "%.15g", "%.18g") for v in doubles] + list(map(repr, doubles))
+    # 18 significant digits, with the point among them or after up to 5 leading zeros (22 fraction
+    # digits fit), and 21, past int64
+    for number in map(str, rng.integers(10**17, 10**18, size=2000).tolist()):
+        cut = int(rng.integers(1, 18))
+        tokens += [number[:cut] + "." + number[cut:], "0." + "0" * int(rng.integers(0, 6)) + number,
+                   number[:cut] + "." + number[cut:] + "765"]
+    # the 18-digit decimals on each side of the midpoint between a double and the next: the nearest
+    # double to each is the one on its side, which an inexact quotient can miss
+    context = decimal.Context(prec=18)
+    near = [(decimal.Decimal(v) + decimal.Decimal(float(np.nextafter(v, np.inf)))) / 2 for v in map(abs, doubles[:3000])]
+    # and the 18-digit decimals next to a power of two and to the points a fraction of an ulp
+    # (2**-52 of it) away: the nearest double to those below may lie in the binade below, with
+    # half the spacing
+    near += [decimal.Decimal(2) ** p * (1 + decimal.Decimal(j) / 2**55)
+             for p in range(-13, 54) for j in range(-5, 6)]
+    for number in near:
+        for text in map(format, [context.next_minus(number), context.next_plus(number)], "ff"):
+            tokens.append(text if "." in text else text + ".0")
+    # exact midpoints, which json.loads rounds to even, and zeros
+    return tokens + ["9007199254740993.0", "9007199254740995.0", "0.0", "-0.0", "-0", "0", "-0.000"]
+
+
+def test_decimal_reader_rounds_every_token_as_json_loads():
+    tokens = _decimal_tokens(np.random.default_rng(20261019))
+    expected = np.array([json.loads(t, parse_int=data._int_keeping_negative_zero) for t in tokens])
+    values, direct = jsonio.read_decimal_rows(tokens, 1)
+    assert values.tobytes() == expected[direct].tobytes()  # bitwise, so -0.0 keeps its sign
+    assert direct.sum() > 40_000, (direct.sum(), len(tokens))  # of 53481
+    # the tokens it leaves (integers, exponents, more digits, exact midpoints) take the per-line parse
+    X, _, _ = data._read_written_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
+    assert X.tobytes() == expected.tobytes()
+
+
+# Two-feature x texts that the decimal reader must leave to the line reader's parse: JSON that is
+# not the writer's ", " list of plain decimals, and text that is not JSON at all.
+_NOT_DECIMAL = ["0.5,-2.25", "0.5 , -2.25", "0.5,  -2.25", " 0.5, -2.25", "0.5, -2.25 ", "0.5, -2.25, ",
+                "01.5, 2.5", "-01.5, 2.5", "00.5, 2.5", ".5, 2.5", "-.5, 2.5", "1., 2.5", "+1.5, 2.5",
+                "1.5-, 2.5", "--1.5, 2.5", "1.5.5, 2.5", "1..5, 2.5", "1e5, 2.5", "1.5e0, 2.5", "1, 2.5",
+                "-0, 2.5", "1.5, 2", "1.5, 2.5, 3.5", "1.5", "1.5, [2.5]", '1.5, "2.5"', "1.5, 2.5\t",
+                "1.5, NaN", "1.5, -Infinity", "1.5, 2\u00b75", "1.5, 2.5\u0661"]
+
+
+def test_decimal_reader_takes_only_the_writers_plain_decimals():
+    texts = ["0.25, -0.75"] + _NOT_DECIMAL + ["-0.0, 12.5"]
+    values, direct = jsonio.read_decimal_rows(texts, 2)
+    assert direct.tolist() == [True] + [False] * len(_NOT_DECIMAL) + [True]
+    assert values.tolist() == [[0.25, -0.75], [-0.0, 12.5]] and np.signbit(values[1, 0])
+
+
+def test_decimal_reader_parses_no_mantissa_past_18_digits(monkeypatch):
+    rng = np.random.default_rng(26)
+    numbers = list(map(str, rng.integers(10**17, 10**18, size=300).tolist()))
+    # 19 to 24 significant digits, which int64 may not hold, with at most 22 fraction digits
+    long = [t for n in numbers for t in (n + "1.5", "-" + n[:5] + "." + n[5:] + "12", "0." + n + "9",
+                                         "-0.000" + n + "1", "-99999" + n + ".5")]
+    # the writer's tokens in [1e-4, 1e-1), up to 20 fraction digits, and 22 fraction digits with
+    # 4 leading zeros or more
+    short = ["%.17g" % v for v in 10 ** rng.uniform(-4, -1, size=300)] + ["0.0000" + n for n in numbers]
+    short += ["0.000000" + n[:16] for n in numbers] + ["0." + "0" * 22, "-0." + "0" * 21 + "1"]
+    assert max(map(len, short[:300])) == 22  # "0." and 20 fraction digits
+    tokens = long + short
+    received = []
+    fromstring = np.fromstring
+
+    def parse(text, **kwargs):
+        received.extend(token.strip().lstrip(b"-").decode("ascii") for token in text.split(b","))
+        return fromstring(text, **kwargs)
+
+    monkeypatch.setattr(np, "fromstring", parse)
+    X, _, _ = data._read_written_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
+    assert X.tobytes() == np.array([json.loads(t) for t in tokens]).tobytes()
+    assert max(len(token.lstrip("0")) for token in received) <= 18
+    # the digit count takes off the zeros after "0.", so those tokens stay on the decimal path
+    assert {t.lstrip("-").replace(".", "") for t in short} <= set(received)
 
 
 def test_float_list_rejects_non_finite():
