@@ -8,6 +8,7 @@ y/y_clean on load, so noise records survive a save/load round trip.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
@@ -144,9 +145,9 @@ def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
 
 
 def load_dataset(path) -> Dataset:
-    """The dataset file at `path`. Files in the writer's layout are read by
-    `_read_written_samples`, any others by `_read_samples_by_line`, to the
-    same arrays; errors name the file, and the file line where there is one."""
+    """The dataset file at `path`: a label header, then the sample lines, which
+    `_read_samples` reads; errors name the file, and the file line where there
+    is one."""
     lines = jsonio.split_lines(jsonio.read_text(path))
     try:
         if not lines or not lines[0].strip():
@@ -161,63 +162,70 @@ def load_dataset(path) -> Dataset:
             vocab = LabelVocabulary(header["labels"])
         except ValueError as err:
             raise DatasetError(f"line 1: bad label header: {err}") from None
-        samples, width = lines[1:], len(vocab)
-        X, Y, clean = _read_written_samples(samples, width) or _read_samples_by_line(samples, width)
+        X, Y, clean = _read_samples(lines[1:], len(vocab))
     except DatasetError as err:
         raise DatasetError(f"{path}: {err}") from None
     return Dataset(X, Y, vocab, clean)
 
 
-def _read_written_samples(lines: list[str], width: int):
-    """(X, Y, clean Y or None) from sample lines in the writer's layout, which
-    `_sample_layout` states, or None. What it returns is bitwise what
-    `_read_samples_by_line` returns for the same lines; None leaves the lines
-    to that reader, which reads them or names the faulty line.
+def _read_samples(lines: list[str], width: int):
+    """(X, Y, clean Y or None) from the sample lines, the header being file
+    line 1. Blank lines are skipped; the first other line is parsed first, and
+    sets the feature count and whether y_clean appears.
 
-    Every line must be the x prefix, then its features, then the label suffix
-    byte for byte but for label digits that are 0 or 1; the labels come off
-    those bytes as one uint8 matrix. The features are read in blocks of lines,
-    `_BLOCK_FEATURES` features a block or one line if it holds more.
-    `jsonio.read_decimal_rows` converts a line itself when each of its features
-    is a plain decimal such as -0.25, and `_parse_sample` reads every other line
-    whole, as the line reader does. The lines are left to the line reader when
-    that parse fails, or gives another feature count than the first line's
-    commas or a y_clean that the layout has not.
+    A line in the writer's layout, which `_sample_layout` states, is the x
+    prefix, its features and the label suffix byte for byte but for label
+    digits that are 0 or 1; its labels come off those bytes. Its features are
+    read in blocks of lines, `_BLOCK_FEATURES` features a block or one line if
+    it holds more, by `jsonio.read_decimal_rows` when each is a plain decimal
+    such as -0.25. Every other line is read by `_parse_sample`, in file order,
+    and checked against the first. A line the decimal path reads cannot be
+    faulty, so an error names the first faulty line.
     """
-    if not lines:
-        return None
-    with_clean = '"y_clean": [' in lines[0]
+    first = next((i for i, line in enumerate(lines) if line.strip()), None)
+    if first is None:
+        raise DatasetError("dataset has no samples")
+    sample = _parse_sample(lines[first], first + 2, width)
+    d, with_clean = len(sample[0]), sample[2] is not None
     head, suffix, digits = _sample_layout(width, with_clean)
     n, h, w = len(lines), len(head), suffix.size
-    if min(map(len, lines)) < h + w or "".join([line[:h] for line in lines]) != head * n:
-        return None
-    # a character past ASCII becomes "?", which no suffix holds
-    tails = "".join([line[-w:] for line in lines]).encode("ascii", "replace")
-    # 0 where a byte matches the suffix; a digit reads 0 or 1 only for "0" or "1"
-    codes = np.frombuffer(tails, dtype=np.uint8).reshape(n, w) ^ suffix
+    # a line too short for the x prefix and the label suffix is padded with "?"s, which neither holds,
+    # and a character past ASCII reads as "?"
+    ends = lines if min(map(len, lines)) >= h + w else [line.rjust(h + w, "?") for line in lines]
+    text = "".join([line[:h] for line in ends] + [line[-w:] for line in ends]).encode("ascii", "replace")
+    codes = np.frombuffer(text, dtype=np.uint8)
+    heads, codes = codes[: n * h].reshape(n, h), codes[n * h :].reshape(n, w) ^ suffix
+    # 0 where a suffix byte matches; a digit reads 0 or 1 only for "0" or "1"
     allowed = np.zeros(w, dtype=np.uint8)
     allowed[digits] = 1
-    if (codes > allowed).any():
-        return None
-    features = [line[h:-w] for line in lines]
-    # JSON reads a blank list as empty. A line whose parse holds another count
-    # defers the file below, so the first line's commas can set it
-    d = features[0].count(",") + 1 if features[0].strip(" \t") else 0
+    wrong_head = (heads != np.frombuffer(head.encode("ascii"), dtype=np.uint8)).any(axis=1)
+    written = ~(wrong_head | (codes > allowed).any(axis=1))
+    labels = codes[:, digits].astype(np.int64)
     X = np.empty((n, d))
+    decimal = np.zeros(n, dtype=bool)
+    at = np.flatnonzero(written)
+    features = [line[h:-w] for line in itertools.compress(lines, written)]
     rows = max(1, _BLOCK_FEATURES // max(d, 1))
-    for start in range(0, n, rows):
+    for start in range(0, len(at), rows):
         values, direct = jsonio.read_decimal_rows(features[start : start + rows], d)
-        X[start : start + rows][direct] = values
-        for i in start + np.flatnonzero(~direct):
-            try:
-                x, _, y_clean = _parse_sample(lines[i], i + 2, width)
-            except DatasetError:
-                return None
-            if len(x) != d or (y_clean is None) == with_clean:
-                return None
-            X[i] = x
-    Y = codes[:, digits].astype(np.int64)
-    return X, Y[:, :width], Y[:, width:] if with_clean else None
+        done = at[start : start + rows][direct]
+        X[done] = values
+        decimal[done] = True
+    blank = []
+    for i in np.flatnonzero(~decimal).tolist():
+        if not lines[i].strip():
+            blank.append(i)
+            continue
+        x, y, y_clean = sample if i == first else _parse_sample(lines[i], i + 2, width)
+        if len(x) != d:
+            raise DatasetError(f"line {i + 2}: expected {d} features, got {len(x)}")
+        if (y_clean is not None) != with_clean:
+            raise DatasetError(f"line {i + 2}: y_clean must appear on every sample or on none")
+        X[i] = x
+        labels[i] = y + (y_clean or [])
+    if blank:
+        X, labels = np.delete(X, blank, axis=0), np.delete(labels, blank, axis=0)
+    return X, labels[:, :width], labels[:, width:] if with_clean else None
 
 
 def _finite(x: list) -> bool:
@@ -259,32 +267,6 @@ def _parse_sample(line: str, line_no: int, width: int) -> tuple[list, list, list
     if len(y_clean) != width:
         raise DatasetError(f"line {line_no}: expected {width} clean labels, got {len(y_clean)}")
     return x, y, y_clean
-
-
-def _read_samples_by_line(lines: list[str], width: int):
-    """(X, Y, clean Y or None) from the sample lines, each checked in full
-    before the next is read, so an error names the first faulty file line,
-    the header being line 1."""
-    xs: list[list] = []
-    ys: list[list] = []
-    cleans: list[list] = []
-    for line_no, line in enumerate(lines, start=2):
-        if not line.strip():
-            continue
-        x, y, y_clean = _parse_sample(line, line_no, width)
-        # the first kept sample sets the feature count and whether y_clean appears
-        if xs and len(x) != len(xs[0]):
-            raise DatasetError(f"line {line_no}: expected {len(xs[0])} features, got {len(x)}")
-        if xs and (y_clean is not None) != bool(cleans):
-            raise DatasetError(f"line {line_no}: y_clean must appear on every sample or on none")
-        if y_clean is not None:
-            cleans.append(y_clean)
-        xs.append(x)
-        ys.append(y)
-    if not xs:
-        raise DatasetError("dataset has no samples")
-    clean = np.asarray(cleans, dtype=np.int64) if cleans else None
-    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64), clean
 
 
 # ---- synthesis ----

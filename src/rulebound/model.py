@@ -275,16 +275,20 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
 def load_model(path) -> tuple[ModelParams, int, dict | None]:
     """Read a checkpoint back; returns (params, seed, config echo or None).
 
-    Each dim must be a non-negative integer and each weight array a flat list
-    of numbers; W1 and W2 must hold as many as their dims give. The seed must
-    be an integer in [0, 2**64), as `TrainConfig.seed` is, and a config echo
-    must hold exactly the keys `TrainConfig.as_dict` writes, with values
-    `TrainConfig` accepts."""
+    The checkpoint and its dims must be JSON objects, each dim a non-negative
+    integer and each weight array a flat list of numbers; W1 and W2 must hold
+    as many as their dims give. The seed must be an integer in [0, 2**64), as
+    `TrainConfig.seed` is, and a config echo must hold exactly the keys
+    `TrainConfig.as_dict` writes, with values `TrainConfig` accepts."""
     try:
         doc = jsonio.loads(jsonio.read_text(path))
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: checkpoint must be a JSON object")
     try:
+        if not isinstance(doc["dims"], dict):
+            raise ValueError("dims must be a JSON object")
         dims = {key: _checkpoint_dim(doc["dims"], key) for key in ("n_features", "n_hidden", "n_labels")}
         W1, b1, W2, b2 = (_weight_array(doc, name) for name in ("W1", "b1", "W2", "b2"))
         W1 = _layer_weights(W1, "W1", "n_hidden", "n_features", dims)

@@ -16,6 +16,7 @@ from rulebound import (
     ORIGIN_MASKED,
     ORIGIN_SELF_CORRECTED,
     Dataset,
+    DatasetError,
     Literal,
     ModelParams,
     Rule,
@@ -23,6 +24,7 @@ from rulebound import (
     SynthesisBudgetError,
     jsonio,
 )
+from rulebound.data import _parse_sample
 
 
 def crisp_satisfied(rule: Rule, y) -> bool:
@@ -215,6 +217,31 @@ def dataset_jsonl(ds) -> str:
             row["y_clean"] = [int(v) for v in ds.clean_Y[i]]
         lines.append(jsonio.dumps(row))
     return "\n".join(lines) + "\n"
+
+
+def read_samples_per_line(lines: list[str], width: int):
+    """Reference sample reader: (X, Y, clean Y or None) from the sample lines,
+    each parsed whole by the loader's per-line parse, `_parse_sample`, and
+    checked against the first line kept before the next is read. Blank lines
+    are skipped; the header is file line 1, so an error names the first
+    faulty file line."""
+    xs, ys, cleans = [], [], []
+    for line_no, line in enumerate(lines, start=2):
+        if not line.strip():
+            continue
+        x, y, y_clean = _parse_sample(line, line_no, width)
+        if xs and len(x) != len(xs[0]):
+            raise DatasetError(f"line {line_no}: expected {len(xs[0])} features, got {len(x)}")
+        if xs and (y_clean is not None) != bool(cleans):
+            raise DatasetError(f"line {line_no}: y_clean must appear on every sample or on none")
+        if y_clean is not None:
+            cleans.append(y_clean)
+        xs.append(x)
+        ys.append(y)
+    if not xs:
+        raise DatasetError("dataset has no samples")
+    clean = np.asarray(cleans, dtype=np.int64) if cleans else None
+    return np.asarray(xs, dtype=np.float64), np.asarray(ys, dtype=np.int64), clean
 
 
 def correction_buckets(state, ds) -> tuple[int, int, int, int, int]:

@@ -49,6 +49,10 @@ def workdir(tmp_path, monkeypatch):
         (None, ["train", "--rules", "r.txt"], 1, "train needs a dataset (--data or config key 'data')"),
         (None, ["eval", "--rules", "r.txt", "--data", "d.jsonl", "--model", "m.json"], 2,
          "m.json: malformed checkpoint: parameter shapes are inconsistent"),
+        ("[]", ["eval", "--rules", "r.txt", "--data", "d.jsonl", "--model", "cfg.json"], 2,
+         "cfg.json: checkpoint must be a JSON object"),
+        ("null", ["eval", "--rules", "r.txt", "--data", "d.jsonl", "--model", "cfg.json"], 2,
+         "cfg.json: checkpoint must be a JSON object"),
     ],
 )
 def test_cli_rejects(workdir, capsys, config, argv, code, err):

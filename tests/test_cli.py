@@ -736,9 +736,11 @@ _ECHO_KEYS = ", ".join(["learning_rate", "epochs", "batch_size", "lambda", "warm
     (lambda doc: doc["config"].pop("tau"), f"config echo must be an object with the keys {_ECHO_KEYS}"),
     (lambda doc: doc["config"].update(extra=1), f"config echo must be an object with the keys {_ECHO_KEYS}"),
     (lambda doc: doc.update(config=[]), f"config echo must be an object with the keys {_ECHO_KEYS}"),
+    (lambda doc: doc.update(dims=[]), "dims must be a JSON object"),
+    (lambda doc: doc.update(dims=None), "dims must be a JSON object"),
 ], ids=["negative-seed", "string-seed", "seed-past-64-bits", "string-epochs", "echo-string-seed",
         "echo-string-tau", "tau-out-of-range", "echo-integer-past-the-float-range",
-        "missing-key", "extra-key", "config-not-an-object"])
+        "missing-key", "extra-key", "config-not-an-object", "dims-a-list", "dims-null"])
 def test_eval_rejects_checkpoint_with_bad_seed_or_config_echo(tmp_path, rules_file, capsys, edit, message):
     data = _write_plain_dataset(tmp_path / "plain.jsonl")
     model = tmp_path / "m.json"

@@ -229,8 +229,8 @@ def _row(k: int) -> str:
     return '{"x": [' + ", ".join(f"{j}.25" for j in range(k)) + '], "y": [1, 0]}'
 
 
-# Messages of the line reader, after the file's path; the writer-layout reader
-# must leave every one of these files to it.
+# Messages of the per-line parse and its cross-line checks, after the file's
+# path; the decimal path must leave every faulty line to them.
 @pytest.mark.parametrize(
     "lines, message",
     [
@@ -344,7 +344,8 @@ _TOKENS = ["true", "false", "null", "-0", "-0.0", "0", "1", "2", "-1", "1.0", "0
 
 
 # Kinds 0 and 1, another token in place of a number, come up most often: on an
-# x token they keep the writer's layout, so edited files get read, not deferred.
+# x token they keep the writer's layout, and another number keeps the file
+# legal, so edited files get read.
 _MUTATION_KINDS = [0, 1] * 12 + list(range(2, 14))
 _X_LIST = re.compile(r'"x": \[([^\]]*)\]')
 
@@ -468,31 +469,34 @@ def _mutate_labels(rng: random.Random, lines: list[str]) -> list[str]:
 @pytest.mark.parametrize(
     "mutate, seed, max_edits, floors",
     [
-        # edits anywhere in the line: the reader reads files whose x tokens were edited, and defers
-        (_mutate, 20261018, 3, {"edited": 200, "deferred": 200}),
-        # edits aimed at the label suffix: it reads unedited files and edited ones that keep
-        # the layout, and defers the rest
-        (_mutate_labels, 20261019, 2, {"read": 600, "edited": 200, "deferred": 600}),
+        # edits anywhere in the line: files whose x tokens were edited get read, and broken ones rejected
+        (_mutate, 20261018, 3, {"edited": 200, "rejected": 200}),
+        # edits aimed at the label suffix: unedited files and edited ones that stay legal get read,
+        # and the rest rejected
+        (_mutate_labels, 20261019, 2, {"read": 600, "edited": 200, "rejected": 600}),
     ],
     ids=["anywhere", "labels"],
 )
 def test_loader_written_layout_returns_only_what_the_line_reader_returns(mutate, seed, max_edits, floors):
     rng = random.Random(seed)
-    counts = dict.fromkeys(["read", "edited", "deferred"], 0)
+    counts = dict.fromkeys(["read", "edited", "rejected"], 0)
     for trial in range(3000):
         ds = _random_ds(trial, rng.randint(1, 6), rng.randint(0, 3), rng.randint(1, 3), trial % 2 == 0)
         lines = clean_lines = oracles.dataset_jsonl(ds).splitlines()[1:]
         for _ in range(rng.randint(0, max_edits)):
             lines = mutate(rng, lines)
         width = len(ds.names)
-        fast = data._read_written_samples(lines, width)
-        if fast is None:
-            counts["deferred"] += 1
+        try:
+            expected = oracles.read_samples_per_line(lines, width)
+        except DatasetError as err:
+            counts["rejected"] += 1
+            with pytest.raises(DatasetError) as got:
+                data._read_samples(lines, width)
+            assert str(got.value) == str(err)
             continue
         counts["read"] += 1
         counts["edited"] += lines != clean_lines
-        slow = data._read_samples_by_line(lines, width)
-        for a, b in zip(fast, slow):
+        for a, b in zip(data._read_samples(lines, width), expected):
             if a is None or b is None:
                 assert a is None and b is None
             else:
@@ -507,8 +511,8 @@ def test_loader_written_layout_reads_integers_as_the_line_reader_does(monkeypatc
     uint64 = ['{"x": [%d, %d], "y": [1, 0]}' % pair for pair in zip(big, big[1:])]
     mixed = ['{"x": [-1, 3], "y": [0, 1]}', '{"x": [-1, 0.5], "y": [0, 1]}', '{"x": [%d, -0], "y": [0, 1]}' % 2**64]
     for lines in (uint64, uint64 + mixed):
-        X, Y, clean = data._read_written_samples(lines, 2)
-        x, y, _ = data._read_samples_by_line(lines, 2)
+        X, Y, clean = data._read_samples(lines, 2)
+        x, y, _ = oracles.read_samples_per_line(lines, 2)
         assert X.tobytes() == x.tobytes() and Y.tobytes() == y.tobytes() and clean is None
     assert X[-1].tolist() == [2.0**64, -0.0] and np.signbit(X[-1, 1])
     assert X[:6, 0].tolist() == [float(v) for v in big[:6]]
@@ -521,9 +525,40 @@ def test_loader_label_bytes_read_the_writers_files(tmp_path, monkeypatch):
         path = tmp_path / "data.jsonl"
         save_dataset(ds, path)
         lines = jsonio.read_text(path).splitlines()[1:]
-        X, Y, clean = data._read_written_samples(lines, 5)
+        X, Y, clean = data._read_samples(lines, 5)
         assert X.tobytes() == ds.X.tobytes() and Y.tobytes() == ds.Y.tobytes()
         assert clean is None if not with_clean else clean.tobytes() == ds.clean_Y.tobytes()
+
+
+@pytest.mark.parametrize("with_clean", [False, True])
+def test_loader_parses_only_the_lines_off_the_decimal_path(tmp_path, monkeypatch, with_clean):
+    ds = _random_ds(12, 400, 4, 3, with_clean)  # features of scale 10
+    ds.X[[5, 17, 40], [0, 2, 3]] = [3.0, 1e-7, 2.5e20]  # written as an integer and two exponent tokens
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    lines = jsonio.read_text(path).splitlines()
+    lines.insert(100, "")
+    lines[250] = lines[250].replace(", ", ",")
+    path.write_text("\n".join(lines) + "\n")
+    parsed = []
+    parse_sample = data._parse_sample
+
+    def counting(line, line_no, width):
+        parsed.append(line_no)
+        return parse_sample(line, line_no, width)
+
+    monkeypatch.setattr(data, "_parse_sample", counting)
+    got = load_dataset(path)
+    # the first sample line, the re-spaced one, and each line with a token but a plain decimal
+    off_path = {2, 251} | {
+        line_no for line_no, line in enumerate(lines[1:], start=2)
+        if line and any("e" in token or "." not in token for token in _X_LIST.search(line).group(1).split(", "))
+    }
+    assert {7, 19, 42} < off_path and len(off_path) < 40  # rows 5, 17 and 40
+    assert parsed == sorted(off_path)
+    X, Y, clean = oracles.read_samples_per_line(lines[1:], 3)
+    assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
+    assert got.clean_Y is None if not with_clean else got.clean_Y.tobytes() == clean.tobytes()
 
 
 # ---- synthesis ----

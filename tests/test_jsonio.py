@@ -105,11 +105,11 @@ def test_decimal_reader_rounds_every_token_as_json_loads():
     assert values.tobytes() == expected[direct].tobytes()  # bitwise, so -0.0 keeps its sign
     assert direct.sum() > 40_000, (direct.sum(), len(tokens))  # of 53481
     # the tokens it leaves (integers, exponents, more digits, exact midpoints) take the per-line parse
-    X, _, _ = data._read_written_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
+    X, _, _ = data._read_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
     assert X.tobytes() == expected.tobytes()
 
 
-# Two-feature x texts that the decimal reader must leave to the line reader's parse: JSON that is
+# Two-feature x texts that the decimal reader must leave to the per-line parse: JSON that is
 # not the writer's ", " list of plain decimals, and text that is not JSON at all.
 _NOT_DECIMAL = ["0.5,-2.25", "0.5 , -2.25", "0.5,  -2.25", " 0.5, -2.25", "0.5, -2.25 ", "0.5, -2.25, ",
                 "01.5, 2.5", "-01.5, 2.5", "00.5, 2.5", ".5, 2.5", "-.5, 2.5", "1., 2.5", "+1.5, 2.5",
@@ -145,7 +145,7 @@ def test_decimal_reader_parses_no_mantissa_past_18_digits(monkeypatch):
         return fromstring(text, **kwargs)
 
     monkeypatch.setattr(np, "fromstring", parse)
-    X, _, _ = data._read_written_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
+    X, _, _ = data._read_samples(['{"x": [' + t + '], "y": [1]}' for t in tokens], 1)
     assert X.tobytes() == np.array([json.loads(t) for t in tokens]).tobytes()
     assert max(len(token.lstrip("0")) for token in received) <= 18
     # the digit count takes off the zeros after "0.", so those tokens stay on the decimal path
