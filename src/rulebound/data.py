@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,16 +92,15 @@ class Dataset:
 _BLOCK_FEATURES = 1 << 14
 
 
-def _sample_layout(width: int, with_clean: bool) -> tuple[str, np.ndarray, np.ndarray]:
-    """A sample line as `jsonio.dumps` lays it out, cut around the x list's
-    items: the x prefix, then the label suffix as uint8 text with every label
-    0, and the offsets of the label digits in that suffix, y's then y_clean's."""
+def _sample_layout(width: int, with_clean: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A sample line as `jsonio.dumps` lays it out, as uint8 text cut around the
+    x list's items: the x prefix, then the label suffix with every label 0, and
+    the offsets of the label digits in that suffix, y's then y_clean's."""
     zeros = [0] * width
     row = {"x": [], "y": zeros, "y_clean": zeros} if with_clean else {"x": [], "y": zeros}
-    line = jsonio.dumps(row)
-    cut = line.index("]")  # the x list's end
-    suffix = np.frombuffer(line[cut:].encode("ascii"), dtype=np.uint8)
-    return line[:cut], suffix, np.flatnonzero(suffix == ord("0"))
+    line = np.frombuffer(jsonio.dumps(row).encode("ascii"), dtype=np.uint8)
+    cut = np.argmax(line == ord("]"))  # the x list's end
+    return line[:cut], line[cut:], np.flatnonzero(line[cut:] == ord("0"))
 
 
 def save_dataset(ds: Dataset, path) -> None:
@@ -112,8 +110,7 @@ def save_dataset(ds: Dataset, path) -> None:
     written once its NUL bytes are dropped."""
     jsonio.check_finite(ds.X)
     labels = [ds.Y] if ds.clean_Y is None else [ds.Y, ds.clean_Y]
-    head, suffix, digits = _sample_layout(ds.Y.shape[1], ds.clean_Y is not None)
-    prefix = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    prefix, suffix, digits = _sample_layout(ds.Y.shape[1], ds.clean_Y is not None)
     suffix = np.append(suffix, np.uint8(ord("\n")))
     rows = max(1, _BLOCK_FEATURES // max(ds.X.shape[1], 1))
     with jsonio.atomic_write(path) as fh:
@@ -170,7 +167,7 @@ def load_dataset(path) -> Dataset:
 
 def _read_samples(lines: list[str], width: int):
     """(X, Y, clean Y or None) from the sample lines, the header being file
-    line 1. Blank lines are skipped; the first other line is parsed first, and
+    line 1. Blank lines are dropped; the first other line is parsed first, and
     sets the feature count and whether y_clean appears.
 
     A line in the writer's layout, which `_sample_layout` states, is the x
@@ -182,25 +179,22 @@ def _read_samples(lines: list[str], width: int):
     and checked against the first. A line the decimal path reads cannot be
     faulty, so an error names the first faulty line.
     """
-    first = next((i for i, line in enumerate(lines) if line.strip()), None)
-    if first is None:
+    line_nos = [line_no for line_no, line in enumerate(lines, start=2) if line.strip()]
+    if not line_nos:
         raise DatasetError("dataset has no samples")
-    sample = _parse_sample(lines[first], first + 2, width)
+    lines = [lines[line_no - 2] for line_no in line_nos]
+    sample = _parse_sample(lines[0], line_nos[0], width)
     d, with_clean = len(sample[0]), sample[2] is not None
-    head, suffix, digits = _sample_layout(width, with_clean)
-    n, h, w = len(lines), len(head), suffix.size
-    # a line too short for the x prefix and the label suffix is padded with "?"s, which neither holds,
+    prefix, suffix, digits = _sample_layout(width, with_clean)
+    n, h, w = len(lines), prefix.size, suffix.size
+    layout = np.concatenate([prefix, suffix])
+    # a line too short for the layout is padded with "?"s, which the layout does not hold,
     # and a character past ASCII reads as "?"
-    ends = lines if min(map(len, lines)) >= h + w else [line.rjust(h + w, "?") for line in lines]
-    text = "".join([line[:h] for line in ends] + [line[-w:] for line in ends]).encode("ascii", "replace")
-    codes = np.frombuffer(text, dtype=np.uint8)
-    heads, codes = codes[: n * h].reshape(n, h), codes[n * h :].reshape(n, w) ^ suffix
-    # 0 where a suffix byte matches; a digit reads 0 or 1 only for "0" or "1"
-    allowed = np.zeros(w, dtype=np.uint8)
-    allowed[digits] = 1
-    wrong_head = (heads != np.frombuffer(head.encode("ascii"), dtype=np.uint8)).any(axis=1)
-    written = ~(wrong_head | (codes > allowed).any(axis=1))
-    labels = codes[:, digits].astype(np.int64)
+    text = "".join([end[:h] + end[-w:] for end in (line.rjust(h + w, "?") for line in lines)])
+    codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8).reshape(n, h + w) ^ layout
+    # 0 where a layout byte matches; a label digit, a "0" of the layout, reads 0 or 1 only for "0" or "1"
+    written = ~(codes > (layout == ord("0"))).any(axis=1)
+    labels = codes[:, h + digits].astype(np.int64)
     X = np.empty((n, d))
     decimal = np.zeros(n, dtype=bool)
     at = np.flatnonzero(written)
@@ -211,20 +205,14 @@ def _read_samples(lines: list[str], width: int):
         done = at[start : start + rows][direct]
         X[done] = values
         decimal[done] = True
-    blank = []
     for i in np.flatnonzero(~decimal).tolist():
-        if not lines[i].strip():
-            blank.append(i)
-            continue
-        x, y, y_clean = sample if i == first else _parse_sample(lines[i], i + 2, width)
+        x, y, y_clean = sample if i == 0 else _parse_sample(lines[i], line_nos[i], width)
         if len(x) != d:
-            raise DatasetError(f"line {i + 2}: expected {d} features, got {len(x)}")
+            raise DatasetError(f"line {line_nos[i]}: expected {d} features, got {len(x)}")
         if (y_clean is not None) != with_clean:
-            raise DatasetError(f"line {i + 2}: y_clean must appear on every sample or on none")
+            raise DatasetError(f"line {line_nos[i]}: y_clean must appear on every sample or on none")
         X[i] = x
         labels[i] = y + (y_clean or [])
-    if blank:
-        X, labels = np.delete(X, blank, axis=0), np.delete(labels, blank, axis=0)
     return X, labels[:, :width], labels[:, width:] if with_clean else None
 
 
@@ -233,15 +221,6 @@ def _finite(x: list) -> bool:
         return all(map(math.isfinite, x))
     except OverflowError:  # an integer past the float range, which a float token there reads as inf
         return False
-
-
-# The JSON integer token -0, which json reads as int 0 and so loses the sign
-# that "%.17g" writes for a feature of -0.0.
-_NEGATIVE_ZERO = re.compile(r"-0(?![\d.eE])")
-
-
-def _int_keeping_negative_zero(token: str):
-    return -0.0 if token == "-0" else int(token)
 
 
 def _parse_sample(line: str, line_no: int, width: int) -> tuple[list, list, list | None]:
@@ -256,8 +235,7 @@ def _parse_sample(line: str, line_no: int, width: int) -> tuple[list, list, list
     x = _parse_number_list(row["x"], line_no, "x", binary=False)
     if not _finite(x):
         raise DatasetError(f"line {line_no}: features must be finite")
-    if _NEGATIVE_ZERO.search(line):
-        x = jsonio.loads(line, parse_int=_int_keeping_negative_zero)["x"]
+    x = jsonio.with_negative_zeros(line, row)["x"]
     y = _parse_number_list(row["y"], line_no, "y", binary=True)
     if len(y) != width:
         raise DatasetError(f"line {line_no}: expected {width} labels, got {len(y)}")

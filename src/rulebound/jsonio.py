@@ -17,6 +17,7 @@ import errno
 import json as _json
 import math
 import os
+import re
 import secrets
 import stat
 from contextlib import contextmanager, suppress
@@ -185,6 +186,9 @@ def read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]
     fraction digits, separated by ", ", whose values `_decimals_to_doubles`
     settles; `values` holds those lines' features, rounded as json.loads
     rounds them, as a (direct.sum(), d) array."""
+    if d == 0:  # an empty text holds no token, though it lies between two commas below
+        direct = np.array([not text for text in texts], dtype=bool)
+        return np.empty((direct.sum(), 0)), direct
     # every token lies between two commas, each followed by a space when the token is read
     text = ", " + ", ".join(texts) + ", "
     codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
@@ -292,6 +296,21 @@ def loads(text: str, parse_int=None):
             return _json.loads(text, parse_int=lambda token: _long_integer(token, parse_int))
     except RecursionError:
         raise _json.JSONDecodeError("Nesting too deep", text, 0) from None
+
+
+# The JSON integer token -0, which json reads as int 0, losing the sign FLOAT_FORMAT writes for -0.0.
+_NEGATIVE_ZERO = re.compile(r"-0(?![\d.eE])")
+
+
+def _int_keeping_negative_zero(token: str):
+    return -0.0 if token == "-0" else int(token)
+
+
+def with_negative_zeros(text: str, doc):
+    """`doc`, the `loads` of `text`, or `text` read again with each -0 token as
+    -0.0 when it holds one; take only float fields from it, as an integer
+    field's -0 is the int 0 in `doc`."""
+    return loads(text, parse_int=_int_keeping_negative_zero) if _NEGATIVE_ZERO.search(text) else doc
 
 
 def _long_integer(token: str, parse_int):

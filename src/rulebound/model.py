@@ -280,8 +280,9 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
     as many as their dims give. The seed must be an integer in [0, 2**64), as
     `TrainConfig.seed` is, and a config echo must hold exactly the keys
     `TrainConfig.as_dict` writes, with values `TrainConfig` accepts."""
+    text = jsonio.read_text(path)
     try:
-        doc = jsonio.loads(jsonio.read_text(path))
+        doc = jsonio.loads(text)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
     if not isinstance(doc, dict):
@@ -290,7 +291,8 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
         if not isinstance(doc["dims"], dict):
             raise ValueError("dims must be a JSON object")
         dims = {key: _checkpoint_dim(doc["dims"], key) for key in ("n_features", "n_hidden", "n_labels")}
-        W1, b1, W2, b2 = (_weight_array(doc, name) for name in ("W1", "b1", "W2", "b2"))
+        weights = jsonio.with_negative_zeros(text, doc)  # a weight written as -0 reads back as -0.0
+        W1, b1, W2, b2 = (_weight_array(weights, name) for name in ("W1", "b1", "W2", "b2"))
         W1 = _layer_weights(W1, "W1", "n_hidden", "n_features", dims)
         W2 = _layer_weights(W2, "W2", "n_labels", "n_hidden", dims)
         params = ModelParams(W1, b1, W2, b2)

@@ -561,6 +561,25 @@ def test_loader_parses_only_the_lines_off_the_decimal_path(tmp_path, monkeypatch
     assert got.clean_Y is None if not with_clean else got.clean_Y.tobytes() == clean.tobytes()
 
 
+def test_loader_reads_zero_feature_lines_off_the_decimal_path(tmp_path, monkeypatch):
+    ds = _random_ds(28, 2000, 0, 3, with_clean=True)
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    parsed = []
+    parse_sample = data._parse_sample
+
+    def counting(line, line_no, width):
+        parsed.append(line_no)
+        return parse_sample(line, line_no, width)
+
+    monkeypatch.setattr(data, "_parse_sample", counting)
+    got = load_dataset(path)
+    assert parsed == [2]  # the first sample line only: every "x": [] line is in the writer's layout
+    X, Y, clean = oracles.read_samples_per_line(jsonio.read_text(path).splitlines()[1:], 3)
+    assert got.X.shape == X.shape == (2000, 0)
+    assert got.Y.tobytes() == Y.tobytes() and got.clean_Y.tobytes() == clean.tobytes()
+
+
 # ---- synthesis ----
 
 

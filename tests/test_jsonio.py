@@ -100,7 +100,7 @@ def _decimal_tokens(rng) -> list[str]:
 
 def test_decimal_reader_rounds_every_token_as_json_loads():
     tokens = _decimal_tokens(np.random.default_rng(20261019))
-    expected = np.array([json.loads(t, parse_int=data._int_keeping_negative_zero) for t in tokens])
+    expected = np.array([json.loads(t, parse_int=jsonio._int_keeping_negative_zero) for t in tokens])
     values, direct = jsonio.read_decimal_rows(tokens, 1)
     assert values.tobytes() == expected[direct].tobytes()  # bitwise, so -0.0 keeps its sign
     assert direct.sum() > 40_000, (direct.sum(), len(tokens))  # of 53481

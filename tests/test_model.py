@@ -332,6 +332,17 @@ def test_checkpoint_round_trip(tmp_path):
     assert echo["lambda"] == 1.0
 
 
+def test_checkpoint_keeps_the_sign_of_negative_zero_weights(tmp_path):
+    params = init_params(4, 3, 2, 2)
+    for array in params.as_tuple():
+        array.flat[::2] = -0.0  # written as -0, which json reads as int 0
+    path = tmp_path / "model.json"
+    save_model(params, path, seed=4)
+    loaded, _, _ = load_model(path)
+    for a, b in zip(params.as_tuple(), loaded.as_tuple()):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_checkpoint_bytes_deterministic(tmp_path):
     params = init_params(5, 3, 2, 2)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
