@@ -46,12 +46,7 @@ def number(text: str) -> int | float:
 
 
 def _load_config(path) -> dict:
-    try:
-        doc = jsonio.loads(jsonio.read_text(path))
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
+    _, doc = jsonio.read_object(path, "config")
     unknown = sorted(set(doc) - set(_CONFIG_KEYS))
     if unknown:
         raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")

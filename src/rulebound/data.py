@@ -8,7 +8,6 @@ y/y_clean on load, so noise records survive a save/load round trip.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -198,13 +197,12 @@ def _read_samples(lines: list[str], width: int):
     X = np.empty((n, d))
     decimal = np.zeros(n, dtype=bool)
     at = np.flatnonzero(written)
-    features = [line[h:-w] for line in itertools.compress(lines, written)]
     rows = max(1, _BLOCK_FEATURES // max(d, 1))
     for start in range(0, len(at), rows):
-        values, direct = jsonio.read_decimal_rows(features[start : start + rows], d)
-        done = at[start : start + rows][direct]
-        X[done] = values
-        decimal[done] = True
+        block = at[start : start + rows]
+        values, direct = jsonio.read_decimal_rows([lines[i][h:-w] for i in block.tolist()], d)
+        X[block[direct]] = values
+        decimal[block[direct]] = True
     for i in np.flatnonzero(~decimal).tolist():
         x, y, y_clean = sample if i == 0 else _parse_sample(lines[i], line_nos[i], width)
         if len(x) != d:

@@ -5,10 +5,10 @@ produce byte-identical artifacts, and through `atomic_write` so that a
 failed write leaves no half-written file behind.
 
 A dataclass instance is written as an object of its fields in declaration
-order, so a record's field order is its file layout. Input files are read
-through `read_text`, so one that is not UTF-8 names itself, and their JSON
-is parsed by `loads`. Doubles are turned into decimal text and back in numpy
-blocks: `float_rows` writes them, and `read_decimal_rows` reads plain decimals.
+order, so a record's field order is its file layout, and a list of floats as
+one `float_rows` block. Input files are read by `read_text`, which names one
+that is not UTF-8, and `loads`; `read_object` does both for a JSON object file.
+`read_decimal_rows` reads plain decimals back in numpy blocks.
 """
 
 from __future__ import annotations
@@ -29,10 +29,6 @@ import numpy as np
 FLOAT_FORMAT = "%.17g"
 
 
-class Raw(str):
-    """Text that `dumps` emits verbatim: a value already serialized."""
-
-
 def _non_finite(value: float) -> ValueError:
     return ValueError(f"cannot serialize non-finite number {value!r}")
 
@@ -47,14 +43,6 @@ def check_finite(values: np.ndarray) -> None:
     """Raise `format_float`'s error for the first non-finite entry in row-major order."""
     if not np.isfinite(values).all():
         raise _non_finite(float(values[~np.isfinite(values)][0]))
-
-
-def float_list(values) -> Raw:
-    """A float array as one flat JSON list, formatted by `float_rows`."""
-    values = np.asarray(values, dtype=np.float64).reshape(1, -1)
-    check_finite(values)
-    items = float_rows(values)
-    return Raw("[" + items[items != 0].tobytes().decode("ascii") + "]")
 
 
 # The bytes of a token slot: "-2.2250738585072014e-308", the longest
@@ -224,8 +212,6 @@ def read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]
     last = np.searchsorted(commas, np.cumsum(lengths + 2))
     counts = np.diff(last, prepend=0)
     direct = (counts == d) & np.logical_and.reduceat(ok, last - counts)
-    if not direct.any():
-        return np.empty((0, d)), direct
     tokens = np.repeat(direct, counts)
     good = ", ".join([t for t, keep in zip(texts, direct.tolist()) if keep]).encode("ascii")
     mantissas = np.fromstring(good.replace(b".", b""), dtype=np.int64, sep=",")
@@ -320,6 +306,20 @@ def _long_integer(token: str, parse_int):
         return -math.inf if token[0] == "-" else math.inf
 
 
+def read_object(path, what: str) -> tuple[str, dict]:
+    """(text, doc) of the JSON file at `path`, read by `read_text` and parsed by
+    `loads`. ValueError names the file when its text is not JSON or `doc` is not
+    an object, `what` naming the document in that message."""
+    text = read_text(path)
+    try:
+        doc = loads(text)
+    except _json.JSONDecodeError as err:
+        raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return text, doc
+
+
 def split_lines(text: str) -> list[str]:
     """The lines of `text`, each ended by LF, CRLF or CR, or by the end of the
     text. Unlike `str.splitlines`, no other character ends a line."""
@@ -371,14 +371,17 @@ def check_targets(*paths, inputs=()) -> None:
     lands, IsADirectoryError for a target that is a directory, and, for a
     target whose directory is missing or not a directory, the error a write
     there would raise: FileNotFoundError, or NotADirectoryError when that
-    directory or one above it is a file. A path that is None or empty is an
-    option left unset and is skipped. It writes nothing, so a command can call
-    it before doing any work."""
-    paths = [os.fspath(path) for path in paths if path]
+    directory or one above it is a file, and FileNotFoundError for an empty
+    target, as `open("")` does. A target that is None is an option left unset
+    and is skipped, as is an input that is None or empty. It writes nothing, so
+    a command can call it before doing any work."""
+    paths = [os.fspath(path) for path in paths if path is not None]
     inputs = [os.fspath(path) for path in inputs if path]
     sources = {*map(_landing, inputs), *map(os.path.realpath, inputs)}
     landings = [_landing(path) for path in paths]
     for k, path in enumerate(paths):
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         if landings[k] in sources:
             raise ValueError(f"{path} is named as both an input and an output")
         if landings[k] in landings[:k]:
@@ -434,14 +437,17 @@ def _write(obj, parts: list[str]) -> None:
         parts.append("true")
     elif obj is False:
         parts.append("false")
-    elif isinstance(obj, Raw):
-        parts.append(obj)
     elif isinstance(obj, str):
         parts.append(_json.dumps(obj))
     elif isinstance(obj, float):  # np.float64 included: it subclasses float
         parts.append(format_float(float(obj)))
     elif isinstance(obj, int):
         parts.append(str(int(obj)))
+    elif isinstance(obj, list) and obj and all(type(item) is float for item in obj):
+        values = np.array(obj).reshape(1, -1)  # one block, as the dataset writer formats a row
+        check_finite(values)
+        items = float_rows(values)
+        parts.append("[" + items[items != 0].tobytes().decode("ascii") + "]")
     elif isinstance(obj, list):
         parts.append("[")
         for k, item in enumerate(obj):

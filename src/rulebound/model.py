@@ -263,10 +263,10 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
             "n_labels": params.n_labels,
         },
         "seed": int(seed),
-        "W1": jsonio.float_list(params.W1),
-        "b1": jsonio.float_list(params.b1),
-        "W2": jsonio.float_list(params.W2),
-        "b2": jsonio.float_list(params.b2),
+        "W1": params.W1.ravel().tolist(),
+        "b1": params.b1.ravel().tolist(),
+        "W2": params.W2.ravel().tolist(),
+        "b2": params.b2.ravel().tolist(),
         "config": config.as_dict() if config is not None else None,
     }
     jsonio.dump(doc, path)
@@ -280,13 +280,7 @@ def load_model(path) -> tuple[ModelParams, int, dict | None]:
     as many as their dims give. The seed must be an integer in [0, 2**64), as
     `TrainConfig.seed` is, and a config echo must hold exactly the keys
     `TrainConfig.as_dict` writes, with values `TrainConfig` accepts."""
-    text = jsonio.read_text(path)
-    try:
-        doc = jsonio.loads(text)
-    except json.JSONDecodeError as err:
-        raise ValueError(f"{path}: invalid JSON: {err.msg}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: checkpoint must be a JSON object")
+    text, doc = jsonio.read_object(path, "checkpoint")
     try:
         if not isinstance(doc["dims"], dict):
             raise ValueError("dims must be a JSON object")

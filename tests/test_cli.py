@@ -707,6 +707,13 @@ def test_target_under_a_regular_file_fails_before_any_work(chain_dir, capsys, mo
     _fails_before_any_work(chain_dir, capsys, monkeypatch, argv, message)
 
 
+# an empty target is a path that cannot be written, not an option left unset
+@pytest.mark.parametrize("argv", _TARGET_UNDER, ids=["train", "synth", "noise", "eval"])
+def test_empty_target_fails_before_any_work(chain_dir, capsys, monkeypatch, argv):
+    argv = ["" if arg == "{}/out.json" else arg for arg in argv]
+    _fails_before_any_work(chain_dir, capsys, monkeypatch, argv, "[Errno 2] No such file or directory: ''")
+
+
 def test_eval_names_the_feature_counts_of_a_mismatched_checkpoint(tmp_path, rules_file, capsys):
     model = tmp_path / "m.json"
     assert run(["train", "--rules", rules_file, "--data", _synth(tmp_path, rules_file),

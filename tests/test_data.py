@@ -6,6 +6,7 @@ import itertools
 import json
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -528,6 +529,22 @@ def test_loader_label_bytes_read_the_writers_files(tmp_path, monkeypatch):
         X, Y, clean = data._read_samples(lines, 5)
         assert X.tobytes() == ds.X.tobytes() and Y.tobytes() == ds.Y.tobytes()
         assert clean is None if not with_clean else clean.tobytes() == ds.clean_Y.tobytes()
+
+
+def test_load_dataset_peak_memory_stays_below_three_file_sizes(tmp_path):
+    # the file's text and its lines are held once; each block's feature texts are cut from them in turn
+    ds = synthesize(1, 4000, 64, parse_rules("a => b\nMUTEX(b, c)"), k_patterns=4)
+    assert ds.clean_Y is not None
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    tracemalloc.start()
+    try:
+        got = load_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.X.tobytes() == ds.X.tobytes()
+    assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
 
 
 @pytest.mark.parametrize("with_clean", [False, True])
