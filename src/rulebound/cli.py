@@ -170,7 +170,7 @@ def cmd_train(args) -> int:
     writes = [
         ("out_model", lambda tmp: save_model(params, tmp, cfg.seed, cfg)),
         ("out_history", lambda tmp: jsonio.dump_lines(history, tmp)),
-        ("out_report", lambda tmp: jsonio.dump(report, tmp)),
+        ("out_report", lambda tmp: jsonio.dump_lines([report], tmp)),
     ]
     writes = [(settings[key], write) for key, write in writes if settings.get(key)]
     # every output is written in full before any of them replaces its target
@@ -187,7 +187,7 @@ def cmd_eval(args) -> int:
     rs = _load_rules(args.rules, ds.names)
     report = evaluate(params, ds, rs, args.threshold)
     if args.out_report:
-        jsonio.dump(report, args.out_report)
+        jsonio.dump_lines([report], args.out_report)
     else:
         print(jsonio.dumps(report))
     return 0

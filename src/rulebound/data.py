@@ -107,7 +107,6 @@ def save_dataset(ds: Dataset, path) -> None:
     Each block of lines is laid out as one uint8 matrix, the x prefix, the
     items of `jsonio.float_rows` and the label suffix with its digits set, and
     written once its NUL bytes are dropped."""
-    jsonio.check_finite(ds.X)
     labels = [ds.Y] if ds.clean_Y is None else [ds.Y, ds.clean_Y]
     prefix, suffix, digits = _sample_layout(ds.Y.shape[1], ds.clean_Y is not None)
     suffix = np.append(suffix, np.uint8(ord("\n")))

@@ -6,8 +6,9 @@ failed write leaves no half-written file behind.
 
 A dataclass instance is written as an object of its fields in declaration
 order, so a record's field order is its file layout, and a list of floats as
-one `float_rows` block. Input files are read by `read_text`, which names one
-that is not UTF-8, and `loads`; `read_object` does both for a JSON object file.
+one `float_rows` block. Both `float_rows` and `format_float` refuse a
+non-finite number. Input files are read by `read_text`, which names one that
+is not UTF-8, and `loads`; `read_object` does both for a JSON object file.
 `read_decimal_rows` reads plain decimals back in numpy blocks.
 """
 
@@ -29,20 +30,10 @@ import numpy as np
 FLOAT_FORMAT = "%.17g"
 
 
-def _non_finite(value: float) -> ValueError:
-    return ValueError(f"cannot serialize non-finite number {value!r}")
-
-
 def format_float(value: float) -> str:
     if not math.isfinite(value):
-        raise _non_finite(value)
+        raise ValueError(f"cannot serialize non-finite number {value!r}")
     return FLOAT_FORMAT % value
-
-
-def check_finite(values: np.ndarray) -> None:
-    """Raise `format_float`'s error for the first non-finite entry in row-major order."""
-    if not np.isfinite(values).all():
-        raise _non_finite(float(values[~np.isfinite(values)][0]))
 
 
 # The bytes of a token slot: "-2.2250738585072014e-308", the longest
@@ -69,10 +60,11 @@ _HEADS = np.array(
 
 
 def float_rows(rows: np.ndarray) -> np.ndarray:
-    """The items of each row of a 2-D array of finite doubles as `dumps` writes
-    a list of them, `FLOAT_FORMAT % v` for each v and ", " between them: an
+    """The items of each row of a 2-D array of doubles as `dumps` writes a list
+    of them, `FLOAT_FORMAT % v` for each v and ", " between them: an
     (n, d * (_TOKEN_BYTES + 2) - 2) uint8 matrix whose rows hold these bytes in
-    order, with NUL bytes among them that the caller drops.
+    order, with NUL bytes among them that the caller drops. A non-finite entry
+    raises `format_float`'s error, the first one in row-major order.
 
     A token with 1e-4 <= |v| < 1e16 is made from the 17 digits that
     `_seventeen_digits` rounds |v| to: the sign, the integer digits or "0." and
@@ -83,6 +75,8 @@ def float_rows(rows: np.ndarray) -> np.ndarray:
     exponent among them."""
     n, d = rows.shape
     values = rows.ravel()
+    if not np.isfinite(values).all():  # format_float raises its error for the first one
+        format_float(float(values[~np.isfinite(values)][0]))
     a = np.abs(values)
     window = (a >= 1e-4) & (a < 1e16)
     # 1 stands in for every other token, whose slot is overwritten below
@@ -345,11 +339,6 @@ def dump_lines(rows, path) -> None:
             fh.write(dumps(row) + "\n")
 
 
-def dump(obj, path) -> None:
-    """Write `dumps(obj)` to `path` with a trailing newline."""
-    dump_lines([obj], path)
-
-
 @contextmanager
 def atomic_write(path):
     """Open `path` for text writing so that it changes only if the block completes."""
@@ -444,9 +433,7 @@ def _write(obj, parts: list[str]) -> None:
     elif isinstance(obj, int):
         parts.append(str(int(obj)))
     elif isinstance(obj, list) and obj and all(type(item) is float for item in obj):
-        values = np.array(obj).reshape(1, -1)  # one block, as the dataset writer formats a row
-        check_finite(values)
-        items = float_rows(values)
+        items = float_rows(np.array(obj).reshape(1, -1))  # one block, as the dataset writer formats a row
         parts.append("[" + items[items != 0].tobytes().decode("ascii") + "]")
     elif isinstance(obj, list):
         parts.append("[")

@@ -46,9 +46,6 @@ class ModelParams:
         ):
             raise ValueError("parameter shapes are inconsistent")
 
-    def as_tuple(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return (self.W1, self.b1, self.W2, self.b2)
-
     @property
     def n_features(self) -> int:
         return self.W1.shape[1]
@@ -269,7 +266,7 @@ def save_model(params: ModelParams, path, seed: int, config: TrainConfig | None 
         "b2": params.b2.ravel().tolist(),
         "config": config.as_dict() if config is not None else None,
     }
-    jsonio.dump(doc, path)
+    jsonio.dump_lines([doc], path)
 
 
 def load_model(path) -> tuple[ModelParams, int, dict | None]:

@@ -175,10 +175,10 @@ def test_atomic_write_replaces_only_on_success(tmp_path):
 
 def test_atomic_write_failure_leaves_no_new_file(tmp_path):
     with pytest.raises(ValueError):
-        jsonio.dump({"a": [1.0, float("inf")]}, tmp_path / "report.json")
+        jsonio.dump_lines([{"a": [1.0, float("inf")]}], tmp_path / "report.json")
     assert os.listdir(tmp_path) == []
     with pytest.raises(FileNotFoundError, match=r"missing/report\.json'$"):
-        jsonio.dump({"a": 1}, tmp_path / "missing" / "report.json")
+        jsonio.dump_lines([{"a": 1}], tmp_path / "missing" / "report.json")
     assert os.listdir(tmp_path) == []
 
 
@@ -206,19 +206,32 @@ def test_dataset_write_failing_midway_keeps_old_file(tmp_path, monkeypatch):
     assert os.listdir(tmp_path) == ["data.jsonl"]
 
 
+def test_save_dataset_non_finite_feature_in_last_block_keeps_old_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_BLOCK_FEATURES", 4)  # blocks of two lines
+    ds = Dataset(np.arange(10.0).reshape(5, 2), np.zeros((5, 1), dtype=int), LabelVocabulary(("a",)))
+    path = tmp_path / "data.jsonl"
+    save_dataset(ds, path)
+    before = path.read_bytes()
+    ds.X[4, 1] = np.nan  # float_rows refuses it in the last block, after two blocks were written
+    with pytest.raises(ValueError, match=r"^cannot serialize non-finite number nan$"):
+        save_dataset(ds, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["data.jsonl"]
+
+
 def test_atomic_paths_replace_all_targets_or_none(tmp_path):
     first, second = tmp_path / "first.json", tmp_path / "second.json"
     first.write_bytes(b"old\n")
     with pytest.raises(RuntimeError):
         with jsonio.atomic_paths(first, second) as (tmp_first, tmp_second):
-            jsonio.dump({"a": 1}, tmp_first)
+            jsonio.dump_lines([{"a": 1}], tmp_first)
             raise RuntimeError("the second output fails")
     assert first.read_bytes() == b"old\n"
     assert os.listdir(tmp_path) == ["first.json"]
 
     with jsonio.atomic_paths(first, second) as (tmp_first, tmp_second):
-        jsonio.dump(1, tmp_first)
-        jsonio.dump(2, tmp_second)
+        jsonio.dump_lines([1], tmp_first)
+        jsonio.dump_lines([2], tmp_second)
     assert first.read_bytes() == b"1\n" and second.read_bytes() == b"2\n"
     assert sorted(os.listdir(tmp_path)) == ["first.json", "second.json"]
 

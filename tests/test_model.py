@@ -162,10 +162,10 @@ def test_all_masked_batch_steps_on_the_rule_penalty_alone():
     T = np.ones((2, 4))
     M = np.zeros((2, 4))
     # no unmasked entry: no BCE gradient, and no division by the zero count
-    assert all(not g.any() for g in loss_grads(params, X, T, M, rs, 0.0).as_tuple())
+    assert all(not g.any() for g in vars(loss_grads(params, X, T, M, rs, 0.0)).values())
     grads = loss_grads(params, X, T, M, rs, 0.7)
     numeric = oracles.fd_param_grads(lambda p: 0.7 * domain_loss(rs, forward(p, X)[0]), params)
-    for analytic, fd in zip(grads.as_tuple(), numeric.as_tuple()):
+    for analytic, fd in zip(vars(grads).values(), vars(numeric).values()):
         assert oracles.max_rel_err(analytic, fd, floor=1e-4) < 1e-5
     with pytest.raises(ValueError, match="no supervision"):  # the loss value stays undefined
         total_loss_and_grads(params, X, T, M, rs, 0.7)
@@ -209,7 +209,7 @@ def test_lambda_zero_equals_bce_alone():
     # an empty rule set must short-circuit identically for any lambda
     loss_e, grads_e = total_loss_and_grads(params, X, T, M, _empty_rs(2), lambda_=5.0)
     assert loss_e == loss0
-    for a, b in zip(grads0.as_tuple(), grads_e.as_tuple()):
+    for a, b in zip(vars(grads0).values(), vars(grads_e).values()):
         assert np.array_equal(a, b)
 
 
@@ -239,7 +239,7 @@ def test_total_loss_gradients_match_finite_differences():
     numeric = oracles.fd_param_grads(
         lambda p: total_loss_and_grads(p, X, T, M, rs, lambda_=0.7)[0], params
     )
-    for a, n in zip(grads.as_tuple(), numeric.as_tuple()):
+    for a, n in zip(vars(grads).values(), vars(numeric).values()):
         assert oracles.max_rel_err(a, n, floor=1e-3) < 1e-5
 
 
@@ -257,7 +257,7 @@ def test_gradient_only_step_matches_total_loss_and_grads(lambda_, rules):
     M = (npr.random((9, 3)) > 0.3).astype(np.uint8)
     M[0] = 0
     loss, grads = total_loss_and_grads(params, X, T, M, rs, lambda_)
-    for a, b in zip(loss_grads(params, X, T, M, rs, lambda_).as_tuple(), grads.as_tuple()):
+    for a, b in zip(vars(loss_grads(params, X, T, M, rs, lambda_)).values(), vars(grads).values()):
         assert a.tobytes() == b.tobytes()
     probs, _ = forward(params, X)
     expected = bce_masked(probs, T, M)
@@ -296,10 +296,10 @@ def test_sgd_step_hand_value_and_purity():
 
 def test_sgd_two_half_steps_equal_one_full_step_on_fixed_grads():
     params = init_params(8, 3, 3, 2)
-    grads = ModelParams(*(np.full_like(a, 0.125) for a in params.as_tuple()))
+    grads = ModelParams(*(np.full_like(a, 0.125) for a in vars(params).values()))
     one = sgd_step(params, grads, 0.5)
     two = sgd_step(sgd_step(params, grads, 0.25), grads, 0.25)
-    for a, b in zip(one.as_tuple(), two.as_tuple()):
+    for a, b in zip(vars(one).values(), vars(two).values()):
         assert np.array_equal(a, b)  # dyadic values, so bitwise equality holds
 
 
@@ -325,7 +325,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.json"
     save_model(params, path, seed=21, config=cfg)
     loaded, seed, echo = load_model(path)
-    for a, b in zip(params.as_tuple(), loaded.as_tuple()):
+    for a, b in zip(vars(params).values(), vars(loaded).values()):
         assert np.array_equal(a, b)
     assert seed == 21
     assert echo == cfg.as_dict()
@@ -334,12 +334,12 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_keeps_the_sign_of_negative_zero_weights(tmp_path):
     params = init_params(4, 3, 2, 2)
-    for array in params.as_tuple():
+    for array in vars(params).values():
         array.flat[::2] = -0.0  # written as -0, which json reads as int 0
     path = tmp_path / "model.json"
     save_model(params, path, seed=4)
     loaded, _, _ = load_model(path)
-    for a, b in zip(params.as_tuple(), loaded.as_tuple()):
+    for a, b in zip(vars(params).values(), vars(loaded).values()):
         assert a.tobytes() == b.tobytes()
 
 

@@ -193,7 +193,7 @@ def test_train_deterministic():
     cfg = TrainConfig(epochs=4, warmup_epochs=1, batch_size=8, seed=5)
     p1, h1, s1 = train(noisy, rs, cfg)
     p2, h2, s2 = train(noisy, rs, cfg)
-    for a, b in zip(p1.as_tuple(), p2.as_tuple()):
+    for a, b in zip(vars(p1).values(), vars(p2).values()):
         assert np.array_equal(a, b)
     assert h1 == h2
     assert np.array_equal(s1.targets, s2.targets)
@@ -218,7 +218,7 @@ def test_train_off_mode_matches_reference_loop():
             rows = order[start : start + 7]
             _, grads = total_loss_and_grads(ref, ds.X[rows], T[rows], M[rows], empty, 0.0)
             ref = sgd_step(ref, grads, 0.1)
-    for a, b in zip(params.as_tuple(), ref.as_tuple()):
+    for a, b in zip(vars(params).values(), vars(ref).values()):
         assert np.array_equal(a, b)
     assert state.mask.all()
     assert (state.origin == ORIGIN_GIVEN).all()
@@ -251,7 +251,7 @@ def test_train_relabel_with_penalty_matches_reference_loop():
         ref_state, corrected = correct_labels(ref_state, probs, 0.55)
         n_corrected += corrected
     assert n_corrected > 0
-    for a, b in zip(params.as_tuple(), ref.as_tuple()):
+    for a, b in zip(vars(params).values(), vars(ref).values()):
         assert a.tobytes() == b.tobytes()
     assert np.array_equal(state.targets, ref_state.targets)
     assert np.array_equal(state.origin, ref_state.origin)
@@ -286,7 +286,7 @@ def test_a_fully_masked_batch_trains_on_the_rule_penalty(mode, batch_size):
         cfg = TrainConfig(epochs=3, warmup_epochs=1, batch_size=batch_size, correction_mode=mode, seed=seed)
         params, history, _ = train(ds, rs, cfg)
         assert len(history) == 3
-        assert all(np.isfinite(w).all() for w in params.as_tuple())
+        assert all(np.isfinite(w).all() for w in vars(params).values())
 
 
 def test_train_rejects_a_fully_masked_dataset_before_any_step(monkeypatch):
@@ -327,7 +327,7 @@ def test_warmup_equal_to_epochs_only_corrects_after_last_record():
     p_rel, h_rel, s_rel = train(noisy, rs, relabel)
     p_mask, _, s_mask = train(noisy, rs, masking)
     # parameters never saw a corrected target, so the runs agree bitwise
-    for a, b in zip(p_rel.as_tuple(), p_mask.as_tuple()):
+    for a, b in zip(vars(p_rel).values(), vars(p_mask).values()):
         assert np.array_equal(a, b)
     assert all(r.n_corrected_cumulative == 0 for r in h_rel)
     # the one correction pass at the final boundary shows up in the state
