@@ -15,9 +15,11 @@ inherit it. `MUTEX` and `FALSE` are reserved words and cannot name labels.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8, and a line ends
 only at LF, CRLF or CR.
 Rules compile once, in `compile_factors`, to a factor index and the
-penalty's scatter plan. The crisp checks here, the flip table, the relaxed
-penalty and the supervision flags all read that index over one column table,
-`column_table`.
+penalty's scatter plan. The crisp checks, the flip table, the penalty and the
+supervision flags all read that index over one column table, `column_table`,
+and every forward pass takes one product of each rule's factors,
+`rule_products`: 1 exactly where 0/1 labels violate the rule, and the relaxed
+violation degree over probabilities.
 """
 
 from __future__ import annotations
@@ -200,8 +202,9 @@ class ScatterPlan(NamedTuple):
     """Where a penalty's factor partials go. `slots` lists the live (not
     padding) factors rule by rule, each rule's in order, by their flat
     position j * rules + r in the factor-major (factors x rules) layout of
-    `factor_values`. Slot s's partial enters the gradient of label `labels[s]`
-    times `signed_weights[s]`, its sign times its rule's weight.
+    the gather `column_table(V)[index.T]`. Slot s's partial enters the
+    gradient of label `labels[s]` times `signed_weights[s]`, its sign times
+    its rule's weight.
     `weight_total` is the rule weights' sum, added in order; it is infinite
     where that sum passes the float range."""
 
@@ -222,11 +225,13 @@ def column_table(V: np.ndarray) -> np.ndarray:
     return columns
 
 
-def factor_values(index: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """The factors of the rules in a factor index at every row of V, as
-    (factors x rules x rows), in V's dtype. The crisp checks and the penalty
-    read it."""
-    return column_table(V)[index.T]
+def rule_products(columns: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each rule's factors in a factor index, read from a `column_table` and
+    multiplied left to right from ones: (rules x rows), in the table's dtype."""
+    products = np.ones((len(index), columns.shape[1]), dtype=columns.dtype)
+    for factor in index.T:
+        products *= columns[factor]
+    return products
 
 
 # ---- lexer ----
@@ -447,8 +452,8 @@ def _label_matrix(rs: RuleSet, Y) -> np.ndarray:
 
 def violation_matrix(rs: RuleSet, Y) -> np.ndarray:
     """Boolean matrix (samples x rules), True where a sample's labels violate a rule."""
-    # a rule is violated where every one of its factors is 1
-    return factor_values(rs.factor_index, _label_matrix(rs, Y)).all(axis=0).T
+    # over 0/1 labels a rule's product is 1 where it is violated, and 0 elsewhere
+    return rule_products(column_table(_label_matrix(rs, Y)), rs.factor_index).astype(bool).T
 
 
 # Rows `breaking_flips` takes at a time, so its memory stays flat in the row count.
@@ -468,15 +473,15 @@ def breaking_flips(rs: RuleSet, Y) -> np.ndarray:
     arr = _label_matrix(rs, Y)
     n, width = arr.shape
     index = rs.factor_index
-    # the factors, transposed, of the rules that read each label
-    readers = [index[((index == j) | (index == j + width)).any(axis=1)].T for j in range(width)]
+    # the factors of the rules that read each label
+    readers = [index[((index == j) | (index == j + width)).any(axis=1)] for j in range(width)]
     table = np.zeros((n, width), dtype=bool)
     for start in range(0, n, _FLIP_BLOCK_ROWS):
         columns = column_table(arr[start : start + _FLIP_BLOCK_ROWS])
-        for j, factors in enumerate(readers):
+        for j, rules_j in enumerate(readers):
             pair = columns[j : 2 * width : width]  # the y and 1 - y rows of j
             pair[:] = pair[::-1]
-            table[start : start + _FLIP_BLOCK_ROWS, j] = columns[factors].all(axis=0).any(axis=0)
+            table[start : start + _FLIP_BLOCK_ROWS, j] = rule_products(columns, rules_j).any(axis=0)
             pair[:] = pair[::-1]
     return table
 

@@ -57,9 +57,10 @@ def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
     """Flag matrix: entry (i, j) is 1 when label j appears (either polarity)
     in at least one rule violated by row i."""
     violations = violation_matrix(rs, Y)
-    # (rules x labels), 1 where a label is among a rule's live factor slots
-    mentions = np.zeros((len(rs.rules), len(rs.vocabulary)))
-    mentions[rs.plan.slots % len(rs.rules), rs.plan.labels] = 1.0
+    width = len(rs.vocabulary)
+    rule, factor = np.nonzero(rs.factor_index < 2 * width)  # not padding's constant column
+    mentions = np.zeros((len(rs.rules), width))  # 1 where a rule reads a label's y or 1 - y
+    mentions[rule, rs.factor_index[rule, factor] % width] = 1.0
     return (violations.astype(np.float64) @ mentions > 0).astype(np.uint8)
 
 

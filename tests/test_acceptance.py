@@ -35,14 +35,15 @@ from rulebound import (
     violation_matrix,
 )
 from rulebound.cli import run as cli_run
-from rulebound.relax import _degrees
 from rulebound.rules import (
     DuplicateLiteralError,
     EmptyAntecedentError,
     InvalidWeightError,
     RuleSyntaxError,
     UnknownLabelError,
+    column_table,
     format_rule,
+    rule_products,
 )
 
 import oracles
@@ -124,8 +125,8 @@ def test_criterion_2_penalty_agrees_with_hard_semantics_everywhere():
         P = np.array(vertices, dtype=np.float64)
         vocab = LabelVocabulary(("a", "b", "c", "d"))
         rs = RuleSet(vocab, tuple(Rule(ant, cons) for ant in antecedents for cons in consequents))
-        # the compiled forward pass of domain_loss and domain_loss_grad: rules x vertices
-        relaxed = _degrees(P, rs.factor_index)[1][-1]
+        # the forward kernel of domain_loss and the crisp checks: rules x vertices
+        relaxed = rule_products(column_table(P), rs.factor_index)
         checked = 0
         for rule, degrees in zip(rs.rules, relaxed):
             hard = np.array(

@@ -434,6 +434,7 @@ def test_train_settings_are_checked_before_any_file_is_read(tmp_path, rules_file
     assert not list(adir.iterdir())
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_runtime_errors_exit_three(tmp_path, rules_file, capsys):
     assert run(["audit", "--rules", rules_file, "--data", str(tmp_path / "missing.jsonl")]) == 3
     impossible = tmp_path / "impossible.rules"

@@ -635,6 +635,7 @@ def test_synthesize_feature_geometry():
         assert np.all(spread < 0.45)
 
 
+@pytest.mark.usefixtures("time_limit")
 def test_synthesize_budget_error_when_rules_unsatisfiable():
     rs = parse_rules("a => FALSE\n!a => FALSE")
     with pytest.raises(SynthesisBudgetError):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from rulebound import (
     parse_rules,
     violation_matrix,
 )
-from rulebound.rules import compile_factors, factor_values
+from rulebound.rules import breaking_flips, column_table, compile_factors, rule_products
 
 import oracles
 import rulebound.relax
@@ -111,6 +112,7 @@ def test_a_label_on_both_sides_of_one_rule():
 def test_zero_rules_give_no_columns():
     rs = RuleSet(LabelVocabulary(("a", "b", "c")))
     Y = np.array([[1, 0, 1], [0, 0, 0]])
+    assert rule_products(column_table(Y), rs.factor_index).shape == (0, 2)
     assert violation_matrix(rs, Y).shape == (2, 0)
     assert flag_inconsistent(rs, Y).tolist() == [[0, 0, 0], [0, 0, 0]]
     _assert_matches_reference(rs, Y)
@@ -124,16 +126,20 @@ def test_one_row_and_every_input_dtype():
             _assert_matches_reference(rs, rows.astype(dtype))
 
 
-def test_factor_values_reads_y_its_complement_and_the_constant():
+def test_gathered_factors_read_y_its_complement_and_the_constant():
     rs = parse_rules("a & !b => c\nb => FALSE\n")
     Y = np.array([[1, 0, 0], [0, 1, 1]])
     P = np.array([[0.25, 0.5, 0.75], [1.0, 0.0, 0.125]])
     for V in (Y.astype(np.uint8), P):
-        factors = factor_values(rs.factor_index, V)
+        factors = column_table(V)[rs.factor_index.T]  # the gradient's gather
         assert factors.dtype == V.dtype and factors.shape == (3, 2, 2)
         # rule 0 reads a, 1 - b, 1 - c; rule 1 reads b, then padding's constant 1
         expected = [[V[:, 0], V[:, 1]], [1 - V[:, 1], np.ones(2)], [1 - V[:, 2], np.ones(2)]]
         assert np.array_equal(factors, np.array(expected))
+        # the forward kernel multiplies them left to right, in V's dtype
+        products = rule_products(column_table(V), rs.factor_index)
+        assert products.dtype == V.dtype
+        assert np.array_equal(products, (factors[0] * factors[1]) * factors[2])
 
 
 def test_compile_factors_index_signs_and_labels():
@@ -186,3 +192,25 @@ def test_domain_loss_grad_bitwise_matches_accumulate_reference():
         for n in (1, 31, 512, 513, N_ROWS):
             expected = oracles.penalty_grad_reference(rs, P[:n])
             assert domain_loss_grad(rs, P[:n]).tobytes() == expected.tobytes(), n
+
+
+def _peak_bytes(f, *args):
+    """The most memory f(*args) held at once beyond what was held before it."""
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_full_data_rule_passes_hold_one_bounded_block():
+    # 60 rules over 20 labels, as many as the largest benchmark rule set; a pass
+    # over all rows at once would hold many times its input
+    vocab = LabelVocabulary(tuple(f"l{i}" for i in range(20)))
+    rs = oracles.random_ruleset(random.Random(60), vocab, 60)
+    npr = np.random.default_rng(60)
+    P = npr.random((20_000, 20))
+    assert _peak_bytes(domain_loss, rs, P) < P.nbytes
+    Y = npr.integers(0, 2, size=(100_000, 20), dtype=np.int64)
+    assert _peak_bytes(breaking_flips, rs, Y) < Y.nbytes / 2

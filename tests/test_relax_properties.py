@@ -218,6 +218,7 @@ def test_synthesis_and_noise_equal_the_per_row_references(rules, rho):
     _assert_same_dataset(inject_noise(clean, rho, 5, "violating", rs), oracles.inject_noise_per_row(clean, rho, 5, rs))
 
 
+@pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("rules", ["a => FALSE\n!a => FALSE", "a => FALSE\nb => FALSE"],
                          ids=["unsatisfiable", "one-pattern"])
 def test_synthesis_budget_error_equals_the_per_row_reference(rules):

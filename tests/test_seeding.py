@@ -54,6 +54,7 @@ def test_synthesis_rejects_rows_past_the_32_bit_index():
         synthesize(0, 2**32 + 1, 1, rs, 2)
 
 
+@pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize(
     "rules, k, n_consistent",
     [("a => FALSE\n!a => FALSE", 4, 0), ("b => FALSE\nc => FALSE\nd => FALSE", 4, 2)],
@@ -85,6 +86,7 @@ def test_budget_runs_out_inside_a_grown_block(monkeypatch, rules, k, n_consisten
     assert blocks == sorted(blocks)
 
 
+@pytest.mark.usefixtures("time_limit")
 @pytest.mark.parametrize("seed", [16, 28, 56, 89])
 def test_budget_runs_out_on_the_draw_that_would_find_the_last_pattern(monkeypatch, seed):
     # 3 rejections per pattern make a budget of 6; each seed draws its 2nd consistent
