@@ -141,7 +141,7 @@ def cmd_noise(args) -> int:
 
 
 def cmd_audit(args) -> int:
-    ds = load_dataset(args.data)
+    ds = load_dataset(args.data, features=False)
     rs = _load_rules(args.rules, ds.names)
     report = audit(ds, rs)
     print(jsonio.dumps(report) if args.json else report.to_text())

@@ -3,7 +3,9 @@
 Datasets are JSON Lines: the first line is a header {"labels": [...]}, then
 one object per sample {"x": [...], "y": [...]} with an optional "y_clean"
 holding the pre-noise labels. Which positions were flipped is recovered from
-y/y_clean on load, so noise records survive a save/load round trip.
+y/y_clean on load, so noise records survive a save/load round trip. A load
+checks the bytes of every sample line, then converts the features; its
+labels-only mode, which the audit command uses, skips the conversion.
 """
 
 from __future__ import annotations
@@ -139,10 +141,12 @@ def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
     return value
 
 
-def load_dataset(path) -> Dataset:
+def load_dataset(path, features: bool = True) -> Dataset:
     """The dataset file at `path`: a label header, then the sample lines, which
     `_read_samples` reads; errors name the file, and the file line where there
-    is one."""
+    is one. With `features` False, the labels-only mode, every line is checked
+    as before, with the same errors, but no feature is converted: X has shape
+    (n, 0)."""
     lines = jsonio.split_lines(jsonio.read_text(path))
     try:
         if not lines or not lines[0].strip():
@@ -157,25 +161,29 @@ def load_dataset(path) -> Dataset:
             vocab = LabelVocabulary(header["labels"])
         except ValueError as err:
             raise DatasetError(f"line 1: bad label header: {err}") from None
-        X, Y, clean = _read_samples(lines[1:], len(vocab))
+        X, Y, clean = _read_samples(lines[1:], len(vocab), features)
     except DatasetError as err:
         raise DatasetError(f"{path}: {err}") from None
     return Dataset(X, Y, vocab, clean)
 
 
-def _read_samples(lines: list[str], width: int):
+def _read_samples(lines: list[str], width: int, features: bool = True):
     """(X, Y, clean Y or None) from the sample lines, the header being file
-    line 1. Blank lines are dropped; the first other line is parsed first, and
-    sets the feature count and whether y_clean appears.
+    line 1; X has shape (n, 0) without `features`. Blank lines are dropped;
+    the first other line is parsed first, and sets the feature count and
+    whether y_clean appears.
 
     A line in the writer's layout, which `_sample_layout` states, is the x
     prefix, its features and the label suffix byte for byte but for label
     digits that are 0 or 1; its labels come off those bytes. Its features are
     read in blocks of lines, `_BLOCK_FEATURES` features a block or one line if
     it holds more, by `jsonio.read_decimal_rows` when each is a plain decimal
-    such as -0.25. Every other line is read by `_parse_sample`, in file order,
-    and checked against the first. A line the decimal path reads cannot be
-    faulty, so an error names the first faulty line.
+    such as -0.25: its byte checks, then its conversion, which the
+    labels-only read skips. Every other line is read by `_parse_sample`, in
+    file order, and checked against the first. A line that passes the byte
+    checks cannot be faulty, so an error names the first faulty line, and the
+    labels-only read, which sends a subset of the same lines there, names
+    the same one.
     """
     line_nos = [line_no for line_no, line in enumerate(lines, start=2) if line.strip()]
     if not line_nos:
@@ -193,13 +201,13 @@ def _read_samples(lines: list[str], width: int):
     # 0 where a layout byte matches; a label digit, a "0" of the layout, reads 0 or 1 only for "0" or "1"
     written = ~(codes > (layout == ord("0"))).any(axis=1)
     labels = codes[:, h + digits].astype(np.int64)
-    X = np.empty((n, d))
+    X = np.empty((n, d if features else 0))
     decimal = np.zeros(n, dtype=bool)
     at = np.flatnonzero(written)
     rows = max(1, _BLOCK_FEATURES // max(d, 1))
     for start in range(0, len(at), rows):
         block = at[start : start + rows]
-        values, direct = jsonio.read_decimal_rows([lines[i][h:-w] for i in block.tolist()], d)
+        values, direct = jsonio.read_decimal_rows([lines[i][h:-w] for i in block.tolist()], d, features)
         X[block[direct]] = values
         decimal[block[direct]] = True
     for i in np.flatnonzero(~decimal).tolist():
@@ -208,7 +216,8 @@ def _read_samples(lines: list[str], width: int):
             raise DatasetError(f"line {line_nos[i]}: expected {d} features, got {len(x)}")
         if (y_clean is not None) != with_clean:
             raise DatasetError(f"line {line_nos[i]}: y_clean must appear on every sample or on none")
-        X[i] = x
+        if features:
+            X[i] = x
         labels[i] = y + (y_clean or [])
     return X, labels[:, :width], labels[:, width:] if with_clean else None
 
@@ -478,13 +487,16 @@ def audit(ds: Dataset, rs: RuleSet) -> AuditReport:
     """Count hard rule violations in a dataset's labels (vocabularies matched by name)."""
     rs = reindex_ruleset(rs, ds.names)
     violations = violation_matrix(rs, ds.Y)
+    totals = violations.sum(axis=0).tolist()
     per_rule = [
-        {"rule": r, "text": format_rule(rule, ds.names), "count": int(violations[:, r].sum())}
-        for r, rule in enumerate(rs.rules)
+        {"rule": r, "text": format_rule(rule, ds.names), "count": totals[r]} for r, rule in enumerate(rs.rules)
     ]
+    # the violations in row-major order, cut where the sample changes
+    samples, rules = np.nonzero(violations)
+    cuts = np.flatnonzero(np.diff(samples, prepend=-1)).tolist()
+    samples, rules = samples.tolist(), rules.tolist()
     per_sample = [
-        {"sample": int(i), "violated": [int(r) for r in np.flatnonzero(violations[i])]}
-        for i in np.flatnonzero(violations.any(axis=1))
+        {"sample": samples[a], "violated": rules[a:b]} for a, b in zip(cuts, cuts[1:] + [len(rules)])
     ]
     count = len(per_sample)
     return AuditReport(per_rule, per_sample, count, count / ds.n_samples)

@@ -9,7 +9,9 @@ order, so a record's field order is its file layout, and a list of floats as
 one `float_rows` block. Both `float_rows` and `format_float` refuse a
 non-finite number. Input files are read by `read_text`, which names one that
 is not UTF-8, and `loads`; `read_object` does both for a JSON object file.
-`read_decimal_rows` reads plain decimals back in numpy blocks.
+`read_decimal_rows` reads plain decimals back in numpy blocks, in two steps:
+byte checks that decide which lines are valid, then the conversion of their
+tokens to doubles, which a reader that needs no features skips.
 """
 
 from __future__ import annotations
@@ -161,13 +163,17 @@ def _fixed_point_bytes(N: np.ndarray, X: np.ndarray) -> np.ndarray:
     return text
 
 
-def read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]:
-    """(values, direct) for the x-list texts of a block of lines: `direct`
-    marks each line that holds d features, all of the form
+def read_decimal_rows(texts: list[str], d: int, convert: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """(values, direct) for the x-list texts of a block of lines, in two steps.
+    The byte checks pass each line that holds d features, all of the form
     -?(0|[1-9][0-9]*)\\.[0-9]+ with at most 18 significant and at most 22
-    fraction digits, separated by ", ", whose values `_decimals_to_doubles`
-    settles; `values` holds those lines' features, rounded as json.loads
-    rounds them, as a (direct.sum(), d) array."""
+    fraction digits, separated by ", ": its tokens are JSON numbers, all
+    finite. The conversion turns their tokens into doubles, rounded
+    as json.loads rounds them, and keeps the lines whose values
+    `_decimals_to_doubles` settles. `direct` marks the lines kept and `values`
+    holds their features as a (direct.sum(), d) array. Without `convert`, the
+    conversion is skipped: `direct` marks the lines that pass the byte checks,
+    and `values` is (direct.sum(), 0)."""
     if d == 0:  # an empty text holds no token, though it lies between two commas below
         direct = np.array([not text for text in texts], dtype=bool)
         return np.empty((direct.sum(), 0)), direct
@@ -206,6 +212,8 @@ def read_decimal_rows(texts: list[str], d: int) -> tuple[np.ndarray, np.ndarray]
     last = np.searchsorted(commas, np.cumsum(lengths + 2))
     counts = np.diff(last, prepend=0)
     direct = (counts == d) & np.logical_and.reduceat(ok, last - counts)
+    if not convert:
+        return np.empty((direct.sum(), 0)), direct
     tokens = np.repeat(direct, counts)
     good = ", ".join([t for t, keep in zip(texts, direct.tolist()) if keep]).encode("ascii")
     mantissas = np.fromstring(good.replace(b".", b""), dtype=np.int64, sep=",")

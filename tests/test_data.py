@@ -487,21 +487,25 @@ def test_loader_written_layout_returns_only_what_the_line_reader_returns(mutate,
         for _ in range(rng.randint(0, max_edits)):
             lines = mutate(rng, lines)
         width = len(ds.names)
+        # the full read, and the labels-only read, which gives X no columns
         try:
             expected = oracles.read_samples_per_line(lines, width)
         except DatasetError as err:
             counts["rejected"] += 1
-            with pytest.raises(DatasetError) as got:
-                data._read_samples(lines, width)
-            assert str(got.value) == str(err)
+            for features in (True, False):
+                with pytest.raises(DatasetError) as got:
+                    data._read_samples(lines, width, features)
+                assert str(got.value) == str(err)
             continue
         counts["read"] += 1
         counts["edited"] += lines != clean_lines
-        for a, b in zip(data._read_samples(lines, width), expected):
-            if a is None or b is None:
-                assert a is None and b is None
-            else:
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+        for features in (True, False):
+            want = expected if features else (expected[0][:, :0], *expected[1:])
+            for a, b in zip(data._read_samples(lines, width, features), want, strict=True):
+                if a is None or b is None:
+                    assert a is None and b is None
+                else:
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
     assert all(counts[key] > floor for key, floor in floors.items()), counts
 
 
@@ -576,6 +580,29 @@ def test_loader_parses_only_the_lines_off_the_decimal_path(tmp_path, monkeypatch
     X, Y, clean = oracles.read_samples_per_line(lines[1:], 3)
     assert got.X.tobytes() == X.tobytes() and got.Y.tobytes() == Y.tobytes()
     assert got.clean_Y is None if not with_clean else got.clean_Y.tobytes() == clean.tobytes()
+
+
+def test_loader_of_audit_converts_no_feature_while_eval_does(tmp_path, capsys, monkeypatch):
+    rules = tmp_path / "rules.txt"
+    rules.write_text("a => b\nMUTEX(b, c)\n")
+    rs = parse_rules(rules.read_text())
+    path, model = tmp_path / "noisy.jsonl", tmp_path / "model.json"
+    save_dataset(inject_noise(synthesize(3, 300, 5, rs, k_patterns=4), 0.3, 4, "violating", rs), path)
+    train = ["train", "--rules", str(rules), "--data", str(path), "--epochs", "1", "--warmup", "0"]
+    assert run(train + ["--out-model", str(model)]) == 0
+    # the report of a full read, which converts every feature
+    expected = jsonio.dumps(audit(load_dataset(path), rs)) + "\n"
+    assert '"violating_samples": 0,' not in expected
+    capsys.readouterr()
+
+    def conversion(*args):
+        raise RuntimeError("features converted")
+
+    monkeypatch.setattr(jsonio, "_decimals_to_doubles", conversion)
+    assert run(["audit", "--rules", str(rules), "--data", str(path), "--json"]) == 0
+    assert capsys.readouterr() == (expected, "")
+    assert run(["eval", "--rules", str(rules), "--data", str(path), "--model", str(model)]) == 3
+    assert capsys.readouterr() == ("", "error: features converted\n")
 
 
 def test_loader_reads_zero_feature_lines_off_the_decimal_path(tmp_path, monkeypatch):
