@@ -18,15 +18,7 @@ from .data import (
     save_dataset,
     synthesize,
 )
-from .metrics import (
-    CorrectionStats,
-    LabelScores,
-    MetricsReport,
-    correction_report,
-    cvr,
-    exact_match,
-    f1_scores,
-)
+from .metrics import LabelScores, MetricsReport, cvr, exact_match, f1_scores
 from .model import (
     BCE_CLAMP,
     ModelParams,
@@ -63,8 +55,10 @@ from .supervision import (
     ORIGIN_GIVEN,
     ORIGIN_MASKED,
     ORIGIN_SELF_CORRECTED,
+    CorrectionStats,
     SupervisionState,
     correct_labels,
+    correction_report,
     flag_inconsistent,
     init_supervision,
 )

@@ -13,10 +13,9 @@ import sys
 
 from . import jsonio
 from .data import NOISE_MODES, audit, inject_noise, load_dataset, save_dataset, synthesize
-from .metrics import correction_report
 from .model import TrainConfig, load_model, save_model
 from .rules import RuleError, parse_rules
-from .supervision import CORRECTION_MODES
+from .supervision import CORRECTION_MODES, correction_report
 from .training import evaluate, train
 
 

@@ -21,7 +21,6 @@ import json as _json
 import math
 import os
 import re
-import secrets
 import stat
 from contextlib import contextmanager, suppress
 from dataclasses import fields, is_dataclass
@@ -411,7 +410,7 @@ def atomic_paths(*paths):
     try:
         for path in paths:
             head, name = os.path.split(path)
-            tmp = os.path.join(head, f".{name}.{secrets.token_hex(4)}.tmp")
+            tmp = os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
             try:
                 open(tmp, "x").close()
             except OSError as err:  # name the file the caller asked for, not the temporary one
@@ -435,7 +434,7 @@ def _write(obj, parts: list[str]) -> None:
     elif obj is False:
         parts.append("false")
     elif isinstance(obj, str):
-        parts.append(_json.dumps(obj))
+        parts.append(_json.encoder.encode_basestring_ascii(obj))  # what json.dumps runs for a str
     elif isinstance(obj, float):  # np.float64 included: it subclasses float
         parts.append(format_float(float(obj)))
     elif isinstance(obj, int):
@@ -457,7 +456,7 @@ def _write(obj, parts: list[str]) -> None:
                 raise TypeError(f"JSON object keys must be strings, got {type(key).__name__}")
             if k:
                 parts.append(", ")
-            parts.append(_json.dumps(key))
+            parts.append(_json.encoder.encode_basestring_ascii(key))
             parts.append(": ")
             _write(value, parts)
         parts.append("}")

@@ -1,17 +1,15 @@
-"""Prediction-quality and rule-obedience metrics."""
+"""Prediction scores: per-label and averaged F1, exact match, and the rate of
+rule violations among predictions."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .rules import RuleSet, violation_matrix
-from .supervision import ORIGIN_MASKED, ORIGIN_SELF_CORRECTED, SupervisionState
-
-if TYPE_CHECKING:
-    from .data import Dataset
+from .supervision import CorrectionStats
 
 
 @dataclass(frozen=True)
@@ -21,18 +19,6 @@ class LabelScores:
     recall: float
     f1: float
     support: int
-
-
-@dataclass(frozen=True)
-class CorrectionStats:
-    """How supervision repair handled the injected noise positions."""
-
-    n_flipped: int
-    n_corrected_right: int
-    n_corrected_wrong: int
-    n_still_masked: int
-    n_undetected: int
-    recovery_rate: float | None
 
 
 @dataclass
@@ -110,22 +96,3 @@ def cvr(Yhat, rs: RuleSet) -> float:
     if r == 0:
         return 0.0
     return float(violations.sum() / (n * r))
-
-
-def correction_report(state: SupervisionState, ds: "Dataset") -> CorrectionStats:
-    """Partition the dataset's flipped positions by how training treated them.
-
-    Positions that were never flagged stayed in the loss with their noisy
-    value and count as undetected.
-    """
-    if ds.clean_Y is None:
-        raise ValueError("dataset carries no noise record")
-    flipped = ds.Y != ds.clean_Y
-    corrected = flipped & (state.origin == ORIGIN_SELF_CORRECTED)
-    right = int((corrected & (state.targets == ds.clean_Y)).sum())
-    wrong = int(corrected.sum()) - right
-    still_masked = int((flipped & (state.origin == ORIGIN_MASKED)).sum())
-    n_flipped = int(flipped.sum())
-    undetected = n_flipped - right - wrong - still_masked
-    recovery = right / n_flipped if n_flipped else None
-    return CorrectionStats(n_flipped, right, wrong, still_masked, undetected, recovery)

@@ -16,18 +16,18 @@ factors from the same `rules.column_table`, as (factors x rules x rows), so
 that a loop over the few factor positions multiplies whole (rules x rows)
 slabs, forward for the prefix products and backward for the suffix products. A
 factor's partial is its prefix times its suffix, so a factor that is exactly 0
-needs no division. Only the live factors' partials, those the rule set's
-`ScatterPlan` lists, times each one's signed weight, are scattered onto the
-labels by one `np.bincount`, which adds in input order: each gradient entry
-sums its terms rule by rule, factor by factor, as an ordered (row, rule,
-factor) scatter would. A padding factor's partial would add +-0.0 to label 0,
-and leaving it out changes no bit: a bin's sum starts at +0.0, adding +-0.0 to
-a nonzero sum or to +0.0 leaves it as it was, and a sum of nonzero terms that
-cancels to zero is +0.0, so no bin ever holds -0.0. Factors multiply left to
-right and rules add in stored order, so results are bitwise reproducible.
-`domain_loss` runs over blocks of rows that each hold a fixed number of factor
-entries, so a full-data pass holds one bounded block at a time, whatever the
-rule count.
+needs no division. Only the live factors' partials, gathered at the
+(factors, rules) coordinates that the rule set's `ScatterPlan` lists, times
+each one's signed weight, are scattered onto the labels by one `np.bincount`,
+which adds in input order: each gradient entry sums its terms rule by rule,
+factor by factor, as an ordered (row, rule, factor) scatter would. A padding
+factor's partial would add +-0.0 to label 0, and leaving it out changes no
+bit: a bin's sum starts at +0.0, adding +-0.0 to a nonzero sum or to +0.0
+leaves it as it was, and a sum of nonzero terms that cancels to zero is +0.0,
+so no bin ever holds -0.0. Factors multiply left to right and rules add in
+stored order, so results are bitwise reproducible. `domain_loss` runs over
+blocks of rows that each hold a fixed number of factor entries, so a full-data
+pass holds one bounded block at a time, whatever the rule count.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ def _normalizer(rs: RuleSet, rows: int) -> float:
 
 def _penalty_grad(P: np.ndarray, index: np.ndarray, plan: ScatterPlan) -> np.ndarray:
     """Gradient in P (rows x width) of the sum of the degrees of the rules in a
-    factor index, each live slot's partial entering its label times its signed
+    factor index, each live factor's partial entering its label times its signed
     weight (see `ScatterPlan`)."""
     factors = column_table(P)[index.T]
-    k, rules, n = factors.shape
+    k = len(factors)
     prefix = np.empty_like(factors)  # prefix[j] multiplies factors 0 to j - 1
     prefix[0] = 1.0
     for j in range(1, k):
@@ -79,8 +79,8 @@ def _penalty_grad(P: np.ndarray, index: np.ndarray, plan: ScatterPlan) -> np.nda
     suffix[-1] = 1.0
     for j in range(k - 2, -1, -1):
         np.multiply(suffix[j + 1], factors[j + 1], out=suffix[j])
-    live = prefix.reshape(k * rules, n)[plan.slots]
-    live *= suffix.reshape(k * rules, n)[plan.slots]
+    live = prefix[plan.factors, plan.rules]  # the gather is factor-major, the index rule-major
+    live *= suffix[plan.factors, plan.rules]
     live *= plan.signed_weights[:, None]
     # in (rule, factor, row) order each gradient entry adds its terms rule by
     # rule, factor by factor

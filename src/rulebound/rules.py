@@ -15,11 +15,13 @@ inherit it. `MUTEX` and `FALSE` are reserved words and cannot name labels.
 Identifiers match [A-Za-z_][A-Za-z0-9_]*. Files are UTF-8, and a line ends
 only at LF, CRLF or CR.
 Rules compile once, in `compile_factors`, to a factor index and the
-penalty's scatter plan. The crisp checks, the flip table, the penalty and the
-supervision flags all read that index over one column table, `column_table`,
-and every forward pass takes one product of each rule's factors,
-`rule_products`: 1 exactly where 0/1 labels violate the rule, and the relaxed
-violation degree over probabilities.
+penalty's scatter plan, which names each live factor by its (rule, factor)
+coordinates in the index and by the label it reads, so that only this module
+decodes index entries. The crisp checks, the flip table and the penalty read
+that index over one column table, `column_table`, the supervision flags and
+the penalty's gradient read the plan, and every forward pass takes one
+product of each rule's factors, `rule_products`: 1 exactly where 0/1 labels
+violate the rule, and the relaxed violation degree over probabilities.
 """
 
 from __future__ import annotations
@@ -195,20 +197,20 @@ def compile_factors(rules: tuple[Rule, ...], width: int, weights: np.ndarray) ->
     with np.errstate(over="ignore"):
         total = float(np.cumsum(weights)[-1]) if len(weights) else 0.0
     signed = np.where(live < width, 1.0, -1.0) * weights[rule]
-    return index, ScatterPlan(factor * len(index) + rule, live % width, signed, total)
+    return index, ScatterPlan(rule, factor, live % width, signed, total)
 
 
 class ScatterPlan(NamedTuple):
-    """Where a penalty's factor partials go. `slots` lists the live (not
-    padding) factors rule by rule, each rule's in order, by their flat
-    position j * rules + r in the factor-major (factors x rules) layout of
-    the gather `column_table(V)[index.T]`. Slot s's partial enters the
-    gradient of label `labels[s]` times `signed_weights[s]`, its sign times
-    its rule's weight.
+    """Where a penalty's factor partials go. Live (not padding) factor s is
+    entry (`rules[s]`, `factors[s]`) of the factor index, listed rule by rule,
+    each rule's in order; it reads label `labels[s]`, and its partial enters
+    that label's gradient times `signed_weights[s]`, its sign times its rule's
+    weight.
     `weight_total` is the rule weights' sum, added in order; it is infinite
     where that sum passes the float range."""
 
-    slots: np.ndarray
+    rules: np.ndarray
+    factors: np.ndarray
     labels: np.ndarray
     signed_weights: np.ndarray
     weight_total: float

@@ -4,6 +4,8 @@ Labels implicated in rule violations of the originally given supervision get
 flagged once, up front. Masking modes give flagged entries ORIGIN_MASKED,
 which drops them from the loss; the relabel schedule later re-admits an
 entry when the model grows confident about it, permanently.
+`correction_report` scores the final state against a dataset's noise record.
+This is the one module that reads the origin codes.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import Dataset
 from .rules import RuleSet, violation_matrix
 
 CORRECTION_MODES = ("off", "mask_only", "relabel")
@@ -19,6 +22,18 @@ CORRECTION_MODES = ("off", "mask_only", "relabel")
 ORIGIN_GIVEN = 0
 ORIGIN_MASKED = 1
 ORIGIN_SELF_CORRECTED = 2
+
+
+@dataclass(frozen=True)
+class CorrectionStats:
+    """How supervision repair handled the injected noise positions."""
+
+    n_flipped: int
+    n_corrected_right: int
+    n_corrected_wrong: int
+    n_still_masked: int
+    n_undetected: int
+    recovery_rate: float | None
 
 
 @dataclass
@@ -57,10 +72,8 @@ def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:
     """Flag matrix: entry (i, j) is 1 when label j appears (either polarity)
     in at least one rule violated by row i."""
     violations = violation_matrix(rs, Y)
-    width = len(rs.vocabulary)
-    rule, factor = np.nonzero(rs.factor_index < 2 * width)  # not padding's constant column
-    mentions = np.zeros((len(rs.rules), width))  # 1 where a rule reads a label's y or 1 - y
-    mentions[rule, rs.factor_index[rule, factor] % width] = 1.0
+    mentions = np.zeros((len(rs.rules), len(rs.vocabulary)))  # 1 where a rule reads a label's y or 1 - y
+    mentions[rs.plan.rules, rs.plan.labels] = 1.0
     return (violations.astype(np.float64) @ mentions > 0).astype(np.uint8)
 
 
@@ -100,3 +113,22 @@ def correct_labels(state: SupervisionState, P, tau: float) -> tuple[SupervisionS
     # a corrected target is 1.0 where it went up and 0.0 where it went down
     targets = np.where(hit, up, state.targets)
     return SupervisionState(targets, np.where(hit, ORIGIN_SELF_CORRECTED, state.origin)), n_corrected
+
+
+def correction_report(state: SupervisionState, ds: Dataset) -> CorrectionStats:
+    """Partition the dataset's flipped positions by how training treated them.
+
+    Positions that were never flagged stayed in the loss with their noisy
+    value and count as undetected.
+    """
+    if ds.clean_Y is None:
+        raise ValueError("dataset carries no noise record")
+    flipped = ds.Y != ds.clean_Y
+    corrected = flipped & (state.origin == ORIGIN_SELF_CORRECTED)
+    right = int((corrected & (state.targets == ds.clean_Y)).sum())
+    wrong = int(corrected.sum()) - right
+    still_masked = int((flipped & (state.origin == ORIGIN_MASKED)).sum())
+    n_flipped = int(flipped.sum())
+    undetected = n_flipped - right - wrong - still_masked
+    recovery = right / n_flipped if n_flipped else None
+    return CorrectionStats(n_flipped, right, wrong, still_masked, undetected, recovery)

@@ -28,7 +28,7 @@ from .model import (
 )
 from .relax import domain_loss
 from .rules import RuleSet, reindex_ruleset
-from .supervision import ORIGIN_SELF_CORRECTED, SupervisionState, correct_labels, flag_inconsistent, init_supervision
+from .supervision import SupervisionState, correct_labels, flag_inconsistent, init_supervision
 
 
 @dataclass(frozen=True)
@@ -70,6 +70,7 @@ def train(
     if not state.mask.any():  # corrections only unmask entries, so later epochs keep some supervision
         raise ValueError(NO_SUPERVISION)
     history: list[EpochRecord] = []
+    n_corrected = 0
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(cfg.seed, epoch, n)
         mask = state.mask  # the state changes only at epoch ends
@@ -89,11 +90,12 @@ def train(
                 epoch_domain,
                 epoch_bce + cfg.lambda_ * epoch_domain,
                 state.n_masked,
-                int((state.origin == ORIGIN_SELF_CORRECTED).sum()),
+                n_corrected,
             )
         )
         if cfg.correction_mode == "relabel" and epoch >= cfg.warmup_epochs:
-            state, _ = correct_labels(state, probs, cfg.tau)
+            state, count = correct_labels(state, probs, cfg.tau)
+            n_corrected += count
     return params, history, state
 
 

@@ -148,15 +148,17 @@ def test_compile_factors_index_signs_and_labels():
     index, plan = compile_factors(rules, len(vocab), np.array([2.0, 0.5]))
     # a y column is the label, a 1 - y column the label plus 3, padding the constant column 6
     assert index.tolist() == [[0, 4, 5], [1, 6, 6]]
-    # the live plan drops padding: rule 0's three slots, then rule 1's first, at
-    # their factor-major positions j * 2 + r, each signed 1 on y and -1 on 1 - y
-    assert plan.slots.tolist() == [0, 2, 4, 1] and plan.labels.tolist() == [0, 1, 2, 1]
+    # the live plan drops padding: rule 0's three factors, then rule 1's first, by
+    # their (rule, factor) places in the index, each signed 1 on y and -1 on 1 - y
+    assert plan.rules.tolist() == [0, 0, 0, 1] and plan.factors.tolist() == [0, 1, 2, 0]
+    assert index[plan.rules, plan.factors].tolist() == [entry for row in index.tolist() for entry in row if entry != 6]
+    assert plan.labels.tolist() == [0, 1, 2, 1]
     assert plan.signed_weights.tolist() == [2.0, -2.0, -2.0, 0.5] and plan.weight_total == 2.5
     rs = RuleSet(vocab, rules)
     assert np.array_equal(rs.factor_index, index)
     assert all(np.array_equal(ours, theirs) for ours, theirs in zip(rs.plan, plan))
     index, plan = compile_factors((), 3, np.ones(0))
-    assert index.shape == (0, 0) and plan.slots.size == 0 and plan.weight_total == 0.0
+    assert index.shape == (0, 0) and plan.rules.size == plan.factors.size == 0 and plan.weight_total == 0.0
     with pytest.raises(RuleError, match="label index 3 outside 3 labels"):
         compile_factors((Rule((Literal(3),)),), 3, np.ones(1))
 

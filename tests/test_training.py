@@ -340,10 +340,11 @@ def test_warmup_equal_to_epochs_only_corrects_after_last_record():
 def test_relabel_run_actually_corrects(monkeypatch):
     import rulebound.training
 
-    counts = []
+    counts, held = [], []
 
-    def counting(*args):
-        state, n_corrected = correct_labels(*args)
+    def counting(state, *args):
+        held.append(int((state.origin == ORIGIN_SELF_CORRECTED).sum()))
+        state, n_corrected = correct_labels(state, *args)
         counts.append(n_corrected)
         return state, n_corrected
 
@@ -361,6 +362,9 @@ def test_relabel_run_actually_corrects(monkeypatch):
     assert len(counts) == 17 and sum(counts) > 0
     passes_before = [max(0, epoch - 4) for epoch in range(1, 21)]
     assert [r.n_corrected_cumulative for r in history] == [sum(counts[:k]) for k in passes_before]
+    # the record of epoch e >= warmup_epochs is written off the state that epoch's pass
+    # reads, so its count is that state's self-corrected entries
+    assert [r.n_corrected_cumulative for r in history[3:]] == held
 
 
 def test_train_rejects_foreign_vocabulary():
