@@ -133,9 +133,11 @@ def cmd_noise(args) -> int:
     if args.mode == "violating" and not args.rules:
         raise UsageError("--mode violating requires --rules")
     jsonio.check_targets(args.out, inputs=[args.in_path, args.rules])
-    ds = load_dataset(args.in_path)
+    # noise changes labels only: the save copies each feature text that the load proves the writer's own
+    texts: dict = {}
+    ds = load_dataset(args.in_path, texts=texts)
     rs = _load_rules(args.rules, ds.names) if args.rules else None
-    save_dataset(inject_noise(ds, args.rho, args.seed, args.mode, rs), args.out)
+    save_dataset(inject_noise(ds, args.rho, args.seed, args.mode, rs), args.out, texts=texts)
     return 0
 
 

@@ -5,7 +5,10 @@ one object per sample {"x": [...], "y": [...]} with an optional "y_clean"
 holding the pre-noise labels. Which positions were flipped is recovered from
 y/y_clean on load, so noise records survive a save/load round trip. A load
 checks the bytes of every sample line, then converts the features; its
-labels-only mode, which the audit command uses, skips the conversion.
+labels-only mode, which the audit command uses, skips the conversion. The
+noise command, which changes labels only, has the load keep each line whose
+feature text it proves to be the writer's own, keyed on the row's bytes, and
+the save copies that text for a row with those bytes instead of formatting it.
 """
 
 from __future__ import annotations
@@ -104,29 +107,66 @@ def _sample_layout(width: int, with_clean: bool) -> tuple[np.ndarray, np.ndarray
     return line[:cut], line[cut:], np.flatnonzero(line[cut:] == ord("0"))
 
 
-def save_dataset(ds: Dataset, path) -> None:
+def _row_keys(X: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array: the key of a row's line in the
+    `texts` of `load_dataset` and `save_dataset`."""
+    raw, size = X.tobytes(), X.itemsize * X.shape[1]
+    return [raw[j * size : (j + 1) * size] for j in range(len(X))]
+
+
+def save_dataset(ds: Dataset, path, texts: dict | None = None) -> None:
     """Write the JSONL form; output bytes depend only on the dataset's values.
-    Each block of lines is laid out as one uint8 matrix, the x prefix, the
-    items of `jsonio.float_rows` and the label suffix with its digits set, and
-    written once its NUL bytes are dropped."""
+    The lines are formatted by `_formatted_lines`, a block at a time, each with
+    its label suffix. `texts`, filled by `load_dataset`, maps a row's bytes to
+    a line that holds its features as they would be formatted: a row found
+    there is written as that line up to its x list's "]", then its label
+    suffix, and only the other rows are formatted, a block of them at a time."""
     labels = [ds.Y] if ds.clean_Y is None else [ds.Y, ds.clean_Y]
     prefix, suffix, digits = _sample_layout(ds.Y.shape[1], ds.clean_Y is not None)
     suffix = np.append(suffix, np.uint8(ord("\n")))
     rows = max(1, _BLOCK_FEATURES // max(ds.X.shape[1], 1))
+    blocks = [slice(start, start + rows) for start in range(0, ds.n_samples, rows)]
+    X = np.asarray(ds.X, dtype=np.float64)  # the texts are keyed on float64 bytes
+
+    def tails(index) -> np.ndarray:
+        """The label suffixes of the rows `index`, each ended by a line break."""
+        values = np.concatenate([Y[index] for Y in labels], axis=1) + ord("0")
+        # labels set after the Dataset checked them would wrap in uint8 and could read back as 0 or 1
+        if not ((values == ord("0")) | (values == ord("1"))).all():
+            raise DatasetError("labels must be 0 or 1")
+        ends = np.tile(suffix, (len(values), 1))
+        ends[:, digits] = values
+        return ends
+
+    known = [line for block in blocks for line in map(texts.get, _row_keys(X[block]))] if texts else []
+    fresh = [i for i, line in enumerate(known) if line is None]
+    # the lines of the rows not found, formatted when first needed, a block of rows at a time
+    made = (
+        line
+        for part in (fresh[start : start + rows] for start in range(0, len(fresh), rows))
+        for line in _formatted_lines(prefix, X[part], tails(part)).splitlines(keepends=True)
+    )
     with jsonio.atomic_write(path) as fh:
         fh.write(jsonio.dumps({"labels": list(ds.names.names)}) + "\n")
-        for start in range(0, ds.n_samples, rows):
-            block = slice(start, start + rows)
-            values = np.concatenate([Y[block] for Y in labels], axis=1) + ord("0")
-            # labels set after the Dataset checked them would wrap in uint8 and could read back as 0 or 1
-            if not ((values == ord("0")) | (values == ord("1"))).all():
-                raise DatasetError("labels must be 0 or 1")
-            n = len(values)
-            tails = np.tile(suffix, (n, 1))
-            tails[:, digits] = values
-            heads = np.broadcast_to(prefix, (n, prefix.size))
-            lines = np.concatenate([heads, jsonio.float_rows(ds.X[block]), tails], axis=1)
-            fh.write(lines[lines != 0].tobytes().decode("ascii"))
+        for block in blocks:
+            ends = tails(block)
+            if len(fresh) == len(known):  # no row is found
+                fh.write(_formatted_lines(prefix, X[block], ends))
+                continue
+            suffixes, w = ends.tobytes().decode("ascii"), ends.shape[1]
+            fh.write("".join([
+                next(made) if line is None else line[: line.index("]")] + suffixes[j * w : (j + 1) * w]
+                for j, line in enumerate(known[block])
+            ]))
+
+
+def _formatted_lines(prefix: np.ndarray, X: np.ndarray, tails: np.ndarray) -> str:
+    """The sample lines of the feature rows X and their label suffixes: the x
+    prefix, the items of `jsonio.float_rows` and the suffix of each row, laid
+    out as one uint8 matrix and joined once its NUL bytes are dropped."""
+    heads = np.broadcast_to(prefix, (len(X), prefix.size))
+    lines = np.concatenate([heads, jsonio.float_rows(X), tails], axis=1)
+    return lines[lines != 0].tobytes().decode("ascii")
 
 
 def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
@@ -141,12 +181,14 @@ def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
     return value
 
 
-def load_dataset(path, features: bool = True) -> Dataset:
+def load_dataset(path, features: bool = True, texts: dict | None = None) -> Dataset:
     """The dataset file at `path`: a label header, then the sample lines, which
     `_read_samples` reads; errors name the file, and the file line where there
     is one. With `features` False, the labels-only mode, every line is checked
     as before, with the same errors, but no feature is converted: X has shape
-    (n, 0)."""
+    (n, 0). Given a dict `texts`, the read adds to it each sample line whose
+    features `save_dataset` would write as the line holds them, under the bytes
+    of its row of X, for `save_dataset` to copy."""
     lines = jsonio.split_lines(jsonio.read_text(path))
     try:
         if not lines or not lines[0].strip():
@@ -161,13 +203,13 @@ def load_dataset(path, features: bool = True) -> Dataset:
             vocab = LabelVocabulary(header["labels"])
         except ValueError as err:
             raise DatasetError(f"line 1: bad label header: {err}") from None
-        X, Y, clean = _read_samples(lines[1:], len(vocab), features)
+        X, Y, clean = _read_samples(lines[1:], len(vocab), features, texts)
     except DatasetError as err:
         raise DatasetError(f"{path}: {err}") from None
     return Dataset(X, Y, vocab, clean)
 
 
-def _read_samples(lines: list[str], width: int, features: bool = True):
+def _read_samples(lines: list[str], width: int, features: bool = True, texts: dict | None = None):
     """(X, Y, clean Y or None) from the sample lines, the header being file
     line 1; X has shape (n, 0) without `features`. Blank lines are dropped;
     the first other line is parsed first, and sets the feature count and
@@ -183,7 +225,9 @@ def _read_samples(lines: list[str], width: int, features: bool = True):
     file order, and checked against the first. A line that passes the byte
     checks cannot be faulty, so an error names the first faulty line, and the
     labels-only read, which sends a subset of the same lines there, names
-    the same one.
+    the same one. Given `texts`, the conversion also certifies its lines, and
+    each line whose every token it proves to be `jsonio.FLOAT_FORMAT`'s text
+    of its value goes into `texts` under the bytes of its row of X.
     """
     line_nos = [line_no for line_no, line in enumerate(lines, start=2) if line.strip()]
     if not line_nos:
@@ -203,13 +247,17 @@ def _read_samples(lines: list[str], width: int, features: bool = True):
     labels = codes[:, h + digits].astype(np.int64)
     X = np.empty((n, d if features else 0))
     decimal = np.zeros(n, dtype=bool)
+    proved = np.zeros(n, dtype=bool)
     at = np.flatnonzero(written)
     rows = max(1, _BLOCK_FEATURES // max(d, 1))
     for start in range(0, len(at), rows):
         block = at[start : start + rows]
-        values, direct = jsonio.read_decimal_rows([lines[i][h:-w] for i in block.tolist()], d, features)
+        values, direct, canonical = jsonio.read_decimal_rows(
+            [lines[i][h:-w] for i in block.tolist()], d, features, texts is not None
+        )
         X[block[direct]] = values
         decimal[block[direct]] = True
+        proved[block[canonical]] = True
     for i in np.flatnonzero(~decimal).tolist():
         x, y, y_clean = sample if i == 0 else _parse_sample(lines[i], line_nos[i], width)
         if len(x) != d:
@@ -219,6 +267,8 @@ def _read_samples(lines: list[str], width: int, features: bool = True):
         if features:
             X[i] = x
         labels[i] = y + (y_clean or [])
+    if texts is not None:  # keyed after the blocks, so that the keys add nothing to their peak memory
+        texts.update((key, line) for key, line, ok in zip(_row_keys(X), lines, proved.tolist()) if ok)
     return X, labels[:, :width], labels[:, width:] if with_clean else None
 
 

@@ -11,7 +11,10 @@ non-finite number. Input files are read by `read_text`, which names one that
 is not UTF-8, and `loads`; `read_object` does both for a JSON object file.
 `read_decimal_rows` reads plain decimals back in numpy blocks, in two steps:
 byte checks that decide which lines are valid, then the conversion of their
-tokens to doubles, which a reader that needs no features skips.
+tokens to doubles, which a reader that needs no features skips. On request
+the conversion also proves, from the residual it computes anyway, which
+tokens are `FLOAT_FORMAT`'s own text of their value, so that a writer may
+copy those instead of formatting the value again.
 """
 
 from __future__ import annotations
@@ -89,7 +92,7 @@ def float_rows(rows: np.ndarray) -> np.ndarray:
     rest = np.flatnonzero(~window)
     tokens = "".join([(FLOAT_FORMAT % v).ljust(_TOKEN_BYTES, "\0") for v in values[rest].tolist()])
     slots[rest, :_TOKEN_BYTES] = np.frombuffer(tokens.encode("ascii"), dtype=np.uint8).reshape(-1, _TOKEN_BYTES)
-    return slots.reshape(n, -1)[:, : max(d * (_TOKEN_BYTES + 2) - 2, 0)]
+    return slots.reshape(n, d * (_TOKEN_BYTES + 2))[:, : max(d * (_TOKEN_BYTES + 2) - 2, 0)]
 
 
 def _seventeen_digits(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,20 +165,25 @@ def _fixed_point_bytes(N: np.ndarray, X: np.ndarray) -> np.ndarray:
     return text
 
 
-def read_decimal_rows(texts: list[str], d: int, convert: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """(values, direct) for the x-list texts of a block of lines, in two steps.
-    The byte checks pass each line that holds d features, all of the form
-    -?(0|[1-9][0-9]*)\\.[0-9]+ with at most 18 significant and at most 22
+def read_decimal_rows(
+    texts: list[str], d: int, convert: bool = True, certify: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, direct, canonical) for the x-list texts of a block of lines, in
+    two steps. The byte checks pass each line that holds d features, all of the
+    form -?(0|[1-9][0-9]*)\\.[0-9]+ with at most 18 significant and at most 22
     fraction digits, separated by ", ": its tokens are JSON numbers, all
     finite. The conversion turns their tokens into doubles, rounded
     as json.loads rounds them, and keeps the lines whose values
     `_decimals_to_doubles` settles. `direct` marks the lines kept and `values`
-    holds their features as a (direct.sum(), d) array. Without `convert`, the
+    holds their features as a (direct.sum(), d) array. With `certify`,
+    `canonical` marks the kept lines whose every token `_decimals_to_doubles`
+    proves to be `FLOAT_FORMAT % v` of its value v, so that the text is the one
+    `float_rows` makes; without it, no line is marked. Without `convert`, the
     conversion is skipped: `direct` marks the lines that pass the byte checks,
-    and `values` is (direct.sum(), 0)."""
+    `values` is (direct.sum(), 0) and no line is marked."""
     if d == 0:  # an empty text holds no token, though it lies between two commas below
         direct = np.array([not text for text in texts], dtype=bool)
-        return np.empty((direct.sum(), 0)), direct
+        return np.empty((direct.sum(), 0)), direct, direct & certify
     # every token lies between two commas, each followed by a space when the token is read
     text = ", " + ", ".join(texts) + ", "
     codes = np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
@@ -212,21 +220,34 @@ def read_decimal_rows(texts: list[str], d: int, convert: bool = True) -> tuple[n
     counts = np.diff(last, prepend=0)
     direct = (counts == d) & np.logical_and.reduceat(ok, last - counts)
     if not convert:
-        return np.empty((direct.sum(), 0)), direct
+        return np.empty((direct.sum(), 0)), direct, np.zeros_like(direct)
     tokens = np.repeat(direct, counts)
     good = ", ".join([t for t, keep in zip(texts, direct.tolist()) if keep]).encode("ascii")
     mantissas = np.fromstring(good.replace(b".", b""), dtype=np.int64, sep=",")
-    values, settled = _decimals_to_doubles(np.abs(mantissas), fraction[tokens])
+    values, settled, own = _decimals_to_doubles(np.abs(mantissas), fraction[tokens], certify)
     values = np.where(negative[tokens], -values, values).reshape(-1, d)
     settled = settled.reshape(-1, d).all(axis=1)
+    canonical = np.zeros_like(direct)
+    if certify:
+        canonical[direct] = own.reshape(-1, d).all(axis=1)
     direct[direct] = settled
-    return values[settled], direct
+    return values[settled], direct, canonical
 
 
-def _decimals_to_doubles(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(values, settled): a * 10**-k rounded to the nearest double, for int64
-    mantissas 0 <= a < 10**18 and 0 <= k <= 22; settled is False where this
-    could not show that rounding, and the value there is not to be used."""
+# 10**q in int64 for q <= 18: the number of them a mantissa reaches is its count of
+# digits n; and at each n, 10**(17 - n) in float64, exact for n <= 17.
+_TENS = 10 ** np.arange(19, dtype=np.int64)
+_SCALES = 10.0 ** (17 - np.arange(20))
+
+
+def _decimals_to_doubles(
+    a: np.ndarray, k: np.ndarray, certify: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(values, settled, canonical): a * 10**-k rounded to the nearest double,
+    for int64 mantissas 0 <= a < 10**18 and 0 <= k <= 22; settled is False where
+    this could not show that rounding, and the value there is not to be used.
+    With `certify`, canonical marks the settled tokens whose value v has
+    `FLOAT_FORMAT % v` equal to the token's own text; without it, it is None."""
     five = _POW5[k].view(np.int64)
     # Let q = a / 5**k in float64, Q its 53-bit significand and q = Q * 2**-s.
     # The wanted value a * 10**-k is T * 2**-(s + k) for the exact
@@ -252,7 +273,22 @@ def _decimals_to_doubles(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.n
     R -= 2 * c * five
     window = (Q <= 2**53) & ((Q > 2**52) | ((Q == 2**52) & (R >= 0)))
     settled = ((np.abs(R) < five) & window & (s >= 0)) | (a == 0)
-    return np.ldexp(Q.astype(np.float64), -(s + k)), settled
+    values = np.ldexp(Q.astype(np.float64), -(s + k))
+    if not certify:
+        return values, settled, None
+    # The value lies |R| / (2**(s + k + 1) * 5**k) from the token t = a * 10**-k. Let t have
+    # n significant digits, so that its %g exponent is X = n - 1 - k. %.17g writes t itself
+    # when X >= -4 (no exponent), the last digit is not 0 (no trailing zero), n <= 17, and
+    # the value rounds to t among the multiples of u = 10**(X - 16): |value - t| < u / 2,
+    # that is |R| * 10**(17 - n) < 2**s. |R| < 5**k and 10**(17 - n) are exact doubles, so
+    # their product, rounded, is below 2**s only when the exact one is; a tie, or a product
+    # that rounds to 2**s, is left to formatting. For n >= 2 the multiples of u below t
+    # keep exponent X; below a one-digit t they may not (%.17g writes 0.001 - u / 4 as
+    # 0.00099999999999999998), so there the value must not lie below t: R <= 0.
+    n = np.searchsorted(_TENS, a, side="right")
+    canonical = settled & (a % 10 != 0) & (n <= 17) & (k - n <= 3) & ((n > 1) | (R <= 0))
+    canonical &= np.abs(R) * _SCALES[n] < np.ldexp(1.0, s)
+    return values, settled, canonical
 
 
 def read_text(path) -> str:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from rulebound import (
+    NOISE_MODES,
     Dataset,
     DatasetError,
     LabelVocabulary,
@@ -549,6 +550,92 @@ def test_load_dataset_peak_memory_stays_below_three_file_sizes(tmp_path):
         tracemalloc.stop()
     assert got.X.tobytes() == ds.X.tobytes()
     assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+def test_noise_peak_memory_stays_below_three_file_sizes(tmp_path):
+    # the input's lines are held from the load to the save, which copies their feature texts
+    ds = synthesize(1, 4000, 64, parse_rules("a => b\nMUTEX(b, c)"), k_patterns=4)
+    path, out = tmp_path / "clean.jsonl", tmp_path / "noisy.jsonl"
+    save_dataset(ds, path)
+    argv = ["noise", "--in", str(path), "--out", str(out), "--rho", "0.2", "--mode", "uniform", "--seed", "3"]
+    tracemalloc.start()
+    try:
+        assert run(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size, (peak, path.stat().st_size)
+
+
+# The rows of `_noise_input` whose lines the noise command must format again.
+_RESPELLED = (5, 17, 30, 40, 250)
+
+
+def _noise_input(tmp_path, with_clean: bool) -> Path:
+    """A dataset file of the writer's lines, labels unflipped, mixed with lines that the noise
+    command must not copy: an integer token, an exponent token, "0.50" for 0.5, "0.1" for the
+    double that the writer writes 0.10000000000000001, a re-spaced line, and a blank line."""
+    ds = _random_ds(12, 400, 4, 3, with_clean=False)
+    ds.X[_RESPELLED[:4], [0, 2, 1, 3]] = [3.0, 1e-7, 0.5, 0.1]
+    if with_clean:
+        ds = Dataset(ds.X, ds.Y, ds.names, clean_Y=ds.Y.copy())
+    path = tmp_path / "clean.jsonl"
+    save_dataset(ds, path)
+    lines = jsonio.read_text(path).splitlines()
+
+    def respell(row: int, j: int, old: str, new: str) -> None:
+        line = lines[row + 1]
+        x = _X_LIST.search(line)
+        tokens = x.group(1).split(", ")
+        assert tokens[j] == old
+        tokens[j] = new
+        lines[row + 1] = line[: x.start(1)] + ", ".join(tokens) + line[x.end(1) :]
+
+    respell(30, 1, "0.5", "0.50")
+    respell(40, 3, "0.10000000000000001", "0.1")
+    lines[251] = lines[251].replace(", ", ",")
+    lines.insert(100, "")
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("block_features", [None, 44])  # one block, or 11-row blocks
+@pytest.mark.parametrize("with_clean", [False, True])
+@pytest.mark.parametrize("mode", NOISE_MODES)
+def test_noise_writes_what_the_generic_writer_writes(tmp_path, monkeypatch, mode, with_clean, block_features):
+    if block_features:
+        monkeypatch.setattr(data, "_BLOCK_FEATURES", block_features)
+    path = _noise_input(tmp_path, with_clean)
+    rules, out = tmp_path / "rules.txt", tmp_path / "noisy.jsonl"
+    rules.write_text("l0 => l1\nMUTEX(l1, l2)\n")
+    argv = ["noise", "--in", str(path), "--out", str(out), "--rho", "0.3", "--mode", mode, "--seed", "5"]
+    assert run(argv + ["--rules", str(rules)]) == 0
+    ds = load_dataset(path)
+    noisy = inject_noise(ds, 0.3, 5, mode, parse_rules(rules.read_text(), ds.names))
+    assert noisy.flips
+    assert out.read_text() == oracles.dataset_jsonl(noisy)
+    # the command copied the other lines' feature texts
+    texts: dict = {}
+    load_dataset(path, texts=texts)
+    kept = {i for i, key in enumerate(data._row_keys(ds.X)) if key in texts}
+    assert len(kept) > 300 and not kept & set(_RESPELLED)
+
+
+def test_save_writes_no_kept_text_for_changed_features(tmp_path, monkeypatch):
+    monkeypatch.setattr(data, "_BLOCK_FEATURES", 44)  # 11-row blocks, the rows formatted again in several
+    path = _noise_input(tmp_path, with_clean=True)
+    out = tmp_path / "out.jsonl"
+    texts: dict = {}
+    ds = load_dataset(path, texts=texts)
+    assert len(texts) > 300
+    ds.X[::7, 1] += 0.5  # in place, in 58 rows: more than a block of rows formatted again
+    save_dataset(ds, out, texts=texts)
+    assert out.read_text() == oracles.dataset_jsonl(ds)
+    # a new array: rows moved, negated, shifted, and a strided view
+    for X in (ds.X[::-1], -ds.X, ds.X + 1.0, ds.X[:, ::-1]):
+        ds.X = X
+        save_dataset(ds, out, texts=texts)
+        assert out.read_text() == oracles.dataset_jsonl(ds)
 
 
 @pytest.mark.parametrize("with_clean", [False, True])

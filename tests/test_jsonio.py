@@ -2,6 +2,7 @@
 
 import decimal
 import json
+import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -101,7 +102,7 @@ def _decimal_tokens(rng) -> list[str]:
 def test_decimal_reader_rounds_every_token_as_json_loads():
     tokens = _decimal_tokens(np.random.default_rng(20261019))
     expected = np.array([json.loads(t, parse_int=jsonio._int_keeping_negative_zero) for t in tokens])
-    values, direct = jsonio.read_decimal_rows(tokens, 1)
+    values, direct, _ = jsonio.read_decimal_rows(tokens, 1)
     assert values.tobytes() == expected[direct].tobytes()  # bitwise, so -0.0 keeps its sign
     assert direct.sum() > 40_000, (direct.sum(), len(tokens))  # of 53481
     # the tokens it leaves (integers, exponents, more digits, exact midpoints) take the per-line parse
@@ -120,7 +121,7 @@ _NOT_DECIMAL = ["0.5,-2.25", "0.5 , -2.25", "0.5,  -2.25", " 0.5, -2.25", "0.5, 
 
 def test_decimal_reader_takes_only_the_writers_plain_decimals():
     texts = ["0.25, -0.75"] + _NOT_DECIMAL + ["-0.0, 12.5"]
-    values, direct = jsonio.read_decimal_rows(texts, 2)
+    values, direct, _ = jsonio.read_decimal_rows(texts, 2)
     assert direct.tolist() == [True] + [False] * len(_NOT_DECIMAL) + [True]
     assert values.tolist() == [[0.25, -0.75], [-0.0, 12.5]] and np.signbit(values[1, 0])
 
@@ -150,6 +151,98 @@ def test_decimal_reader_parses_no_mantissa_past_18_digits(monkeypatch):
     assert max(len(token.lstrip("0")) for token in received) <= 18
     # the digit count takes off the zeros after "0.", so those tokens stay on the decimal path
     assert {t.lstrip("-").replace(".", "") for t in short} <= set(received)
+
+
+def _certified(tokens: list[str]) -> list[bool]:
+    """Which single-token texts `read_decimal_rows` proves to be FLOAT_FORMAT's text of their value."""
+    return jsonio.read_decimal_rows(tokens, 1, certify=True)[2].tolist()
+
+
+def _writers_tie(v: float, token: str) -> bool:
+    """Whether v lies halfway between two 17-digit decimals, `token` (%.17g's text of v) one of them."""
+    t = decimal.Decimal(token)
+    return 2 * abs(decimal.Decimal(v) - t) == decimal.Decimal(10) ** (t.adjusted() - 16)
+
+
+def test_decimal_certificate_on_named_tokens_and_near_midpoints():
+    named = {
+        "0.1": False,  # json reads 0.1000000000000000055..., which %.17g writes with 17 digits
+        "0.50": False,  # a trailing zero
+        "0.0001": True,  # 1e-4 reads a little above it, closer than half a 17th digit
+        "-0.0001": True,
+        "0.000099": False,  # %.17g writes an exponent below 1e-4
+        "0.00006103515625": False,  # 2**-14, read exactly, written 6.103515625e-05
+        "9.9999999999999999": False,  # reads as 10.0
+        "0.123456789012345678": False,  # 18 significant digits
+        "562949953421312.125": False,  # 18 digits, read exactly: a tie %.17g rounds to ...312.12
+        "4503599627370496.5": False,  # 2**52 + 1/2, halfway between two doubles: json reads 2**52
+        "4503599627370497.5": False,  # and 2**52 + 2
+        "0.10000000000000001": True,
+        "123.25": True,
+        "0.00012345678901234567": True,
+    }
+    assert _certified(list(named)) == list(named.values())
+    assert all(jsonio.FLOAT_FORMAT % float(t) == t for t, ok in named.items() if ok)
+    # 72040830101304.6875 is a double: %.17g writes the even neighbour of the tie, and a certificate
+    # may take it or leave it to formatting, but must not take the odd one
+    tie, odd = "72040830101304.688", "72040830101304.687"
+    assert _writers_tie(float(tie), tie) and jsonio.FLOAT_FORMAT % float(tie) == tie
+    assert _certified([odd]) == [False]
+    # the double just below 2.0: its quotient rounds up to 2.0, so the reader leaves the token to the
+    # per-line parse, unsettled, and the certificate, which reads the settled residual, leaves it too
+    below = "1.9999999999999998"
+    assert jsonio.FLOAT_FORMAT % float(below) == below
+    assert [mask.tolist() for mask in jsonio.read_decimal_rows([below], 1, certify=True)[1:]] == [[False]] * 2
+    # no false certificate among the reader's adversarial tokens: the 18-digit decimals each side of
+    # a midpoint between doubles, exact midpoints, zeros, and the writers' spellings at 15 to 18 digits
+    tokens = _decimal_tokens(np.random.default_rng(34))
+    for token, ok in zip(tokens, _certified(tokens)):
+        assert not ok or jsonio.FLOAT_FORMAT % float(token) == token, token
+
+
+def _respellings(v: float) -> list[str]:
+    """Texts that read as v or as a double next to it: %g at 15, 16 and 18 digits, the shortest
+    repr, fixed point at as many fraction digits as the writer's token has and at one more, and the
+    writer's token with a 0 appended or its last digit moved by one."""
+    token = jsonio.FLOAT_FORMAT % v
+    spellings = [fmt % v for fmt in ("%.15g", "%.16g", "%.18g")] + [repr(v)]
+    if "." in token:
+        places = len(token) - token.index(".") - 1
+        last = int(token[-1])
+        spellings += [f"%.{places}f" % v, f"%.{places + 1}f" % v, token + "0"]
+        spellings += [token[:-1] + str((last + step) % 10) for step in (1, 9)]
+    return spellings + ["-" + s for s in spellings]
+
+
+def test_decimal_certificate_takes_the_writers_tokens_and_no_other_spelling():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    def ulps_from(d: int, x: int, k: int) -> float:
+        v = d * 10.0**x
+        for _ in range(abs(k)):
+            v = np.nextafter(v, np.inf if k > 0 else 0.0)
+        return float(v)
+
+    doubles = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
+    # the doubles a few ulps from d * 10**X, where a one-digit token and the rounding to 17 digits meet
+    near = st.builds(ulps_from, st.integers(1, 9), st.integers(-4, 15), st.integers(-3, 3))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.lists(st.one_of(doubles, near.filter(lambda v: 1e-4 <= v < 1e16)), min_size=1, max_size=20))
+    def check(values):
+        writers = [jsonio.FLOAT_FORMAT % v for v in values]
+        tokens = writers + [s for v in values for s in _respellings(v)]
+        _, settled, certified = jsonio.read_decimal_rows(tokens, 1, certify=True)
+        for token, ok in zip(tokens, certified.tolist()):
+            assert not ok or jsonio.FLOAT_FORMAT % float(token) == token, token
+        # a writer's token with a point is certified unless v is a tie, or lies a few ulps below a
+        # power of two, where the reader leaves it unsettled
+        for v, token, read, ok in zip(values, writers, settled.tolist(), certified.tolist()):
+            assert ok or not read or _writers_tie(v, token), token
+            assert read or "." not in token or 1 - math.frexp(v)[0] < 2.0**-50, token
+
+    check()
 
 
 def test_float_list_rejects_non_finite():
