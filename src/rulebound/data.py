@@ -380,6 +380,36 @@ def _row_generators(seed: int, rows: np.ndarray):
         yield rng
 
 
+def _row_draws(seed: int, n_samples: int, n_features: int, k_patterns: int) -> tuple[np.ndarray, np.ndarray]:
+    """(picks, noise): for each sample i, `integers(k_patterns)` and then
+    `normal(0.0, 0.3, size=n_features)` of `np.random.default_rng([seed, 1, i])`,
+    bit for bit, with one raw word and `standard_normal` per row.
+
+    `integers(k)` draws int64 with the range k - 1, which for every k from 2 to
+    2**20 (synthesis allows at most 20 labels) fits 32 bits and is not 2**32 - 1,
+    so numpy takes Lemire's bounded draw on one 32-bit output: the low half of the
+    row's first word, the high half kept for a next 32-bit draw. Unless that draw
+    rejects, the pick is ((w & 0xFFFFFFFF) * k) >> 32, and the normals start at the
+    second word, as `standard_normal` after `random_raw` does. A rejected row,
+    where the product's low half is below (2**32 - k) % k (odds below k / 2**32),
+    is drawn again with `integers` and `normal`. `normal` returns 0.0 + 0.3 * z,
+    which is the in-place scaling below, -0.0 made +0.0 included."""
+    words = []
+    noise = np.empty((n_samples, n_features))
+    for rng_i, row in zip(_row_generators(seed, np.arange(n_samples, dtype=np.uint32)), noise):
+        words.append(rng_i.bit_generator.random_raw())
+        rng_i.standard_normal(out=row)
+    m = (np.array(words, dtype=np.uint64) & np.uint64(_MASK32)) * np.uint64(k_patterns)
+    picks = (m >> np.uint64(32)).astype(np.intp)
+    noise *= 0.3
+    noise += 0.0
+    rejected = np.flatnonzero((m & np.uint64(_MASK32)) < (2**32 - k_patterns) % k_patterns)
+    for i, rng_i in zip(rejected.tolist(), _row_generators(seed, rejected.astype(np.uint32))):
+        picks[i] = rng_i.integers(k_patterns)
+        noise[i] = rng_i.normal(0.0, 0.3, size=n_features)
+    return picks, noise
+
+
 def _check_seed(seed) -> None:
     """Raise ValueError for a seed that is not a non-negative integer, whose
     rejection by `np.random.default_rng` would name neither seed nor value."""
@@ -406,6 +436,9 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     the PCG64 state layout fall under NumPy's stream-compatibility policy,
     NEP 19 (https://numpy.org/neps/nep-0019-rng-policy.html), and the tests
     check the states and draws against `np.random.default_rng` bit for bit.
+    Per row, the generator gives one raw word and the normals, written in place;
+    the picks and the 0.3 scale are then taken for all rows at once
+    (`_row_draws`).
     """
     _check_seed(seed)
     if k_patterns < 2:
@@ -449,11 +482,7 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     stream.integers(0, 2, size=(used, n_labels))
     patterns = list(accepted)
     centroids = stream.uniform(-1.0, 1.0, size=(k_patterns, n_features))
-    picks = np.empty(n_samples, dtype=np.intp)
-    noise = np.empty((n_samples, n_features))
-    for i, rng_i in enumerate(_row_generators(seed, np.arange(n_samples, dtype=np.uint32))):
-        picks[i] = rng_i.integers(k_patterns)
-        noise[i] = rng_i.normal(0.0, 0.3, size=n_features)
+    picks, noise = _row_draws(seed, n_samples, n_features, k_patterns)
     X = centroids[picks] + noise
     Y = np.array(patterns, dtype=np.int64)[picks]
     return Dataset(X, Y, rs.vocabulary, clean_Y=Y.copy())

@@ -260,9 +260,12 @@ def _decimals_to_doubles(
     # 5**k odd (exact midpoints between doubles all have s < 0). Scaled by
     # 2**-(s + k), Q is the nearest double when T lies in [2**52, 2**53 + 1/2),
     # where doubles are 2**-(s + k) apart below 2**53 and twice that above: Q in
-    # (2**52, 2**53], or Q = 2**52 with R >= 0. A token is left unsettled, and its
-    # line sent on, when s < 0 (q >= 2**53), when the step missed (T - Q that near
-    # a half-integer), or when Q leaves that window.
+    # (2**52, 2**53], or Q = 2**52 with R >= 0. Where q rounded up to a power of
+    # two that T lies below, Q ends under the window: there the token is redone one
+    # binade down, at s + 1, where T, Q and R double exactly and one more step moves
+    # Q to the integer nearest T, just below 2**53. A token is left unsettled, and
+    # its line sent on, when s < 0 (q >= 2**53), when a step missed (T - Q that
+    # near a half-integer), or when Q still lies outside that window.
     m, e = np.frexp(a / five)
     Q = (m * 2.0**53).astype(np.int64)
     s = 53 - e.astype(np.int64)
@@ -271,6 +274,12 @@ def _decimals_to_doubles(
     c = np.rint(R / (2.0 * five)).astype(np.int64)
     Q += c
     R -= 2 * c * five
+    down = np.flatnonzero(Q <= 2**52)
+    down = down[(Q[down] < 2**52) | (R[down] < 0)]
+    s[down] += 1
+    c = np.rint(R[down] / five[down]).astype(np.int64)
+    Q[down] = 2 * Q[down] + c
+    R[down] = 2 * (R[down] - c * five[down])
     window = (Q <= 2**53) & ((Q > 2**52) | ((Q == 2**52) & (R >= 0)))
     settled = ((np.abs(R) < five) & window & (s >= 0)) | (a == 0)
     values = np.ldexp(Q.astype(np.float64), -(s + k))

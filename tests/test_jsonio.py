@@ -2,7 +2,6 @@
 
 import decimal
 import json
-import math
 import os
 from dataclasses import asdict, dataclass
 
@@ -188,11 +187,17 @@ def test_decimal_certificate_on_named_tokens_and_near_midpoints():
     tie, odd = "72040830101304.688", "72040830101304.687"
     assert _writers_tie(float(tie), tie) and jsonio.FLOAT_FORMAT % float(tie) == tie
     assert _certified([odd]) == [False]
-    # the double just below 2.0: its quotient rounds up to 2.0, so the reader leaves the token to the
-    # per-line parse, unsettled, and the certificate, which reads the settled residual, leaves it too
-    below = "1.9999999999999998"
-    assert jsonio.FLOAT_FORMAT % float(below) == below
-    assert [mask.tolist() for mask in jsonio.read_decimal_rows([below], 1, certify=True)[1:]] == [[False]] * 2
+    # doubles just below a power of two: their quotients round up to it, so the reader redoes them one
+    # binade down; each reads as json does, and is certified exactly when %.17g writes it back
+    below = ["1.9999999999999998", "0.12499999999999999", "3.9999999999999996", "0.49999999999999994"]
+    below += ["-1.9999999999999998", "1.99999999999999980", "0.124999999999999993", "3.9999999999999997"]
+    # the writer's texts of 2**-2 and 2**3 less one ulp, last digit raised by one: they read as that double
+    below += ["0.24999999999999998", "7.9999999999999992"]
+    values, settled, certified = jsonio.read_decimal_rows(below, 1, certify=True)
+    assert settled.all()
+    assert values.tobytes() == np.array([json.loads(t) for t in below]).tobytes()
+    expected = [True] * 5 + [False] * 5
+    assert certified.tolist() == [jsonio.FLOAT_FORMAT % float(t) == t for t in below] == expected
     # no false certificate among the reader's adversarial tokens: the 18-digit decimals each side of
     # a midpoint between doubles, exact midpoints, zeros, and the writers' spellings at 15 to 18 digits
     tokens = _decimal_tokens(np.random.default_rng(34))
@@ -218,29 +223,30 @@ def test_decimal_certificate_takes_the_writers_tokens_and_no_other_spelling():
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    def ulps_from(d: int, x: int, k: int) -> float:
-        v = d * 10.0**x
+    def ulps_from(v: float, k: int) -> float:
         for _ in range(abs(k)):
             v = np.nextafter(v, np.inf if k > 0 else 0.0)
         return float(v)
 
     doubles = st.floats(min_value=1e-4, max_value=1e16, exclude_max=True)
-    # the doubles a few ulps from d * 10**X, where a one-digit token and the rounding to 17 digits meet
-    near = st.builds(ulps_from, st.integers(1, 9), st.integers(-4, 15), st.integers(-3, 3))
+    # the doubles a few ulps from d * 10**X, where a one-digit token and the rounding to 17 digits meet,
+    # and from 2**E, where the reader's quotient may round up to the power of two
+    near = st.builds(lambda d, x, k: ulps_from(d * 10.0**x, k), st.integers(1, 9), st.integers(-4, 15),
+                     st.integers(-3, 3))
+    powers = st.builds(lambda e, k: ulps_from(2.0**e, k), st.integers(-13, 53), st.integers(-3, 3))
 
     @settings(max_examples=300, deadline=None, database=None)
-    @given(st.lists(st.one_of(doubles, near.filter(lambda v: 1e-4 <= v < 1e16)), min_size=1, max_size=20))
+    @given(st.lists(st.one_of(doubles, near, powers).filter(lambda v: 1e-4 <= v < 1e16), min_size=1, max_size=20))
     def check(values):
         writers = [jsonio.FLOAT_FORMAT % v for v in values]
         tokens = writers + [s for v in values for s in _respellings(v)]
         _, settled, certified = jsonio.read_decimal_rows(tokens, 1, certify=True)
         for token, ok in zip(tokens, certified.tolist()):
             assert not ok or jsonio.FLOAT_FORMAT % float(token) == token, token
-        # a writer's token with a point is certified unless v is a tie, or lies a few ulps below a
-        # power of two, where the reader leaves it unsettled
+        # a writer's token with a point is settled, and certified unless v is a tie
         for v, token, read, ok in zip(values, writers, settled.tolist(), certified.tolist()):
-            assert ok or not read or _writers_tie(v, token), token
-            assert read or "." not in token or 1 - math.frexp(v)[0] < 2.0**-50, token
+            assert ok or "." not in token or _writers_tie(v, token), token
+            assert read or "." not in token, token
 
     check()
 

@@ -1,6 +1,7 @@
 """The paired-run tool's summary (`tools/pairs.py`) on canned result lines of
 `perfbench/run.py`: medians, ratios, interquartile ranges, win counts and the
-exit code."""
+exit code; and, with its runs stubbed, the seeds and the side order of its
+pairs."""
 
 import json
 import sys
@@ -72,3 +73,32 @@ def test_a_failed_or_incorrect_run_exits_one_and_leaves_its_pair_out():
     # every pair failed: no metric row, still exit 1
     lines, code = pairs.summarize(bad, METRICS)
     assert code == 1 and not any(line.startswith("audit_rows_per_s") for line in lines)
+
+
+def test_first_seed_sets_the_seeds_and_odd_seeds_run_rev_first(monkeypatch, capsys):
+    runs = []
+
+    def run(tree, workload, seed, seconds):
+        runs.append((tree.name, seed))
+        if (tree.name, seed) == ("change", 13):
+            return "exit code 1: boom"
+        return _line(50000.0, 90.0) if tree.name == "rev" else _line(60000.0, 90.0)
+
+    monkeypatch.setattr(pairs, "_tree", lambda dest, rev: None)
+    monkeypatch.setattr(pairs, "_run", run)
+    argv = ["--against", "HEAD", "--workload", "data-pipeline", "--pairs", "3", "--seconds", "1", "--first-seed", "11"]
+    assert pairs.main(argv) == 1
+    assert runs == [("rev", 11), ("change", 11), ("change", 12), ("rev", 12), ("rev", 13), ("change", 13)]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "# data-pipeline, 3 pairs of 1 s runs against HEAD, seeds 11..13"
+    # a failed run is named by its pair's seed
+    assert lines[1] == "# FAILED pair 13 change: exit code 1: boom"
+    assert _row(lines, "audit_rows_per_s")[1:] == ["50000", "60000", "1.200", "0", "0", "2/2"]
+
+
+def test_seeds_start_at_one_by_default(monkeypatch):
+    seeds = []
+    monkeypatch.setattr(pairs, "_tree", lambda dest, rev: None)
+    monkeypatch.setattr(pairs, "_run", lambda tree, workload, seed, seconds: seeds.append(seed) or _line(1.0, 1.0))
+    assert pairs.main(["--against", "HEAD", "--workload", "data-pipeline", "--pairs", "2", "--seconds", "1"]) == 0
+    assert seeds == [1, 1, 2, 2]

@@ -1,7 +1,10 @@
 """Synthesis computes each row's generator state instead of building it: the
 states and draws against numpy's own SeedSequence and default_rng, bit for
-bit, so that a numpy upgrade which changed either fails here; and the grown
-candidate blocks of the pattern search against the one-draw reference."""
+bit, so that a numpy upgrade which changed either fails here; each row's pick
+and normals, taken from one raw word and `standard_normal`, against
+`integers` and `normal`, the rows numpy's bounded draw rejects included; and
+the grown candidate blocks of the pattern search against the one-draw
+reference."""
 
 import numpy as np
 import pytest
@@ -40,6 +43,64 @@ def test_row_generators_draw_as_default_rng(seed, rows, k, dims):
         assert rng.bit_generator.state == reference.bit_generator.state
         assert rng.integers(k) == reference.integers(k)
         assert rng.normal(0.0, 0.3, size=dims).tobytes() == reference.normal(0.0, 0.3, size=dims).tobytes()
+
+
+@settings(deadline=None, database=None, max_examples=100)
+@given(SEEDS, st.integers(1, 12), st.one_of(st.integers(2, 40), st.integers(2, 2**20)), st.integers(1, 20))
+def test_row_draws_equal_default_rng(seed, n, k, dims):
+    picks, noise = data._row_draws(seed, n, dims, k)
+    assert picks.dtype == np.intp and noise.shape == (n, dims)
+    for i in range(n):
+        reference = np.random.default_rng([seed, 1, i])
+        assert picks[i] == reference.integers(k)
+        assert noise[i].tobytes() == reference.normal(0.0, 0.3, size=dims).tobytes()
+
+
+def test_rows_whose_bounded_draw_rejects_are_drawn_again(monkeypatch):
+    # numpy's bounded draw rejects a word with odds below k / 2**32; at k = 1048321
+    # 9 of these 20000 rows do, and their picks come from a second 32-bit output
+    seed, n, k = 5, 20_000, 1_048_321
+    calls = []
+    row_generators = data._row_generators
+
+    def recording(seed, rows):
+        calls.append(rows.tolist())
+        return row_generators(seed, rows)
+
+    monkeypatch.setattr(data, "_row_generators", recording)
+    picks, noise = data._row_draws(seed, n, 2, k)
+    rejected = []
+    for i in range(n):
+        reference = np.random.default_rng([seed, 1, i])
+        assert picks[i] == reference.integers(k)
+        # a draw that took both halves of the first word left no 32-bit half buffered
+        if not reference.bit_generator.state["has_uint32"]:
+            rejected.append(i)
+        assert noise[i].tobytes() == reference.normal(0.0, 0.3, size=2).tobytes()
+    assert len(rejected) == 9
+    assert calls == [list(range(n)), rejected]
+
+
+def test_a_negative_zero_normal_is_scaled_to_positive_zero(monkeypatch):
+    # normal(0.0, 0.3) returns 0.0 + 0.3 * z, which is +0.0 for z = -0.0
+    class NegativeZeroFirst:
+        def __init__(self, rng):
+            self.rng, self.bit_generator = rng, rng.bit_generator
+
+        def standard_normal(self, out):
+            self.rng.standard_normal(out=out)
+            out[0] = -0.0
+
+    row_generators = data._row_generators
+    monkeypatch.setattr(data, "_row_generators", lambda seed, rows: map(NegativeZeroFirst, row_generators(seed, rows)))
+    _, noise = data._row_draws(3, 50, 4, 6)
+    for i in range(50):
+        reference = np.random.default_rng([3, 1, i])
+        reference.integers(6)
+        z = reference.standard_normal(size=4)
+        z[0] = -0.0
+        assert noise[i].tobytes() == (0.0 + 0.3 * z).tobytes()
+    assert not np.signbit(noise[:, 0]).any()
 
 
 def test_row_generators_cover_every_row_in_order():

@@ -1,13 +1,15 @@
 """Paired benchmark runs of this checkout against a git revision.
 
-    python tools/pairs.py --against REV --workload NAME --pairs N --seconds S
+    python tools/pairs.py --against REV --workload NAME --pairs N --seconds S [--first-seed K]
 
 Builds two trees in a temporary directory: one with REV's `src/`, exported
 with `git archive` as `tools/identity.py` does, and one with this checkout's
 working-tree `src/`. Both get this checkout's `perfbench/` and
 `tests/oracles.py`, so the same benchmark runs on both. Pair k runs
 `perfbench/run.py --workload NAME --seed k --seconds S --trace 0` on each
-tree, for k = 1..N, REV first in odd pairs and the change first in even ones.
+tree, for k = K..K+N-1 (K is 1 unless given), REV first when k is odd and the
+change first when it is even. A claim can so be checked again on seeds that
+were not used while the change was written.
 
 Per end-to-end metric of `BENCHMARK.json` it prints REV's median, the
 change's, their ratio (change over REV), each side's interquartile range,
@@ -80,13 +82,14 @@ def _iqr(values: list[float]) -> float:
     return q3 - q1
 
 
-def summarize(pairs: list[tuple[str, str]], metrics: list[dict]) -> tuple[list[str], int]:
+def summarize(pairs: list[tuple[str, str]], metrics: list[dict], first_seed: int = 1) -> tuple[list[str], int]:
     """The report lines and the exit code for `pairs`, each the (REV, change)
-    last lines of one pair's runs, over `metrics`, the `end_to_end` entries of
-    BENCHMARK.json. Only the pairs whose two runs are both correct count
-    toward the medians and the wins; a tie is no win."""
+    last lines of one pair's runs, the first at seed `first_seed`, over
+    `metrics`, the `end_to_end` entries of BENCHMARK.json. Only the pairs
+    whose two runs are both correct count toward the medians and the wins; a
+    tie is no win."""
     lines, good = [], []
-    for seed, pair in enumerate(pairs, start=1):
+    for seed, pair in enumerate(pairs, start=first_seed):
         (rev, rev_error), (change, change_error) = map(_result, pair)
         for side, error in zip(SIDES, (rev_error, change_error)):
             if error:
@@ -117,6 +120,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
     parser.add_argument("--pairs", required=True, type=int, metavar="N")
     parser.add_argument("--seconds", required=True, type=float, metavar="S", help="seconds per run")
+    parser.add_argument("--first-seed", type=int, default=1, metavar="K", help="seed of the first pair (default 1)")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
     pairs = []
@@ -129,13 +133,14 @@ def main(argv=None) -> int:
                   file=sys.stderr)
             return 2
         _tree(trees["change"], None)
-        for seed in range(1, args.pairs + 1):
+        for seed in range(args.first_seed, args.first_seed + args.pairs):
             order = SIDES if seed % 2 else SIDES[::-1]
             out = {side: _run(trees[side], args.workload, seed, args.seconds) for side in order}
             pairs.append((out["rev"], out["change"]))
             print(f"# pair {seed}: {' then '.join(order)}", file=sys.stderr, flush=True)
-    lines, code = summarize(pairs, metrics)
-    print(f"# {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs against {args.against}")
+    lines, code = summarize(pairs, metrics, args.first_seed)
+    seeds = f"seeds {args.first_seed}..{args.first_seed + args.pairs - 1}"
+    print(f"# {args.workload}, {args.pairs} pairs of {args.seconds:g} s runs against {args.against}, {seeds}")
     print("\n".join(lines))
     return code
 
