@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import jsonio
-from .data import NOISE_MODES, audit, inject_noise, load_dataset, save_dataset, synthesize
+from .data import NOISE_MODES, SampleLines, audit, inject_noise, load_dataset, save_dataset, synthesize
 from .model import TrainConfig, load_model, save_model
 from .rules import RuleError, parse_rules
 from .supervision import CORRECTION_MODES, correction_report
@@ -133,8 +133,8 @@ def cmd_noise(args) -> int:
     if args.mode == "violating" and not args.rules:
         raise UsageError("--mode violating requires --rules")
     jsonio.check_targets(args.out, inputs=[args.in_path, args.rules])
-    # noise changes labels only: the save copies each feature text that the load proves the writer's own
-    texts: dict = {}
+    # noise changes labels only: the save copies each line that the load proves the writer's own
+    texts = SampleLines()
     ds = load_dataset(args.in_path, texts=texts)
     rs = _load_rules(args.rules, ds.names) if args.rules else None
     save_dataset(inject_noise(ds, args.rho, args.seed, args.mode, rs), args.out, texts=texts)

@@ -6,16 +6,20 @@ holding the pre-noise labels. Which positions were flipped is recovered from
 y/y_clean on load, so noise records survive a save/load round trip. A load
 checks the bytes of every sample line, then converts the features; its
 labels-only mode, which the audit command uses, skips the conversion. The
-noise command, which changes labels only, has the load keep each line whose
-feature text it proves to be the writer's own, keyed on the row's bytes, and
-the save copies that text for a row with those bytes instead of formatting it.
+noise command, which changes labels only, has the load keep the sample lines,
+marking each whose feature text it proves to be the writer's own, and a copy
+of X; the save writes row i as line i with its label suffix replaced,
+when line i is marked and row i still holds the bytes read from it, and
+formats every other row. Violating noise replays its per-row draws from the
+generator's raw words instead of calling the generator row by row.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -107,26 +111,45 @@ def _sample_layout(width: int, with_clean: bool) -> tuple[np.ndarray, np.ndarray
     return line[:cut], line[cut:], np.flatnonzero(line[cut:] == ord("0"))
 
 
-def _row_keys(X: np.ndarray) -> list[bytes]:
-    """The bytes of each row of a 2-D array: the key of a row's line in the
-    `texts` of `load_dataset` and `save_dataset`."""
-    raw, size = X.tobytes(), X.itemsize * X.shape[1]
-    return [raw[j * size : (j + 1) * size] for j in range(len(X))]
+@dataclass
+class SampleLines:
+    """What a load keeps of a file's sample lines for `save_dataset` to copy:
+    the `texts` that `load_dataset` fills. `lines` are the sample lines, blank
+    lines dropped and line breaks cut off; `proved` marks each line whose
+    feature text is the one `save_dataset` would write for the row read from
+    it; `X` is a copy of those rows and `labels` their label digits, y's then
+    y_clean's, as 0 or 1; `suffix` is the label suffix of the file's layout.
+    An empty one holds no line."""
+
+    lines: list = field(default_factory=list)
+    proved: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    X: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
+    labels: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=np.uint8))
+    suffix: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+
+    def copied(self, X: np.ndarray) -> np.ndarray:
+        """Which rows of the float64 array X can be written from their lines:
+        row i where line i was proved and the row's bytes equal row i read."""
+        keep = np.zeros(len(X), dtype=bool)
+        m = min(len(X), len(self.X))
+        if X.shape[1] == self.X.shape[1]:
+            same = (X[:m].view(np.uint64) == self.X[:m].view(np.uint64)).all(axis=1)
+            keep[:m] = self.proved[:m] & same
+        return keep
 
 
-def save_dataset(ds: Dataset, path, texts: dict | None = None) -> None:
+def save_dataset(ds: Dataset, path, texts: SampleLines | None = None) -> None:
     """Write the JSONL form; output bytes depend only on the dataset's values.
     The lines are formatted by `_formatted_lines`, a block at a time, each with
-    its label suffix. `texts`, filled by `load_dataset`, maps a row's bytes to
-    a line that holds its features as they would be formatted: a row found
-    there is written as that line up to its x list's "]", then its label
-    suffix, and only the other rows are formatted, a block of them at a time."""
+    its label suffix. Given `texts`, filled by `load_dataset`, a row that
+    `texts.copied` marks is written as its line with the label suffix
+    replaced (`_copied_lines`), and only the other rows are formatted, a
+    block of them at a time."""
     labels = [ds.Y] if ds.clean_Y is None else [ds.Y, ds.clean_Y]
     prefix, suffix, digits = _sample_layout(ds.Y.shape[1], ds.clean_Y is not None)
     suffix = np.append(suffix, np.uint8(ord("\n")))
     rows = max(1, _BLOCK_FEATURES // max(ds.X.shape[1], 1))
-    blocks = [slice(start, start + rows) for start in range(0, ds.n_samples, rows)]
-    X = np.asarray(ds.X, dtype=np.float64)  # the texts are keyed on float64 bytes
+    X = np.asarray(ds.X, dtype=np.float64)  # the rows are compared with texts.X as float64 bytes
 
     def tails(index) -> np.ndarray:
         """The label suffixes of the rows `index`, each ended by a line break."""
@@ -138,26 +161,49 @@ def save_dataset(ds: Dataset, path, texts: dict | None = None) -> None:
         ends[:, digits] = values
         return ends
 
-    known = [line for block in blocks for line in map(texts.get, _row_keys(X[block]))] if texts else []
-    fresh = [i for i, line in enumerate(known) if line is None]
-    # the lines of the rows not found, formatted when first needed, a block of rows at a time
+    copied = texts.copied(X) if texts is not None else np.zeros(len(X), dtype=bool)
+    copying = copied.any()
+    # the copied lines that need the new label suffix: all of them, but in the layout written,
+    # where a line holds its label digits as the new suffix does, only those whose labels change
+    stale = copied
+    if copying and np.array_equal(texts.suffix, suffix[:-1]):
+        m = min(len(copied), len(texts.labels))  # no row past the lines is copied
+        stale = copied.copy()
+        stale[:m] &= (np.concatenate([Y[:m] for Y in labels], axis=1) != texts.labels[:m]).any(axis=1)
+    fresh = np.flatnonzero(~copied)
+    # the lines of the rows not copied, formatted when first needed, a block of rows at a time
     made = (
         line
         for part in (fresh[start : start + rows] for start in range(0, len(fresh), rows))
-        for line in _formatted_lines(prefix, X[part], tails(part)).splitlines(keepends=True)
+        for line in _formatted_lines(prefix, X[part], tails(part)).splitlines()
     )
     with jsonio.atomic_write(path) as fh:
         fh.write(jsonio.dumps({"labels": list(ds.names.names)}) + "\n")
-        for block in blocks:
-            ends = tails(block)
-            if len(fresh) == len(known):  # no row is found
-                fh.write(_formatted_lines(prefix, X[block], ends))
-                continue
-            suffixes, w = ends.tobytes().decode("ascii"), ends.shape[1]
-            fh.write("".join([
-                next(made) if line is None else line[: line.index("]")] + suffixes[j * w : (j + 1) * w]
-                for j, line in enumerate(known[block])
-            ]))
+        for start in range(0, ds.n_samples, rows):
+            block = slice(start, start + rows)
+            if copying:
+                at = np.flatnonzero(stale[block])  # only these of the copied rows take a new label suffix
+                fh.write(_copied_lines(texts, copied[block], at, start, made, tails(start + at)))
+            else:
+                fh.write(_formatted_lines(prefix, X[block], tails(block)))
+
+
+def _copied_lines(texts: SampleLines, keep: np.ndarray, stale: np.ndarray, start: int, made, ends) -> str:
+    """The sample lines of the rows from `start` on, one per `keep` entry: a
+    row marked `keep` from its line in `texts`, and each other row the next
+    line of `made`. The copied rows at the offsets `stale` are cut from their
+    old label suffix and joined to their new one, the rows of `ends` in turn."""
+    lines = texts.lines[start : start + len(keep)]
+    lines += [""] * (len(keep) - len(lines))
+    for i in np.flatnonzero(~keep).tolist():
+        lines[i] = next(made)
+    # the new suffix without its line break, and the old one's width
+    w, cut = ends.shape[1] - 1, texts.suffix.size
+    tails = ends[:, :-1].tobytes().decode("ascii")
+    for j, i in enumerate(stale.tolist()):
+        lines[i] = lines[i][:-cut] + tails[j * w : (j + 1) * w]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _formatted_lines(prefix: np.ndarray, X: np.ndarray, tails: np.ndarray) -> str:
@@ -181,14 +227,14 @@ def _parse_number_list(value, line_no: int, key: str, binary: bool) -> list:
     return value
 
 
-def load_dataset(path, features: bool = True, texts: dict | None = None) -> Dataset:
+def load_dataset(path, features: bool = True, texts: SampleLines | None = None) -> Dataset:
     """The dataset file at `path`: a label header, then the sample lines, which
     `_read_samples` reads; errors name the file, and the file line where there
     is one. With `features` False, the labels-only mode, every line is checked
     as before, with the same errors, but no feature is converted: X has shape
-    (n, 0). Given a dict `texts`, the read adds to it each sample line whose
-    features `save_dataset` would write as the line holds them, under the bytes
-    of its row of X, for `save_dataset` to copy."""
+    (n, 0). Given `texts`, the read keeps in it the sample lines, which of them
+    hold their features as `save_dataset` would write them, and a copy of X,
+    for `save_dataset` to copy."""
     lines = jsonio.split_lines(jsonio.read_text(path))
     try:
         if not lines or not lines[0].strip():
@@ -209,7 +255,7 @@ def load_dataset(path, features: bool = True, texts: dict | None = None) -> Data
     return Dataset(X, Y, vocab, clean)
 
 
-def _read_samples(lines: list[str], width: int, features: bool = True, texts: dict | None = None):
+def _read_samples(lines: list[str], width: int, features: bool = True, texts: SampleLines | None = None):
     """(X, Y, clean Y or None) from the sample lines, the header being file
     line 1; X has shape (n, 0) without `features`. Blank lines are dropped;
     the first other line is parsed first, and sets the feature count and
@@ -225,9 +271,10 @@ def _read_samples(lines: list[str], width: int, features: bool = True, texts: di
     file order, and checked against the first. A line that passes the byte
     checks cannot be faulty, so an error names the first faulty line, and the
     labels-only read, which sends a subset of the same lines there, names
-    the same one. Given `texts`, the conversion also certifies its lines, and
-    each line whose every token it proves to be `jsonio.FLOAT_FORMAT`'s text
-    of its value goes into `texts` under the bytes of its row of X.
+    the same one. Given `texts`, the conversion also certifies its lines,
+    marking each line whose every token it proves to be `jsonio.FLOAT_FORMAT`'s
+    text of its value, and `texts` keeps the lines, those marks, a copy of X
+    and the layout's label suffix.
     """
     line_nos = [line_no for line_no, line in enumerate(lines, start=2) if line.strip()]
     if not line_nos:
@@ -267,8 +314,9 @@ def _read_samples(lines: list[str], width: int, features: bool = True, texts: di
         if features:
             X[i] = x
         labels[i] = y + (y_clean or [])
-    if texts is not None:  # keyed after the blocks, so that the keys add nothing to their peak memory
-        texts.update((key, line) for key, line, ok in zip(_row_keys(X), lines, proved.tolist()) if ok)
+    if texts is not None:
+        texts.lines, texts.proved, texts.X, texts.suffix = lines, proved, X.copy(), suffix
+        texts.labels = labels.astype(np.uint8)
     return X, labels[:, :width], labels[:, width:] if with_clean else None
 
 
@@ -519,15 +567,52 @@ def inject_noise(
             raise ValueError("violating mode needs a rule set")
         # the table draws nothing, so each row's two draws keep their order
         table = breaking_flips(reindex_ruleset(rs, ds.names), Y)
-        for i in range(Y.shape[0]):
-            if rng.random() >= rho:
-                continue
-            candidates = np.flatnonzero(table[i])
-            if not len(candidates):
-                continue
-            j = candidates[int(rng.integers(len(candidates)))]
-            Y[i, j] = 1 - Y[i, j]
+        rows, picks = _violating_draws(rng.bit_generator, rho, np.count_nonzero(table, axis=1).tolist())
+        if rows:
+            # the pick-th candidate of a row is the first label at which its running count passes the pick
+            cols = np.argmax(table[rows].cumsum(axis=1) > np.array(picks)[:, None], axis=1)
+            Y[rows, cols] = 1 - Y[rows, cols]
     return Dataset(ds.X, Y, ds.names, clean_Y=ds.Y.copy())
+
+
+def _violating_draws(bit_generator, rho: float, counts: list[int]) -> tuple[list[int], list[int]]:
+    """(rows, picks): the rows that violating noise flips, in order, and the
+    place of each one's flip among its candidates, where counts[i] is row i's
+    number of candidates. They are what a Generator on `bit_generator` draws
+    when each row calls `random()` and, if that is below rho and the row has k
+    candidates, `integers(k)`; here they are replayed from its raw words.
+
+    `random()` is one word w, read as (w >> 11) * 2**-53, which is below rho
+    exactly when w < ceil(rho * 2**53) * 2**11. `integers(1)` draws nothing.
+    For k >= 2, `integers(k)` is Lemire's bounded draw on a 32-bit output x:
+    the pick is (x * k) >> 32, and x is drawn again while the product's low
+    half is below (2**32 - k) % k. PCG64 gives a 32-bit output as the low half
+    of a new word and keeps its high half for the next 32-bit output; `random()`
+    leaves that half kept. The words are drawn in bulk, so the generator ends
+    past the state the per-row calls would leave it in."""
+    limit = math.ceil(rho * 2.0**53) << 11
+    bulk = 2 * len(counts) + 2  # enough words unless a draw is rejected
+    words = itertools.chain.from_iterable(iter(lambda: bit_generator.random_raw(bulk).tolist(), None))
+    rows, picks = [], []
+    kept = None  # the high half of the last word a 32-bit output was taken from, until taken
+    for i, k, w in zip(itertools.count(), counts, words):
+        if w >= limit or not k:
+            continue
+        rows.append(i)
+        if k == 1:
+            picks.append(0)
+            continue
+        while True:
+            if kept is None:
+                x = next(words)
+                x, kept = x & _MASK32, x >> 32
+            else:
+                x, kept = kept, None
+            m = x * k
+            if (m & _MASK32) >= (2**32 - k) % k:
+                break
+        picks.append(m >> 32)
+    return rows, picks
 
 
 # ---- audit ----

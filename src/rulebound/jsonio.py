@@ -5,10 +5,12 @@ produce byte-identical artifacts, and through `atomic_write` so that a
 failed write leaves no half-written file behind.
 
 A dataclass instance is written as an object of its fields in declaration
-order, so a record's field order is its file layout, and a list of floats as
-one `float_rows` block. Both `float_rows` and `format_float` refuse a
-non-finite number. Input files are read by `read_text`, which names one that
-is not UTF-8, and `loads`; `read_object` does both for a JSON object file.
+order, so a record's field order is its file layout, a list of floats as
+one `float_rows` block, and a list of records (dicts with the same keys, each
+key's values all ints or all lists of ints) a key at a time.
+Both `float_rows` and `format_float` refuse a non-finite number. Input files
+are read by `read_text`, which names one that is not UTF-8, and `loads`;
+`read_object` does both for a JSON object file.
 `read_decimal_rows` reads plain decimals back in numpy blocks, in two steps:
 byte checks that decide which lines are valid, then the conversion of their
 tokens to doubles, which a reader that needs no features skips. On request
@@ -20,8 +22,10 @@ copy those instead of formatting the value again.
 from __future__ import annotations
 
 import errno
+import itertools
 import json as _json
 import math
+import operator
 import os
 import re
 import stat
@@ -296,7 +300,8 @@ def _decimals_to_doubles(
     # 0.00099999999999999998), so there the value must not lie below t: R <= 0.
     n = np.searchsorted(_TENS, a, side="right")
     canonical = settled & (a % 10 != 0) & (n <= 17) & (k - n <= 3) & ((n > 1) | (R <= 0))
-    canonical &= np.abs(R) * _SCALES[n] < np.ldexp(1.0, s)
+    # 2**s from int32 exponents: numpy's ldexp loop for them is many times faster than for int64
+    canonical &= np.abs(R) * _SCALES[n] < np.ldexp(1.0, s.astype(np.int32))
     return values, settled, canonical
 
 
@@ -487,6 +492,8 @@ def _write(obj, parts: list[str]) -> None:
     elif isinstance(obj, list) and obj and all(type(item) is float for item in obj):
         items = float_rows(np.array(obj).reshape(1, -1))  # one block, as the dataset writer formats a row
         parts.append("[" + items[items != 0].tobytes().decode("ascii") + "]")
+    elif isinstance(obj, list) and (records := _records(obj)) is not None:
+        parts.append(records)
     elif isinstance(obj, list):
         parts.append("[")
         for k, item in enumerate(obj):
@@ -510,3 +517,32 @@ def _write(obj, parts: list[str]) -> None:
         _write({f.name: getattr(obj, f.name) for f in fields(obj)}, parts)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__} to JSON")
+
+
+def _records(rows: list) -> str | None:
+    """The text `_write` gives a non-empty list of dicts whose keys are the
+    same strings in the same order, when each key's values are all ints or
+    all lists of ints; None, for `_write` to take item by item, for any other
+    list. Each key's values are converted at once by `str`, which writes an
+    int list as `_write` does, and each row is laid out by one template."""
+    if not rows or set(map(type, rows)) != {dict}:
+        return None
+    layouts = set(map(tuple, rows))
+    if len(layouts) != 1:
+        return None
+    (keys,) = layouts
+    if not keys or set(map(type, keys)) != {str}:
+        return None
+    columns = []
+    for key in keys:
+        column = list(map(operator.itemgetter(key), rows))
+        kinds = set(map(type, column))
+        if kinds == {list}:  # int lists: their items must be ints, if they hold any
+            kinds = set(map(type, itertools.chain.from_iterable(column))) | {int}
+        if kinds != {int}:
+            return None
+        columns.append(map(str, column))
+    # a "%" in a key's text stays itself in the template
+    names = [_json.encoder.encode_basestring_ascii(key).replace("%", "%%") for key in keys]
+    row = "{" + ", ".join(name + ": %s" for name in names) + "}"
+    return "[" + ", ".join(map(row.__mod__, zip(*columns))) + "]"

@@ -571,10 +571,11 @@ def test_noise_peak_memory_stays_below_three_file_sizes(tmp_path):
 _RESPELLED = (5, 17, 30, 40, 250)
 
 
-def _noise_input(tmp_path, with_clean: bool) -> Path:
+def _noise_input(tmp_path, with_clean: bool, crlf: bool = False) -> Path:
     """A dataset file of the writer's lines, labels unflipped, mixed with lines that the noise
     command must not copy: an integer token, an exponent token, "0.50" for 0.5, "0.1" for the
-    double that the writer writes 0.10000000000000001, a re-spaced line, and a blank line."""
+    double that the writer writes 0.10000000000000001, a re-spaced line, and a blank line; with
+    `crlf`, every line ends with CRLF."""
     ds = _random_ds(12, 400, 4, 3, with_clean=False)
     ds.X[_RESPELLED[:4], [0, 2, 1, 3]] = [3.0, 1e-7, 0.5, 0.1]
     if with_clean:
@@ -595,47 +596,76 @@ def _noise_input(tmp_path, with_clean: bool) -> Path:
     respell(40, 3, "0.10000000000000001", "0.1")
     lines[251] = lines[251].replace(", ", ",")
     lines.insert(100, "")
-    path.write_text("\n".join(lines) + "\n")
+    end = "\r\n" if crlf else "\n"
+    path.write_bytes((end.join(lines) + end).encode("ascii"))
     return path
 
 
+def _copied_rows(path, X) -> set[int]:
+    """The rows of X that a save given the `texts` of a load of `path` writes from their lines."""
+    texts = data.SampleLines()
+    load_dataset(path, texts=texts)
+    return set(np.flatnonzero(texts.copied(X)).tolist())
+
+
 @pytest.mark.parametrize("block_features", [None, 44])  # one block, or 11-row blocks
+@pytest.mark.parametrize("crlf", [False, True])
 @pytest.mark.parametrize("with_clean", [False, True])
 @pytest.mark.parametrize("mode", NOISE_MODES)
-def test_noise_writes_what_the_generic_writer_writes(tmp_path, monkeypatch, mode, with_clean, block_features):
+def test_noise_writes_what_the_generic_writer_writes(tmp_path, monkeypatch, mode, with_clean, crlf, block_features):
     if block_features:
         monkeypatch.setattr(data, "_BLOCK_FEATURES", block_features)
-    path = _noise_input(tmp_path, with_clean)
+    path = _noise_input(tmp_path, with_clean, crlf)
     rules, out = tmp_path / "rules.txt", tmp_path / "noisy.jsonl"
     rules.write_text("l0 => l1\nMUTEX(l1, l2)\n")
     argv = ["noise", "--in", str(path), "--out", str(out), "--rho", "0.3", "--mode", mode, "--seed", "5"]
+    formatted, format_lines = [], data._formatted_lines
+
+    def counted(prefix, X, tails):
+        formatted.append(len(X))
+        return format_lines(prefix, X, tails)
+
+    monkeypatch.setattr(data, "_formatted_lines", counted)
     assert run(argv + ["--rules", str(rules)]) == 0
     ds = load_dataset(path)
     noisy = inject_noise(ds, 0.3, 5, mode, parse_rules(rules.read_text(), ds.names))
     assert noisy.flips
-    assert out.read_text() == oracles.dataset_jsonl(noisy)
-    # the command copied the other lines' feature texts
-    texts: dict = {}
-    load_dataset(path, texts=texts)
-    kept = {i for i, key in enumerate(data._row_keys(ds.X)) if key in texts}
+    assert out.read_bytes() == oracles.dataset_jsonl(noisy).encode("ascii")
+    # the command copied the other lines, each in its row's place, and formatted no more rows
+    kept = _copied_rows(path, ds.X)
     assert len(kept) > 300 and not kept & set(_RESPELLED)
+    assert sum(formatted) == ds.n_samples - len(kept)
 
 
-def test_save_writes_no_kept_text_for_changed_features(tmp_path, monkeypatch):
+@pytest.mark.parametrize("crlf", [False, True])
+@pytest.mark.parametrize("with_clean", [False, True])
+def test_save_writes_no_kept_text_for_changed_features(tmp_path, monkeypatch, with_clean, crlf):
     monkeypatch.setattr(data, "_BLOCK_FEATURES", 44)  # 11-row blocks, the rows formatted again in several
-    path = _noise_input(tmp_path, with_clean=True)
+    path = _noise_input(tmp_path, with_clean, crlf)
     out = tmp_path / "out.jsonl"
-    texts: dict = {}
+    texts = data.SampleLines()
     ds = load_dataset(path, texts=texts)
-    assert len(texts) > 300
+    kept = set(np.flatnonzero(texts.copied(ds.X)).tolist())
+    assert len(kept) > 300 and not kept & set(_RESPELLED)
     ds.X[::7, 1] += 0.5  # in place, in 58 rows: more than a block of rows formatted again
     save_dataset(ds, out, texts=texts)
-    assert out.read_text() == oracles.dataset_jsonl(ds)
+    assert out.read_bytes() == oracles.dataset_jsonl(ds).encode("ascii")
     # a new array: rows moved, negated, shifted, and a strided view
     for X in (ds.X[::-1], -ds.X, ds.X + 1.0, ds.X[:, ::-1]):
         ds.X = X
         save_dataset(ds, out, texts=texts)
-        assert out.read_text() == oracles.dataset_jsonl(ds)
+        assert out.read_bytes() == oracles.dataset_jsonl(ds).encode("ascii")
+    # other labels, the other label layout, fewer rows, more rows, and other features
+    X, Y = texts.X, 1 - ds.Y
+    for changed in (
+        Dataset(X, Y, ds.names, clean_Y=ds.Y),
+        Dataset(X, Y, ds.names, clean_Y=None if with_clean else ds.Y),
+        Dataset(X[:123], Y[:123], ds.names),
+        Dataset(np.concatenate([X, X[:30]]), np.concatenate([Y, Y[:30]]), ds.names),
+        Dataset(X[:, :3], Y, ds.names),
+    ):
+        save_dataset(changed, out, texts=texts)
+        assert out.read_bytes() == oracles.dataset_jsonl(changed).encode("ascii")
 
 
 @pytest.mark.parametrize("with_clean", [False, True])
@@ -939,6 +969,78 @@ def test_violating_noise_equals_the_per_row_reference_on_hand_written_rules(monk
         noisy, reference = inject_noise(ds, rho, seed, "violating", rs), oracles.inject_noise_per_row(ds, rho, seed, rs)
         assert noisy.Y.tobytes() == reference.Y.tobytes()
         assert noisy.clean_Y.tobytes() == reference.clean_Y.tobytes()
+
+
+def _noise_draws_per_call(rng, rho: float, counts: list[int]) -> tuple[list[int], list[int]]:
+    """Violating noise's draws made by the Generator's own calls: for each row, `random()`, and
+    below rho, when the row has k >= 1 candidates, `integers(k)`."""
+    rows, picks = [], []
+    for i, k in enumerate(counts):
+        if rng.random() < rho and k:
+            rows.append(i)
+            picks.append(int(rng.integers(k)))
+    return rows, picks
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.1, 0.5, 1.0])
+def test_noise_draws_replay_random_and_integers_draw_for_draw(rho):
+    shapes = random.Random(7)
+    for seed in range(60):
+        # mostly 0, 1 and a few candidates, and now and then up to 64
+        counts = [shapes.choice((0, 1, 1, 2, 3, 4, 5, shapes.randint(6, 64))) for _ in range(shapes.randint(0, 300))]
+        replayed = data._violating_draws(np.random.default_rng(seed).bit_generator, rho, counts)
+        assert replayed == _noise_draws_per_call(np.random.default_rng(seed), rho, counts)
+        if rho == 1.0:
+            assert replayed[0] == [i for i, k in enumerate(counts) if k]
+
+
+def _pcg64_inverse_step(state: int, inc: int) -> int:
+    """The PCG64 state whose step, state * multiplier + inc modulo 2**128, gives `state`."""
+    return (state - inc) * pow(data._PCG64_MULT, -1, 2**128) % 2**128
+
+
+def _generators_drawing(index: int, word: int):
+    """A maker of fresh Generators, all on one PCG64 state whose raw word `index` (from 0) is
+    `word`: the state that outputs it is stepped back index + 1 times."""
+    inc, hi = 2 * 0x1234_5678_9ABC_DEF0 + 1, 0x0F1E_2D3C_4B5A_6978
+    rot = hi >> 58
+    lo = ((word << rot | word >> (64 - rot)) & (2**64 - 1)) ^ hi  # XSL-RR output: rotr(hi ^ lo, rot)
+    state = hi << 64 | lo
+    for _ in range(index + 1):
+        state = _pcg64_inverse_step(state, inc)
+    pcg = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+    def generator() -> np.random.Generator:
+        bit_generator = np.random.PCG64()
+        bit_generator.state = pcg
+        return np.random.Generator(bit_generator)
+
+    assert generator().bit_generator.random_raw(index + 1)[index] == word
+    return generator
+
+
+def test_noise_draws_replay_a_rejected_bounded_draw():
+    # the second raw word is made 0x9E3779B9 << 32: a low half of 0 times k = 3 leaves a low product
+    # half of 0, below (2**32 - 3) % 3 = 1, so `integers(3)` rejects it and takes the kept high half
+    generator = _generators_drawing(1, 0x9E3779B9 << 32)
+    rng = generator()
+    rng.random()
+    assert int(rng.integers(3)) == (0x9E3779B9 * 3) >> 32 == 1  # the high half's draw, not 0
+    counts = [3, 2, 1, 0, 3]
+    replayed = data._violating_draws(generator().bit_generator, 1.0, counts)
+    assert replayed == _noise_draws_per_call(generator(), 1.0, counts)
+    assert replayed[1][0] == 1
+
+
+def test_noise_draws_replay_random_next_to_rho():
+    # 0.1 is 900719925474099.25 * 2**-53, so `random()` of the last word whose top 53 bits read
+    # 900719925474099 lies just below it and the row is chosen, and of the next word just above it
+    for word, chosen in ((900719925474099 << 11 | 0x7FF, True), (900719925474100 << 11, False)):
+        generator = _generators_drawing(0, word)
+        assert (generator().random() < 0.1) == chosen
+        replayed = data._violating_draws(generator().bit_generator, 0.1, [2])
+        assert replayed == _noise_draws_per_call(generator(), 0.1, [2])
+        assert replayed[0] == ([0] if chosen else [])
 
 
 def test_violating_noise_rate_roughly_rho():

@@ -372,3 +372,34 @@ def test_dumps_takes_python_values_only():
     for value in (np.int64(1), np.zeros(2), (1, 2), np.bool_(True), np.float32(1)):
         with pytest.raises(TypeError, match=f"^cannot serialize {type(value).__name__} to JSON$"):
             jsonio.dumps(value)
+
+
+def test_records_write_what_the_item_by_item_writer_writes():
+    # lists of records that share their keys, each key's values all ints or all int lists
+    records = [
+        [{"sample": 3, "violated": [0, 2]}, {"sample": 7, "violated": []}, {"sample": -1, "violated": [10**30]}],
+        [{"50%": 1, "%s": [2], "%%(x)d é\n": -0}],
+    ]
+    # lists written item by item: keys in another order, other types, no keys
+    others = [
+        [{"rule": 0, "text": 'a => b "q" \\ é\n', "count": 5}, {"rule": 1, "text": "", "count": 0}],
+        [{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+        [{"a": 1}, {"a": 1, "b": 2}],
+        [{"a": True}],
+        [{"a": 1}, {"a": 1.5}],
+        [{"a": [1, True]}],
+        [{"a": [1, 2.0]}],
+        [{"a": [[1]]}],
+        [{"a": None}],
+        [{}, {}],
+        [{"a": 1}, [1]],
+    ]
+    for rows in records + others:
+        taken = jsonio._records(rows) is not None
+        assert taken == (rows in records)
+        assert jsonio.dumps(rows) == "[" + ", ".join(map(jsonio.dumps, rows)) + "]"
+        if taken:
+            assert jsonio.dumps(rows) == json.dumps(rows)
+    for rows in ([{"a": np.int64(1)}], [{1: 2}], [{"a": 1}, {1: 2}]):
+        with pytest.raises(TypeError):
+            jsonio.dumps(rows)
