@@ -286,7 +286,8 @@ def _decimals_to_doubles(
     R[down] = 2 * (R[down] - c * five[down])
     window = (Q <= 2**53) & ((Q > 2**52) | ((Q == 2**52) & (R >= 0)))
     settled = ((np.abs(R) < five) & window & (s >= 0)) | (a == 0)
-    values = np.ldexp(Q.astype(np.float64), -(s + k))
+    # int32 exponents here and below (|s + k| < 130): numpy's ldexp loop for int64 ones is many times slower
+    values = np.ldexp(Q.astype(np.float64), -(s + k).astype(np.int32))
     if not certify:
         return values, settled, None
     # The value lies |R| / (2**(s + k + 1) * 5**k) from the token t = a * 10**-k. Let t have
@@ -300,7 +301,6 @@ def _decimals_to_doubles(
     # 0.00099999999999999998), so there the value must not lie below t: R <= 0.
     n = np.searchsorted(_TENS, a, side="right")
     canonical = settled & (a % 10 != 0) & (n <= 17) & (k - n <= 3) & ((n > 1) | (R <= 0))
-    # 2**s from int32 exponents: numpy's ldexp loop for them is many times faster than for int64
     canonical &= np.abs(R) * _SCALES[n] < np.ldexp(1.0, s.astype(np.int32))
     return values, settled, canonical
 

@@ -40,8 +40,8 @@ class CorrectionStats:
 class SupervisionState:
     """Per-entry training targets plus where each target came from.
 
-    Which entries the loss sees is derived from `origin`, never stored: see
-    `mask`.
+    Which entries the loss sees, and how many were corrected, are derived
+    from `origin`, never stored: see `mask` and `n_corrected`.
     """
 
     targets: np.ndarray  # float64 entries, each 0.0 or 1.0
@@ -66,6 +66,11 @@ class SupervisionState:
     @property
     def n_masked(self) -> int:
         return int((self.origin == ORIGIN_MASKED).sum())
+
+    @property
+    def n_corrected(self) -> int:
+        """Entries self-corrected so far; corrections are permanent, so every pass's count summed."""
+        return int((self.origin == ORIGIN_SELF_CORRECTED).sum())
 
 
 def flag_inconsistent(rs: RuleSet, Y) -> np.ndarray:

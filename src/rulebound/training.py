@@ -1,14 +1,16 @@
 """The full training schedule: mask rule-implicated labels, learn, self-correct.
 
-Flags are computed once from the originally given labels and never
-recomputed. Each epoch shuffles the sample order with a generator seeded
-from (seed, epoch index) and trains on contiguous slices of the shuffled
-order, so a run is bitwise reproducible from (seed, config, dataset, rules)
-under single-threaded execution.
+`_epochs` is the one epoch loop; it starts from a supervision state and yields
+an `_EpochEnd` per epoch. `train` starts it from flags computed once from the
+originally given labels and never recomputed. Each epoch shuffles the sample
+order with a generator seeded from (seed, epoch index) and trains on
+contiguous slices of the shuffled order, so a run is bitwise reproducible
+from (seed, config, dataset, rules) under single-threaded execution.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +37,8 @@ from .supervision import SupervisionState, correct_labels, flag_inconsistent, in
 class EpochRecord:
     """Losses and supervision counts at the end of one epoch.
 
-    Recorded before any correction pass at the same epoch boundary, so
-    n_corrected_cumulative counts corrections from earlier boundaries only.
+    Recorded off the state the epoch trained on, before any correction pass at
+    the same boundary: n_corrected_cumulative counts earlier boundaries only.
     """
 
     epoch: int
@@ -52,51 +54,58 @@ def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
     return np.random.default_rng([seed, epoch]).permutation(n)
 
 
-def train(
-    data: Dataset, rs: RuleSet, cfg: TrainConfig
-) -> tuple[ModelParams, list[EpochRecord], SupervisionState]:
-    """Run the schedule; returns final parameters, epoch records, and supervision state.
+@dataclass(frozen=True)
+class _EpochEnd:
+    """An epoch's end parameters and full-dataset probabilities, the state it trained
+    on, and the one its correction pass left (`before` itself where none ran)."""
 
-    In relabel mode a correction pass runs on full-dataset predictions at the
-    end of every epoch e >= warmup_epochs. The epoch's history record is
-    written before that pass, so a correction at the final boundary shows up
-    only in the returned state.
-    """
-    rs = reindex_ruleset(rs, data.names)
-    n = data.n_samples
-    params = init_params(cfg.seed, data.X.shape[1], cfg.hidden_units, len(data.names))
-    flags = flag_inconsistent(rs, data.Y)
-    state = init_supervision(data.Y, flags, cfg.correction_mode)
+    epoch: int
+    params: ModelParams
+    probs: np.ndarray
+    before: SupervisionState
+    after: SupervisionState
+
+
+def _epochs(data: Dataset, rs: RuleSet, cfg: TrainConfig, state: SupervisionState) -> Iterator[_EpochEnd]:
+    """The schedule from `state` on, for `rs` in `data`'s label order. In relabel mode
+    a correction pass runs on full-dataset predictions at the end of every epoch
+    e >= warmup_epochs."""
     if not state.mask.any():  # corrections only unmask entries, so later epochs keep some supervision
         raise ValueError(NO_SUPERVISION)
-    history: list[EpochRecord] = []
-    n_corrected = 0
+    n = data.n_samples
+    params = init_params(cfg.seed, data.X.shape[1], cfg.hidden_units, len(data.names))
     for epoch in range(1, cfg.epochs + 1):
         order = _epoch_order(cfg.seed, epoch, n)
-        mask = state.mask  # the state changes only at epoch ends
         # the epoch's rows gathered once, in shuffled order; each step takes a slice
-        X, T, M = data.X[order], state.targets[order], mask[order].astype(np.float64)
+        X, T, M = data.X[order], state.targets[order], state.mask[order].astype(np.float64)
         for start in range(0, n, cfg.batch_size):
             stop = start + cfg.batch_size
             grads = loss_grads(params, X[start:stop], T[start:stop], M[start:stop], rs, cfg.lambda_)
             params = sgd_step(params, grads, cfg.learning_rate)
         probs, _ = forward(params, data.X)
-        epoch_bce = bce_masked(probs, state.targets, mask)
-        epoch_domain = domain_loss(rs, probs)
-        history.append(
-            EpochRecord(
-                epoch,
-                epoch_bce,
-                epoch_domain,
-                epoch_bce + cfg.lambda_ * epoch_domain,
-                state.n_masked,
-                n_corrected,
-            )
-        )
+        after = state
         if cfg.correction_mode == "relabel" and epoch >= cfg.warmup_epochs:
-            state, count = correct_labels(state, probs, cfg.tau)
-            n_corrected += count
-    return params, history, state
+            after, _ = correct_labels(state, probs, cfg.tau)
+        yield _EpochEnd(epoch, params, probs, state, after)
+        state = after
+
+
+def train(
+    data: Dataset, rs: RuleSet, cfg: TrainConfig
+) -> tuple[ModelParams, list[EpochRecord], SupervisionState]:
+    """Run the schedule from the given labels' flags; returns final parameters,
+    epoch records, and supervision state.
+
+    A correction at the final boundary shows up only in the returned state.
+    """
+    rs = reindex_ruleset(rs, data.names)
+    state = init_supervision(data.Y, flag_inconsistent(rs, data.Y), cfg.correction_mode)
+    history: list[EpochRecord] = []
+    for end in _epochs(data, rs, cfg, state):
+        was = end.before
+        bce, dom = bce_masked(end.probs, was.targets, was.mask), domain_loss(rs, end.probs)
+        history.append(EpochRecord(end.epoch, bce, dom, bce + cfg.lambda_ * dom, was.n_masked, was.n_corrected))
+    return end.params, history, end.after
 
 
 def evaluate(params: ModelParams, data: Dataset, rs: RuleSet, threshold: float = 0.5) -> MetricsReport:

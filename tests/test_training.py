@@ -1,5 +1,7 @@
 """Supervision flags, masking, self-correction, the training loop, evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,20 @@ def test_corrections_are_permanent():
     twice, n2 = correct_labels(once, np.array([[0.01]]), tau=0.9)
     assert n2 == 0
     assert twice.targets[0, 0] == 1.0
+
+
+def test_n_corrected_is_the_running_sum_of_correct_labels_counts():
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        Y = rng.integers(0, 2, size=(40, 6))
+        state = init_supervision(Y, rng.integers(0, 2, size=Y.shape), "relabel")
+        assert state.n_corrected == 0
+        total = 0
+        for tau in rng.uniform(0.55, 0.95, size=6):
+            state, n = correct_labels(state, rng.random(Y.shape), tau)
+            total += n
+            assert state.n_corrected == total
+        assert total > 0
 
 
 def test_correct_labels_validation():
@@ -365,6 +381,59 @@ def test_relabel_run_actually_corrects(monkeypatch):
     # the record of epoch e >= warmup_epochs is written off the state that epoch's pass
     # reads, so its count is that state's self-corrected entries
     assert [r.n_corrected_cumulative for r in history[3:]] == held
+
+
+def _relabelling_run(mode):
+    ds, rs = _toy_dataset(seed=7, n=60)
+    noisy = _with_noise(ds, rs, rho=0.3, seed=9)
+    cfg = TrainConfig(
+        epochs=8, warmup_epochs=2, batch_size=8, learning_rate=0.3, lambda_=0.4, seed=2, tau=0.7, correction_mode=mode
+    )
+    return noisy, rs, cfg
+
+
+@pytest.mark.parametrize("mode", ["off", "mask_only", "relabel"])
+def test_epoch_loop_from_the_given_flags_is_train(mode):
+    from rulebound.model import bce_masked
+    from rulebound.relax import domain_loss
+    from rulebound.training import _epochs
+
+    ds, rs, cfg = _relabelling_run(mode)
+    params, history, state = train(ds, rs, cfg)
+    start = init_supervision(ds.Y, flag_inconsistent(rs, ds.Y), mode)
+    ends = list(_epochs(ds, rs, cfg, start))
+    assert [e.epoch for e in ends] == list(range(1, 9))
+    assert ends[0].before is start
+    for prev, e in zip(ends, ends[1:]):
+        assert e.before is prev.after
+    records = []
+    for e in ends:
+        assert e.probs.tobytes() == forward(e.params, ds.X)[0].tobytes()
+        bce = bce_masked(e.probs, e.before.targets, e.before.mask)
+        dom = domain_loss(rs, e.probs)
+        records.append((e.epoch, bce, dom, bce + cfg.lambda_ * dom, e.before.n_masked, e.before.n_corrected))
+    assert [tuple(vars(r).values()) for r in history] == records
+    for a, b in zip(vars(params).values(), vars(ends[-1].params).values()):
+        assert a.tobytes() == b.tobytes()
+    assert state.targets.tobytes() == ends[-1].after.targets.tobytes()
+    assert state.origin.tobytes() == ends[-1].after.origin.tobytes()
+    if mode == "relabel":
+        assert state.n_corrected > 0 and history[-1].n_corrected_cumulative > 0
+    else:
+        assert all(e.after is e.before for e in ends)
+
+
+def test_epoch_loop_from_no_flags_in_relabel_mode_is_train_without_correction():
+    from rulebound.training import _epochs
+
+    ds, rs, cfg = _relabelling_run("relabel")
+    params, _, state = train(ds, rs, dataclasses.replace(cfg, correction_mode="off"))
+    ends = list(_epochs(ds, rs, cfg, init_supervision(ds.Y, np.zeros_like(ds.Y), "relabel")))
+    assert len(ends) == cfg.epochs
+    for a, b in zip(vars(params).values(), vars(ends[-1].params).values()):
+        assert a.tobytes() == b.tobytes()
+    assert state.targets.tobytes() == ends[-1].after.targets.tobytes()
+    assert state.origin.tobytes() == ends[-1].after.origin.tobytes()
 
 
 def test_train_rejects_foreign_vocabulary():
