@@ -11,11 +11,15 @@ marking each whose feature text it proves to be the writer's own, and a copy
 of X; the save writes row i as line i with its label suffix replaced,
 when line i is marked and row i still holds the bytes read from it, and
 formats every other row. Violating noise replays its per-row draws from the
-generator's raw words instead of calling the generator row by row.
+generator's raw words instead of calling the generator row by row, and
+synthesis replays each row's pick and normals from its PCG64 words, computed
+for a block of rows at once, and leaves to numpy the rest of a row from its
+first normal that may leave the ziggurat's fast path.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -367,6 +371,21 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
+# the multiplier as uint64 limbs, its low limb also as 32-bit halves
+_MULT_HI, _MULT_LO = np.uint64(_PCG64_MULT >> 64), np.uint64(_PCG64_MULT & (1 << 64) - 1)
+_MULT_LO1, _MULT_LO0 = np.uint64(_PCG64_MULT >> 32 & _MASK32), np.uint64(_PCG64_MULT & _MASK32)
+_LOW32, _LOW52 = np.uint64(_MASK32), np.uint64((1 << 52) - 1)
+
+# Rows are drawn in blocks of this many, so the replay's temporaries stay flat
+# in the row count.
+_DRAW_ROWS = 1 << 12
+
+# Rows narrower than this many features have their normals replayed. About one
+# draw in 70 may leave the ziggurat's fast path, and its row is then finished by
+# numpy, so wider rows are drawn by numpy from their first normal: on 4000 rows
+# the replay takes 0.98x the time of that at 56 features and 1.2x at 64.
+_REPLAY_WIDTH_LIMIT = 60
+
 
 def _uint32_words(n: int) -> list[int]:
     """A non-negative int as SeedSequence reads it: 32-bit words, least significant first."""
@@ -413,48 +432,152 @@ def _row_seed_states(seed: int, rows: np.ndarray) -> np.ndarray:
     return words.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _row_generators(seed: int, rows: np.ndarray):
-    """For each i of the uint32 array `rows`, one reused Generator set to the
-    state `np.random.default_rng([seed, 1, i])` starts in."""
+def _pcg64_step(hi, lo, inc_hi, inc_lo) -> tuple[np.ndarray, np.ndarray]:
+    """PCG64's LCG step, (hi, lo) * M + inc modulo 2**128, on uint64 limbs, whose
+    products wrap modulo 2**64; the high half of lo * M's low limb is built from
+    32-bit halves."""
+    lo0, lo1 = lo & _LOW32, lo >> np.uint64(32)
+    p01, p10 = lo0 * _MULT_LO1, lo1 * _MULT_LO0
+    mid = (lo0 * _MULT_LO0 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = lo1 * _MULT_LO1 + (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    new_lo = lo * _MULT_LO + inc_lo
+    new_hi = carry + lo * _MULT_HI + hi * _MULT_LO + inc_hi + (new_lo < inc_lo).astype(np.uint64)
+    return new_hi, new_lo
+
+
+def _pcg64_output(hi, lo) -> np.ndarray:
+    """PCG64's XSL-RR output of the states (hi, lo): hi ^ lo rotated right by hi >> 58."""
+    x = hi ^ lo
+    r = hi >> np.uint64(58)
+    return (x >> r) | (x << ((np.uint64(64) - r) & np.uint64(63)))
+
+
+def _pcg64_seeded(seed: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, lo, inc_hi, inc_lo): the PCG64 state and increment that
+    `np.random.default_rng([seed, 1, i])` starts in, for each i of the uint32
+    array `rows`, as uint64 limbs. PCG64's seeding on `_row_seed_states`'
+    (initstate, initseq): inc = 2 * initseq + 1, a step from 0, initstate added,
+    a step."""
+    s_hi, s_lo, q_hi, q_lo = _row_seed_states(seed, rows).T
+    one = np.uint64(1)
+    inc_hi, inc_lo = (q_hi << one) | (q_lo >> np.uint64(63)), (q_lo << one) | one
+    lo = inc_lo + s_lo
+    hi = inc_hi + s_hi + (lo < s_lo).astype(np.uint64)
+    return (*_pcg64_step(hi, lo, inc_hi, inc_lo), inc_hi, inc_lo)
+
+
+def _row_generators(hi, lo, inc_hi, inc_lo):
+    """One reused Generator, set in turn to each PCG64 state and increment given
+    as uint64 limbs."""
     bit_generator = np.random.PCG64(0)
     rng = np.random.Generator(bit_generator)
     row_state = {"bit_generator": "PCG64", "state": {}, "has_uint32": 0, "uinteger": 0}
-    for s_hi, s_lo, inc_hi, inc_lo in _row_seed_states(seed, rows).tolist():
-        # PCG64's seeding: inc = 2 * initseq + 1; step; add initstate; step
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-        row_state["state"] = {"state": state, "inc": inc}
+    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist()):
+        row_state["state"] = {"state": s_hi << 64 | s_lo, "inc": i_hi << 64 | i_lo}
         bit_generator.state = row_state
         yield rng
+
+
+def _forced(bit_generator, word: int) -> None:
+    """Set the PCG64 `bit_generator` so that its next output is `word`: the state
+    (hi = 0, lo = word) outputs word, and is one step on from (word - 1) * M**-1
+    with the increment 1."""
+    state = (word - 1) * pow(_PCG64_MULT, -1, 1 << 128) & _MASK128
+    bit_generator.state = {
+        "bit_generator": "PCG64", "state": {"state": state, "inc": 1}, "has_uint32": 0, "uinteger": 0
+    }
+
+
+@functools.cache
+def _ziggurat_tables() -> tuple[np.ndarray, np.ndarray]:
+    """(scale, bound), both indexed by a word's low 9 bits, for replaying
+    `standard_normal`'s ziggurat (Marsaglia and Tsang, 2000), which takes one
+    word w: its layer idx = w & 0xFF, its sign bit 8 and rabs = (w >> 9) & (2**52 - 1).
+    It returns rabs * wi[idx], negated when the sign is set, while rabs < ki[idx];
+    a replay returns rabs * scale[w & 0x1FF], which is the same product, whenever
+    rabs < bound[w & 0x1FF], and otherwise leaves the draw to numpy.
+
+    wi[idx] is read from numpy: the word with rabs = 1 and sign 0 draws exactly
+    it (layer 1, which never returns from the fast path, returns it from its
+    wedge test, where exp(-x**2 / 2) is 1.0). ki[idx] is
+    2**52 * wi[idx - 1] / wi[idx] to within 0.75 (for layer 0, wi[255]'s ratio to
+    wi[0], within 0.22); its float floor less 2 stays below it, and layer 1's
+    bound is 0."""
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    wi = np.empty(256)
+    for idx in range(256):
+        _forced(bit_generator, 1 << 9 | idx)
+        wi[idx] = rng.standard_normal()
+    bound = np.floor(2.0**52 * np.roll(wi, 1) / wi) - 2
+    bound[1] = 0
+    tables = np.concatenate([wi, -wi]), np.tile(bound, 2)
+    for table in tables:
+        table.flags.writeable = False  # cached, so shared by every caller
+    return tables
 
 
 def _row_draws(seed: int, n_samples: int, n_features: int, k_patterns: int) -> tuple[np.ndarray, np.ndarray]:
     """(picks, noise): for each sample i, `integers(k_patterns)` and then
     `normal(0.0, 0.3, size=n_features)` of `np.random.default_rng([seed, 1, i])`,
-    bit for bit, with one raw word and `standard_normal` per row.
+    bit for bit, replayed from the rows' PCG64 words, block by block.
 
-    `integers(k)` draws int64 with the range k - 1, which for every k from 2 to
-    2**20 (synthesis allows at most 20 labels) fits 32 bits and is not 2**32 - 1,
-    so numpy takes Lemire's bounded draw on one 32-bit output: the low half of the
-    row's first word, the high half kept for a next 32-bit draw. Unless that draw
-    rejects, the pick is ((w & 0xFFFFFFFF) * k) >> 32, and the normals start at the
-    second word, as `standard_normal` after `random_raw` does. A rejected row,
-    where the product's low half is below (2**32 - k) % k (odds below k / 2**32),
-    is drawn again with `integers` and `normal`. `normal` returns 0.0 + 0.3 * z,
-    which is the in-place scaling below, -0.0 made +0.0 included."""
-    words = []
+    The rows of a block are seeded and stepped at once (O'Neill, 2014: a
+    128-bit LCG whose output is XSL-RR). `integers(k)` draws int64 with the
+    range k - 1, which for every k from 2 to 2**20 (synthesis allows at most 20
+    labels) fits 32 bits and is not 2**32 - 1, so numpy takes Lemire's bounded
+    draw on one 32-bit output: the low half of the row's first word, the high
+    half kept for a next 32-bit draw. Unless that draw rejects, the pick is
+    ((w & 0xFFFFFFFF) * k) >> 32, and `standard_normal` reads the normals from
+    the second word on, one word each while they take the ziggurat's fast
+    path, which is replayed (`_ziggurat_tables`). At a row's first draw that
+    may leave it, a reused Generator set to the state before that word draws
+    the rest of the row; rows of at least `_REPLAY_WIDTH_LIMIT` features are
+    drawn by it from their first normal. A rejected row, where the product's
+    low half is below (2**32 - k) % k (odds below k / 2**32), is drawn again
+    with `integers` and `normal`. `normal` returns 0.0 + 0.3 * z, which is the
+    in-place scaling below, -0.0 made +0.0 included."""
+    scale, bound = _ziggurat_tables()
+    replayed = range(n_features if n_features < _REPLAY_WIDTH_LIMIT else 0)
+    picks = np.empty(n_samples, dtype=np.intp)
     noise = np.empty((n_samples, n_features))
-    for rng_i, row in zip(_row_generators(seed, np.arange(n_samples, dtype=np.uint32)), noise):
-        words.append(rng_i.bit_generator.random_raw())
-        rng_i.standard_normal(out=row)
-    m = (np.array(words, dtype=np.uint64) & np.uint64(_MASK32)) * np.uint64(k_patterns)
-    picks = (m >> np.uint64(32)).astype(np.intp)
-    noise *= 0.3
-    noise += 0.0
-    rejected = np.flatnonzero((m & np.uint64(_MASK32)) < (2**32 - k_patterns) % k_patterns)
-    for i, rng_i in zip(rejected.tolist(), _row_generators(seed, rejected.astype(np.uint32))):
-        picks[i] = rng_i.integers(k_patterns)
-        noise[i] = rng_i.normal(0.0, 0.3, size=n_features)
+    rejected = []
+    for start in range(0, n_samples, _DRAW_ROWS):
+        stop = min(start + _DRAW_ROWS, n_samples)
+        rows = np.arange(start, stop, dtype=np.uint32)
+        hi, lo, inc_hi, inc_lo = _pcg64_seeded(seed, rows)
+        hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+        m = (_pcg64_output(hi, lo) & _LOW32) * np.uint64(k_patterns)
+        picks[start:stop] = m >> np.uint64(32)
+        rejects = (m & _LOW32) < (2**32 - k_patterns) % k_patterns
+        out = noise[start:stop]
+        # the rows numpy finishes, each from column first with the state before its word
+        finished = np.full(len(rows), not replayed)
+        first = np.zeros(len(rows), dtype=np.intp)
+        before_hi, before_lo = hi, lo
+        for j in replayed:
+            prev_hi, prev_lo = hi, lo
+            hi, lo = _pcg64_step(hi, lo, inc_hi, inc_lo)
+            w = _pcg64_output(hi, lo)
+            low = (w & np.uint64(0x1FF)).astype(np.intp)
+            rabs = ((w >> np.uint64(9)) & _LOW52).astype(np.float64)
+            np.multiply(rabs, scale[low], out=out[:, j])
+            slow = (rabs >= bound[low]) & ~finished
+            np.copyto(before_hi, prev_hi, where=slow)
+            np.copyto(before_lo, prev_lo, where=slow)
+            first[slow] = j
+            finished |= slow
+        rows_left = np.flatnonzero(finished & ~rejects)
+        before = before_hi[rows_left], before_lo[rows_left], inc_hi[rows_left], inc_lo[rows_left]
+        for r, j, rng in zip(rows_left.tolist(), first[rows_left].tolist(), _row_generators(*before)):
+            rng.standard_normal(out=out[r, j:])
+        out *= 0.3
+        out += 0.0
+        rejected += rows[rejects].tolist()
+    redraws = _row_generators(*_pcg64_seeded(seed, np.array(rejected, dtype=np.uint32)))
+    for i, rng in zip(rejected, redraws):
+        picks[i] = rng.integers(k_patterns)
+        noise[i] = rng.normal(0.0, 0.3, size=n_features)
     return picks, noise
 
 
@@ -477,16 +600,18 @@ def synthesize(seed: int, n_samples: int, n_features: int, rs: RuleSet, k_patter
     SeedSequence([seed, 1, i]), which makes parallel generation equal to the
     serial one.
 
-    Sample i's generator is not built from its seed sequence. Its PCG64 state
-    is computed for all rows at once by the algorithm of
-    `numpy.random.SeedSequence` (numpy's port of Melissa O'Neill's
-    seed_seq_fe hash), then set on one reused generator. That algorithm and
-    the PCG64 state layout fall under NumPy's stream-compatibility policy,
-    NEP 19 (https://numpy.org/neps/nep-0019-rng-policy.html), and the tests
-    check the states and draws against `np.random.default_rng` bit for bit.
-    Per row, the generator gives one raw word and the normals, written in place;
-    the picks and the 0.3 scale are then taken for all rows at once
-    (`_row_draws`).
+    Sample i's draws are not asked of a generator built from its seed
+    sequence. Its PCG64 state is computed for a block of rows at once by the
+    algorithm of `numpy.random.SeedSequence` (numpy's port of Melissa
+    O'Neill's seed_seq_fe hash) and PCG64's seeding, and its words by PCG64's
+    step and output. The pick, and each normal that `standard_normal` draws
+    on its ziggurat's fast path, are computed from those words; from a row's
+    first other normal on, one reused generator set to the row's state draws
+    the rest (`_row_draws`). SeedSequence, the PCG64 state layout and its
+    stream fall under NumPy's stream-compatibility policy, NEP 19
+    (https://numpy.org/neps/nep-0019-rng-policy.html). The ziggurat's tables
+    are read from numpy itself, and the tests check the states, the tables
+    and the draws against `np.random.default_rng` bit for bit.
     """
     _check_seed(seed)
     if k_patterns < 2:

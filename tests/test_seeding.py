@@ -1,10 +1,14 @@
-"""Synthesis computes each row's generator state instead of building it: the
-states and draws against numpy's own SeedSequence and default_rng, bit for
-bit, so that a numpy upgrade which changed either fails here; each row's pick
-and normals, taken from one raw word and `standard_normal`, against
-`integers` and `normal`, the rows numpy's bounded draw rejects included; and
-the grown candidate blocks of the pattern search against the one-draw
-reference."""
+"""Synthesis computes each row's generator state and draws instead of asking
+numpy for them: the states and draws against numpy's own SeedSequence and
+default_rng, bit for bit, so that a numpy upgrade which changed either fails
+here; each row's pick and normals, replayed from its PCG64 words, against
+`integers` and `normal`, with every branch of the replay taken, the rows
+numpy's bounded draw rejects included; the ziggurat tables the replay reads
+from numpy against numpy's own draws; and the grown candidate blocks of the
+pattern search against the one-draw reference."""
+
+import collections
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +42,7 @@ def test_row_states_equal_seed_sequence(seed, rows):
 @settings(deadline=None, database=None, max_examples=100)
 @given(SEEDS, ROWS, st.integers(2, 40), st.integers(1, 20))
 def test_row_generators_draw_as_default_rng(seed, rows, k, dims):
-    for i, rng in zip(rows, data._row_generators(seed, np.array(rows, dtype=np.uint32))):
+    for i, rng in zip(rows, data._row_generators(*data._pcg64_seeded(seed, np.array(rows, dtype=np.uint32)))):
         reference = np.random.default_rng([seed, 1, i])
         assert rng.bit_generator.state == reference.bit_generator.state
         assert rng.integers(k) == reference.integers(k)
@@ -61,13 +65,14 @@ def test_rows_whose_bounded_draw_rejects_are_drawn_again(monkeypatch):
     # 9 of these 20000 rows do, and their picks come from a second 32-bit output
     seed, n, k = 5, 20_000, 1_048_321
     calls = []
-    row_generators = data._row_generators
+    pcg64_seeded = data._pcg64_seeded
 
     def recording(seed, rows):
         calls.append(rows.tolist())
-        return row_generators(seed, rows)
+        return pcg64_seeded(seed, rows)
 
-    monkeypatch.setattr(data, "_row_generators", recording)
+    monkeypatch.setattr(data, "_pcg64_seeded", recording)
+    monkeypatch.setattr(data, "_DRAW_ROWS", n)  # one block, so one seeding of every row
     picks, noise = data._row_draws(seed, n, 2, k)
     rejected = []
     for i in range(n):
@@ -82,30 +87,120 @@ def test_rows_whose_bounded_draw_rejects_are_drawn_again(monkeypatch):
 
 
 def test_a_negative_zero_normal_is_scaled_to_positive_zero(monkeypatch):
-    # normal(0.0, 0.3) returns 0.0 + 0.3 * z, which is +0.0 for z = -0.0
-    class NegativeZeroFirst:
-        def __init__(self, rng):
-            self.rng, self.bit_generator = rng, rng.bit_generator
+    # normal(0.0, 0.3) returns 0.0 + 0.3 * z, which is +0.0 for z = -0.0; the word
+    # of layer 2 with sign 1 and rabs = 0 is drawn as -0.0 by the fast path
+    negative_zero = 1 << 8 | 2
+    outputs = []
+    pcg64_output = data._pcg64_output
 
-        def standard_normal(self, out):
-            self.rng.standard_normal(out=out)
-            out[0] = -0.0
+    def forcing(hi, lo):
+        words = pcg64_output(hi, lo)
+        outputs.append(len(words))
+        if len(outputs) == 2:  # the block's first normal words; the first output is the picks' word
+            words[:] = negative_zero
+        return words
 
-    row_generators = data._row_generators
-    monkeypatch.setattr(data, "_row_generators", lambda seed, rows: map(NegativeZeroFirst, row_generators(seed, rows)))
+    monkeypatch.setattr(data, "_pcg64_output", forcing)
     _, noise = data._row_draws(3, 50, 4, 6)
+    assert outputs == [50] * 5
     for i in range(50):
         reference = np.random.default_rng([3, 1, i])
         reference.integers(6)
-        z = reference.standard_normal(size=4)
-        z[0] = -0.0
+        reference.bit_generator.random_raw()  # the forced word, drawn as one
+        z = np.concatenate([[-0.0], reference.standard_normal(size=3)])
         assert noise[i].tobytes() == (0.0 + 0.3 * z).tobytes()
     assert not np.signbit(noise[:, 0]).any()
 
 
+def _forced_draw(word):
+    """standard_normal on the word `word`, and whether it read that word only."""
+    bit_generator = np.random.PCG64(0)
+    data._forced(bit_generator, word)
+    z = np.random.Generator(bit_generator).standard_normal()
+    # the state (0, word) outputs word, so one step on the generator is in it
+    return z, bit_generator.state["state"]["state"] == word
+
+
+def test_ziggurat_tables_are_numpys_draws_and_bounds():
+    scale, bound = data._ziggurat_tables()
+    assert scale.shape == bound.shape == (512,)
+    assert scale[256:].tobytes() == (-scale[:256]).tobytes()
+    assert bound[256:].tobytes() == bound[:256].tobytes()
+    assert bound[1] == 0  # layer 1 never takes the fast path
+    for idx in set(range(256)) - {1}:
+        # rabs = 1 and sign 0 draws wi[idx] on the fast path
+        z, one_word = _forced_draw(1 << 9 | idx)
+        assert one_word and z == scale[idx]
+        # the largest rabs the replay takes as fast is fast in numpy too: the
+        # bound never exceeds numpy's threshold
+        rabs = int(bound[idx]) - 1
+        assert 2**51 < rabs < 2**52
+        for sign in (0, 1):
+            z, one_word = _forced_draw(rabs << 9 | sign << 8 | idx)
+            assert one_word and z == rabs * scale[sign << 8 | idx]
+
+
+def test_row_draws_take_every_branch_at_widths_1_to_80(monkeypatch):
+    # at k = 1048321 one of seed 28's first 150 rows rejects its pick, and five
+    # leave the fast path first in layer 0's tail
+    seed, n, k = 28, 150, 1_048_321
+    _, bound = data._ziggurat_tables()
+    monkeypatch.setattr(data, "_DRAW_ROWS", 64)  # blocks of 64 rows, the last one part full
+    finished = []
+    row_generators = data._row_generators
+
+    def recording(hi, *limbs):
+        finished.append(len(hi))
+        return row_generators(hi, *limbs)
+
+    monkeypatch.setattr(data, "_row_generators", recording)
+    branches = collections.Counter()
+    for width in range(1, 81):
+        finished.clear()
+        picks, noise = data._row_draws(seed, n, width, k)
+        expected_finished = 0
+        for i in range(n):
+            reference = np.random.default_rng([seed, 1, i])
+            assert picks[i] == reference.integers(k)
+            rejected = not reference.bit_generator.state["has_uint32"]
+            assert noise[i].tobytes() == reference.normal(0.0, 0.3, size=width).tobytes()
+            # the row's normal words, read as the replay reads them with its own tables
+            words = np.random.default_rng([seed, 1, i]).bit_generator.random_raw(width + 1)[1:]
+            rabs = ((words >> np.uint64(9)) & np.uint64(2**52 - 1)).astype(np.float64)
+            slow = np.flatnonzero(rabs >= bound[(words & np.uint64(0x1FF)).astype(np.intp)])
+            if rejected:
+                branch = "rejected pick"
+            elif width >= data._REPLAY_WIDTH_LIMIT:
+                branch = "drawn by numpy"
+            elif not len(slow):
+                branch = "all fast"
+            else:
+                layer = int(words[slow[0]] & np.uint64(0xFF))
+                branch = {0: "layer-0 tail", 1: "layer 1"}.get(layer, "other slow layer")
+            branches[branch] += 1
+            expected_finished += branch != "all fast"
+        # the rows the replay handed to numpy, to finish or to draw again
+        assert sum(finished) == expected_finished
+    assert set(branches) == {
+        "rejected pick", "drawn by numpy", "all fast", "layer-0 tail", "layer 1", "other slow layer"
+    }, branches
+
+
+def test_row_draws_memory_stays_flat_in_the_row_count():
+    data._ziggurat_tables()
+    tracemalloc.start()
+    try:
+        picks, noise = data._row_draws(12, 100_000, 16, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the outputs, and temporaries of a few blocks
+    assert peak < 1.25 * (picks.nbytes + noise.nbytes)
+
+
 def test_row_generators_cover_every_row_in_order():
     rows = np.arange(300, dtype=np.uint32)
-    draws = [rng.random() for rng in data._row_generators(2**33 + 1, rows)]
+    draws = [rng.random() for rng in data._row_generators(*data._pcg64_seeded(2**33 + 1, rows))]
     assert draws == [np.random.default_rng([2**33 + 1, 1, i]).random() for i in range(300)]
 
 
